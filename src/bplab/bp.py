@@ -192,24 +192,30 @@ def _find_cycle(z: Nrobp) -> list[int]:
 
 
 def _witness_double_read(z: Nrobp, edge_idx: int, var: int) -> list[int]:
-    """Root-to-head node path whose labels read var before edge_idx reads it again."""
-    target_tail = z.edges[edge_idx][0]
-    best: list[int] | None = None
+    """Root-to-head node path whose labels read var before edge_idx reads it again.
 
-    def dfs(v: int, path: list[int], seen_var: bool) -> bool:
-        nonlocal best
-        if v == target_tail and seen_var:
-            best = path + [z.edges[edge_idx][1]]
-            return True
-        for i in z.out_edges[v]:
-            _, h, lab = z.edges[i]
-            s = seen_var or (lab is not None and _var_of(lab) == var)
-            if dfs(h, path + [h], s):
-                return True
-        return False
-
-    dfs(z.root, [z.root], False)
-    return best if best is not None else [z.root]
+    Depth-first in edge order; a (node, read-yet) state that once failed
+    to reach the tail is never entered again, since z is acyclic.
+    """
+    tail, head, _ = z.edges[edge_idx]
+    failed: set[tuple[int, bool]] = set()
+    path = [(z.root, False)]
+    stack = [iter(z.out_edges[z.root])]
+    while stack:
+        i = next(stack[-1], None)
+        if i is None:
+            stack.pop()
+            failed.add(path.pop())
+            continue
+        _, h, lab = z.edges[i]
+        state = (h, path[-1][1] or (lab is not None and _var_of(lab) == var))
+        if state in failed:
+            continue
+        path.append(state)
+        if state == (tail, True):
+            return [v for v, _ in path] + [head]
+        stack.append(iter(z.out_edges[h]))
+    return [z.root]
 
 
 def _node_var_masks(z: Nrobp) -> list[int] | None:
@@ -231,15 +237,18 @@ def _node_var_masks(z: Nrobp) -> list[int] | None:
     return masks  # type: ignore[return-value]
 
 
+def _reads_uniformly(z: Nrobp) -> bool:
+    """Uniformity of an already validated program."""
+    masks = _node_var_masks(z)
+    return masks is not None and masks[z.leaf] == (1 << z.num_vars) - 1
+
+
 def is_uniform(z: Nrobp) -> bool:
     """All root-to-a paths read the same variables, and full paths read Var(F)."""
     rep = validate_nrobp(z)
     if not rep.ok:
         raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
-    masks = _node_var_masks(z)
-    if masks is None:
-        return False
-    return masks[z.leaf] == (1 << z.num_vars) - 1
+    return _reads_uniformly(z)
 
 
 def uniformize(z: Nrobp) -> Nrobp:
@@ -341,21 +350,27 @@ def bp_satisfying_set(z: Nrobp, cap: int = 20) -> set[Assignment]:
 def root_leaf_paths(z: Nrobp, cap: int = 100000) -> list[tuple[int, ...]]:
     """All root-leaf paths as tuples of edge indices, in DFS order."""
     paths: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def dfs(v: int) -> None:
+    path: list[int] = []
+    stack: list[Iterator[int]] = []
+    v = z.root
+    while True:
         if v == z.leaf:
-            paths.append(tuple(stack))
+            paths.append(tuple(path))
             if len(paths) > cap:
                 raise ValueError(f"more than {cap} root-leaf paths")
-            return
-        for i in z.out_edges[v]:
-            stack.append(i)
-            dfs(z.edges[i][1])
+        else:
+            stack.append(iter(z.out_edges[v]))
+        # back up to the deepest node with an untried out-edge
+        while stack:
+            del path[len(stack) - 1:]
+            i = next(stack[-1], None)
+            if i is not None:
+                break
             stack.pop()
-
-    dfs(z.root)
-    return paths
+        else:
+            return paths
+        path.append(i)
+        v = z.edges[i][1]
 
 
 def path_literals(z: Nrobp, path: Sequence[int]) -> frozenset[int]:
@@ -395,7 +410,7 @@ class Nfbdd(Nrobp):
                 raise ValueError(f"node {v} does not carry opposite literals")
             var_of[v] = vars_.pop()
         self.var_of: tuple[int | None, ...] = tuple(var_of)
-        if not is_uniform(self):
+        if not _reads_uniformly(self):
             raise ValueError("program is not uniform")
 
 

@@ -28,6 +28,7 @@ from .instances import (
     family_edge_count,
     family_params,
     hard_family_instance,
+    tree_product,
 )
 from .suites import SUITES
 from .widths import dmw_exact, mw_exact
@@ -64,9 +65,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         print(f"instance exceeds {MATERIALIZE_LIMIT} vertices; "
               "sizes reported without materialization")
         return 0
-    g, _ = hard_family_instance(args.k, args.r, allow_small_r=args.allow_small_r)
-    td = canonical_tree_decomposition(
-        complete_binary_tree(params.r), path_graph(params.path_len))
+    t, h = complete_binary_tree(params.r), path_graph(params.path_len)
+    g = tree_product(t, h)
+    td = canonical_tree_decomposition(t, h)
     for path in write_instance_bundle(args.out, params, g, cnf_from_graph(g), td):
         print(f"wrote {path}")
     return 0
@@ -167,7 +168,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     try:
         cert = extract_cut_cover(z, g)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"q={cert.q} dmw={cert.dmw} bound={fmt_num(cert.bound)}")
@@ -230,15 +231,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cap-vars", type=int, default=20,
-                     help="largest variable count for exhaustive enumeration")
-    sub.add_argument("--cap-subset", type=int, default=22,
-                     help="largest vertex count for subset dynamic programs")
-    sub.add_argument("--exact", action="store_true",
-                     help="use rational arithmetic where supported")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--out", help="output file or directory")
+_FLAGS = {
+    "cap-vars": dict(type=int, default=20,
+                     help="largest variable count for exhaustive enumeration"),
+    "cap-subset": dict(type=int, default=22,
+                       help="largest vertex count for subset dynamic programs"),
+    "seed": dict(type=int, default=0, help="random seed"),
+    "out": dict(help="output file or directory"),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *names: str) -> None:
+    """Declare the shared flags a subcommand reads."""
+    for name in names:
+        sub.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="tree height r")
     p.add_argument("--allow-small-r", action="store_true",
                    help="permit heights below the 5*ceil(log2 k) threshold")
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_gen)
     p.set_defaults(out=".")
 
@@ -262,42 +268,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", help="comma-separated variable order")
     p.add_argument("--best-order", action="store_true",
                    help="search all orders for the smallest diagram")
-    _add_common(p)
+    _add_flags(p, "cap-subset", "out")
     p.set_defaults(func=cmd_compile)
 
     p = subs.add_parser("mw", help="exact matching width of a graph")
     p.add_argument("--graph", required=True, help="DIMACS graph input file")
-    _add_common(p)
+    _add_flags(p, "cap-subset")
     p.set_defaults(func=cmd_mw)
 
     p = subs.add_parser("dmw", help="exact distant matching width of a graph")
     p.add_argument("--graph", required=True, help="DIMACS graph input file")
-    _add_common(p)
+    _add_flags(p, "cap-subset")
     p.set_defaults(func=cmd_dmw)
 
     p = subs.add_parser("uniformize", help="make a program uniform")
     p.add_argument("--bp", required=True, help="program input file")
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_uniformize)
 
     p = subs.add_parser("verify", help="run a named invariant suite")
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(SUITES)))
-    _add_common(p)
+    _add_flags(p, "seed")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("cover", help="minimum DIS cover of a graph's clauses")
     p.add_argument("--graph", required=True, help="DIMACS graph input file")
     p.add_argument("--t", type=int, required=True, help="DIS size")
-    _add_common(p)
+    _add_flags(p, "cap-vars")
     p.set_defaults(func=cmd_cover)
 
     p = subs.add_parser("certify", help="extract a cut-cover certificate")
     p.add_argument("--bp", required=True, help="uniform program input file")
     p.add_argument("--graph", required=True, help="DIMACS graph input file")
-    p.add_argument("--path-cap", type=int, default=20000,
-                   help="largest number of root-leaf paths to walk")
-    _add_common(p)
+    _add_flags(p, "out")
     p.set_defaults(func=cmd_certify)
 
     p = subs.add_parser("experiment", help="family sweep with CSV output")
@@ -308,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="variable order strategy for the size columns")
     p.add_argument("--path-cap", type=int, default=20000,
                    help="largest number of root-leaf paths to walk")
-    _add_common(p)
+    _add_flags(p, "cap-subset", "out")
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .bp import Nfbdd, Nrobp, _node_var_masks, _var_of, is_uniform, root_leaf_paths
+from .bp import (
+    Nfbdd,
+    Nrobp,
+    _node_var_masks,
+    _topological_order,
+    _var_of,
+    is_uniform,
+    root_leaf_paths,
+)
 from .graphs import Graph, Matching, cnf_from_graph, is_dis
 from .widths import (
     PrefixPartition,
@@ -86,8 +94,6 @@ def _read_masks(y: Nrobp) -> list[int]:
 
 def _parent_neg_masks(y: Nrobp) -> list[int]:
     """Variables read negatively along one deterministic root path per node."""
-    from .bp import _topological_order
-
     order = _topological_order(y)
     assert order is not None
     neg = [0] * y.num_nodes
@@ -129,34 +135,48 @@ def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
     )
 
 
-def _node_weights(y: Nfbdd, exact: bool) -> list[Weight]:
+def _weight_table(y: Nfbdd, need: tuple[int, ...], exact: bool) -> list[list[Weight]]:
+    """table[v][m]: weight of v-to-leaf paths reading need[i] positively for each bit i of m.
+
+    Built once over a reverse topological order. An edge out of a two-way
+    node weighs 1/2; a negative edge on a still-needed variable adds
+    nothing. Each node adds its out-edges in edge order.
+    """
     half: Weight = Fraction(1, 2) if exact else 0.5
     one: Weight = Fraction(1) if exact else 1.0
-    return [half if len(y.out_edges[v]) == 2 else one for v in range(y.num_nodes)]
-
-
-def _totals(y: Nfbdd, exact: bool = False) -> list[Weight]:
-    from .bp import _topological_order
-
+    zero: Weight = Fraction(0) if exact else 0.0
+    bits = [0] * (y.num_vars + 1)  # need bit per label magnitude
+    for i, v in enumerate(need):
+        bits[v + 1] = 1 << i
+    masks = range(1 << len(need))
+    table = [[zero] * len(masks) for _ in range(y.num_nodes)]
+    table[y.leaf][0] = one
     order = _topological_order(y)
     assert order is not None
-    w = _node_weights(y, exact)
-    one: Weight = Fraction(1) if exact else 1.0
-    zero: Weight = Fraction(0) if exact else 0.0
-    total: list[Weight] = [zero] * y.num_nodes
-    total[y.leaf] = one
     for v in reversed(order):
         if v == y.leaf:
             continue
-        total[v] = sum((w[v] * total[y.edges[i][1]] for i in y.out_edges[v]), zero)
-    return total
+        outs = y.out_edges[v]
+        w = half if len(outs) == 2 else one
+        row = table[v]
+        for m in masks:
+            acc = zero
+            for i in outs:
+                _, h, lab = y.edges[i]
+                bit = m & bits[abs(lab)] if lab is not None else 0
+                if not bit:
+                    acc += w * table[h][m]
+                elif lab > 0:
+                    acc += w * table[h][m ^ bit]
+            row[m] = acc
+    return table
 
 
 def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
     """Total weight of a-to-leaf paths; equals 1 at every node."""
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    return _totals(y, exact)[a]
+    return _weight_table(y, (), exact)[a][0]
 
 
 def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
@@ -170,35 +190,7 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
         raise ValueError(f"{len(sset)} vertices exceed the subset cap {cap}")
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    pos = {v: i for i, v in enumerate(sorted(sset))}
-    w = _node_weights(y, exact)
-    one: Weight = Fraction(1) if exact else 1.0
-    zero: Weight = Fraction(0) if exact else 0.0
-    memo: dict[tuple[int, int], Weight] = {}
-
-    def go(v: int, need: int) -> Weight:
-        if v == y.leaf:
-            return one if need == 0 else zero
-        key = (v, need)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        acc = zero
-        for i in y.out_edges[v]:
-            _, h, lab = y.edges[i]
-            var = _var_of(lab)
-            nd = need
-            if var in pos:
-                bit = 1 << pos[var]
-                if need & bit:
-                    if lab < 0:
-                        continue
-                    nd = need & ~bit
-            acc += w[v] * go(h, nd)
-        memo[key] = acc
-        return acc
-
-    return go(a, (1 << len(sset)) - 1)
+    return _weight_table(y, tuple(sorted(sset)), exact)[a][-1]
 
 
 def relative_weight(ctx: NodeContext, b: Iterable[int], exact: bool = False) -> Weight:
@@ -247,57 +239,27 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     the positive out-edges land on nodes whose free set still contains
     B minus v.
     """
-    from .bp import _topological_order
-
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
-    order = _topological_order(y)
-    assert order is not None
     read = _read_masks(y)
     negs = _parent_neg_masks(y)
     full_v = (1 << g.n) - 1
     vert = [full_v & ~read[v] for v in range(y.num_nodes)]
     free = [_free_mask(g, read[v], negs[v]) for v in range(y.num_nodes)]
-    w = _node_weights(y, exact)
     one: Weight = Fraction(1) if exact else 1.0
-    zero: Weight = Fraction(0) if exact else 0.0
-    rev = [v for v in reversed(order) if v != y.leaf]
 
     violations: list[str] = []
     pairs = 0
     side_checks = 0
     dis_list = _all_dis(g, max_dis_size)
     for combo in dis_list:
-        bmask = 0
-        pos = {}
-        for i, v in enumerate(combo):
-            bmask |= 1 << v
-            pos[v] = i
-        nbits = len(combo)
-        fullneed = (1 << nbits) - 1
-        dp = [[zero] * (fullneed + 1) for _ in range(y.num_nodes)]
-        dp[y.leaf][0] = one
-        for v in rev:
-            row = dp[v]
-            for need in range(fullneed + 1):
-                acc = zero
-                for i in y.out_edges[v]:
-                    _, h, lab = y.edges[i]
-                    var = _var_of(lab)
-                    nd = need
-                    if var in pos:
-                        bit = 1 << pos[var]
-                        if need & bit:
-                            if lab < 0:
-                                continue
-                            nd = need & ~bit
-                    acc += w[v] * dp[h][nd]
-                row[need] = acc
+        bmask = sum(1 << v for v in combo)
+        cov_at = _weight_table(y, combo, exact)
         for a in range(y.num_nodes):
             if bmask & ~free[a]:
                 continue
             pairs += 1
-            cov = dp[a][fullneed]
+            cov = cov_at[a][-1]
             rw: Weight = one
             for v in combo:
                 d = (g.nbr_mask[v] & vert[a]).bit_count()
@@ -307,7 +269,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                 violations.append(
                     f"node {a}, B={list(combo)}: covered weight {cov} exceeds bound {rw}")
             av = y.var_of[a]
-            if av is not None and av in pos:
+            if av is not None and bmask >> av & 1:
                 for i in y.out_edges[a]:
                     _, h, lab = y.edges[i]
                     if lab > 0:

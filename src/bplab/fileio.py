@@ -9,10 +9,9 @@ always serializes to the same bytes.
 
 from __future__ import annotations
 
-import heapq
 from pathlib import Path
 
-from .bp import Nrobp
+from .bp import Nrobp, _find_cycle, _topological_order
 from .covers import CutCoverCertificate
 from .graphs import Graph, MonotoneCnf
 from .instances import FamilyParams, LabeledTree, TreeDecomposition
@@ -178,22 +177,6 @@ def parse_td(text: str) -> tuple[TreeDecomposition, dict[str, int] | None]:
 
 # -------------------------------------------------------------- programs
 
-def _bp_topo_order(z: Nrobp) -> list[int]:
-    indeg = [len(z.in_edges[v]) for v in range(z.num_nodes)]
-    heap = [v for v in range(z.num_nodes) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        v = heapq.heappop(heap)
-        order.append(v)
-        for i in z.out_edges[v]:
-            h = z.edges[i][1]
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                heapq.heappush(heap, h)
-    return order
-
-
 def _label_str(lab: int | None) -> str:
     if lab is None:
         return "."
@@ -205,9 +188,13 @@ def write_bp(z: Nrobp) -> str:
 
     Nodes are renumbered into topological order, so the root is always 0
     and the leaf num_nodes - 1. Labels are '+v', '-v' (0-based variable
-    ids) or '.' for unlabeled edges.
+    ids) or '.' for unlabeled edges. A cyclic program has no such order
+    and is rejected.
     """
-    order = _bp_topo_order(z)
+    order = _topological_order(z)
+    if order is None:
+        raise ValueError(
+            f"cannot write a cyclic program: cycle through nodes {_find_cycle(z)}")
     newid = [0] * z.num_nodes
     for idx, v in enumerate(order):
         newid[v] = idx

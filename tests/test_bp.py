@@ -1,6 +1,7 @@
 """Tests for branching-program construction, validation, and compilation."""
 
 import itertools
+import time
 
 import pytest
 
@@ -84,6 +85,24 @@ def test_validate_reports_each_defect():
     good = Nrobp(3, [(0, 1, 1), (0, 1, -1), (1, 2, 2), (1, 2, -2)], 0, 2, 2)
     assert validate_nrobp(good).ok
     assert validate_nrobp(good).violations == []
+
+
+def test_double_read_witness_on_many_diamonds():
+    # root edges '.' and '+0', 30 unlabeled diamonds, then '+0' into the leaf:
+    # 2^30 paths through the unlabeled root edge never read variable 0 first
+    edges = [(0, 1, None), (0, 1, 1)]
+    v = 1
+    for _ in range(30):
+        edges += [(v, v + 1, None), (v, v + 2, None), (v + 1, v + 3, None),
+                  (v + 2, v + 3, None)]
+        v += 3
+    edges.append((v, v + 1, 1))
+    z = Nrobp(v + 2, edges, 0, v + 1, 1)
+    start = time.perf_counter()
+    rep = validate_nrobp(z)
+    assert time.perf_counter() - start < 1.0
+    path = [0, 1] + [u for d in range(30) for u in (3 * d + 2, 3 * d + 4)] + [v + 1]
+    assert rep.violations == [f"variable 0 is read twice along the path through nodes {path}"]
 
 
 def test_is_uniform():

@@ -2,10 +2,10 @@
 
 import pytest
 
-from bplab.bp import is_uniform, nfbdd_compile, bp_satisfying_set
+from bplab.bp import Nrobp, is_uniform, nfbdd_compile, bp_satisfying_set, uniformize
 from bplab.cli import main
 from bplab.fileio import parse_bp, parse_cnf, parse_graph, parse_td, write_bp, write_cnf, write_graph
-from bplab.graphs import cnf_from_graph, cycle_graph
+from bplab.graphs import cnf_from_graph, complete_graph, cycle_graph
 from bplab.instances import validate_tree_decomposition
 from bplab.suites import SUITES, random_read_once_program
 
@@ -40,6 +40,14 @@ def test_gen_writes_bundle(tmp_path, capsys):
     td, meta = parse_td((tmp_path / "instance.td").read_text())
     assert meta == {"k": 6, "y": 3, "r": 2, "p": 1, "n": 14}
     assert validate_tree_decomposition(g, td).ok
+
+
+def test_gen_warns_once_below_regime(tmp_path, capsys):
+    with pytest.warns(UserWarning, match="k=6 is below the intended regime") as record:
+        rc, _, _ = run(capsys, "gen", "--k", "6", "--r", "2", "--allow-small-r",
+                       "--out", str(tmp_path))
+    assert rc == 0
+    assert len(record) == 1
 
 
 def test_gen_threshold_rejection(capsys):
@@ -156,6 +164,32 @@ def test_certify_command(tmp_path, capsys):
     text = cert_path.read_text()
     assert text.endswith("q=2 dmw=1 bound=1.14285714286\n")
     assert text.count("node ") == 2
+
+
+def test_certify_reports_uncoverable_node(tmp_path, capsys):
+    # the uniformized constant-true program has no covering endpoint for K2's edge
+    bp_path = tmp_path / "true.bp"
+    bp_path.write_text(write_bp(uniformize(Nrobp(1, [], 0, 0, 2))))
+    graph_path = tmp_path / "k2.graph"
+    graph_path.write_text(write_graph(complete_graph(2)))
+    rc, out, err = run(capsys, "certify", "--bp", str(bp_path), "--graph", str(graph_path))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: neither endpoint of (0, 1) covers all paths through node 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mw", "--graph", "g", "--exact"],
+    ["certify", "--bp", "b", "--graph", "g", "--path-cap", "5"],
+    ["cover", "--graph", "g", "--t", "1", "--seed", "1"],
+    ["verify", "--suite", "widths", "--cap-vars", "5"],
+    ["mw", "--graph", "g", "--out", "o"],
+])
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_experiment_frozen_csv(tmp_path, capsys):

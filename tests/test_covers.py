@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bplab.bp import Nrobp, nfbdd_compile
+from bplab.bp import Nrobp, nfbdd_compile, root_leaf_paths
 from bplab.covers import (
     composed_bound_constants,
     constants,
@@ -164,6 +164,25 @@ def test_verify_deepcover_clean_on_fixtures():
     assert rep.ok
     with pytest.raises(ValueError, match="diagram reads 2 variables but g has 3"):
         verify_deepcover(_compiled(complete_graph(2)), path_graph(3))
+
+
+@pytest.fixture(scope="module")
+def long_path_diagram():
+    # 2,000 nodes and depth 1,000: deeper than the default recursion limit
+    return _compiled(path_graph(1000))
+
+
+def test_weights_and_paths_on_long_diagram(long_path_diagram):
+    y = long_path_diagram
+    assert y.num_nodes == 2000
+    assert path_weight_total(y, y.root, exact=True) == 1
+    assert path_weight_total(y, y.root) == 1.0
+    assert covered_weight(y, y.root, [0], exact=True) == Fraction(1, 2)
+    exact = covered_weight(y, y.root, [0, 500, 999], exact=True)
+    assert 0 < exact < Fraction(1, 2)
+    assert abs(covered_weight(y, y.root, [0, 500, 999]) - float(exact)) <= 1e-12
+    with pytest.raises(ValueError, match="more than 10 root-leaf paths"):
+        root_leaf_paths(y, cap=10)
 
 
 def test_min_dis_cover_frozen():

@@ -161,6 +161,12 @@ def test_bp_round_trip_random_programs():
         assert sum(1 for _, _, lab in back.edges if lab is None) == unlabeled
 
 
+def test_write_bp_rejects_cycles():
+    z = Nrobp(3, [(0, 1, 1), (1, 2, 2), (2, 1, None)], 0, 2, 2)
+    with pytest.raises(ValueError, match=r"cyclic program: cycle through nodes \[1, 2, 1\]"):
+        write_bp(z)
+
+
 def test_bp_parse_errors():
     with pytest.raises(ValueError, match="missing 'bp' header line"):
         parse_bp("c none\n")
