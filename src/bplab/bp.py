@@ -13,11 +13,10 @@ Size is measured in edges; node counts are reported alongside.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Assignment, MonotoneCnf
+from .graphs import Assignment, MonotoneCnf, primal_graph
 
 
 class Nrobp:
@@ -105,8 +104,12 @@ def _var_of(label: int) -> int:
 
 def validate_nrobp(z: Nrobp) -> BpReport:
     """Report acyclicity, source/sink uniqueness, connectivity, and read-once defects."""
+    return _validate(z, _topological_order(z))
+
+
+def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
+    """validate_nrobp given z's topological order, or None when z is cyclic."""
     violations: list[str] = []
-    order = _topological_order(z)
     if order is None:
         violations.append(f"cycle through nodes {_find_cycle(z)}")
 
@@ -161,6 +164,16 @@ def validate_nrobp(z: Nrobp) -> BpReport:
             violations.append(
                 f"variable {var} is read twice along the path through nodes {path}")
     return BpReport(violations=violations)
+
+
+def _valid_order(z: Nrobp) -> list[int]:
+    """Topological order of z; ValueError naming the first defect if z is invalid."""
+    order = _topological_order(z)
+    rep = _validate(z, order)
+    if not rep.ok:
+        raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
+    assert order is not None
+    return order
 
 
 def _find_cycle(z: Nrobp) -> list[int]:
@@ -218,10 +231,8 @@ def _witness_double_read(z: Nrobp, edge_idx: int, var: int) -> list[int]:
     return [z.root]
 
 
-def _node_var_masks(z: Nrobp) -> list[int] | None:
+def _node_var_masks(z: Nrobp, order: list[int]) -> list[int] | None:
     """Per-node variable mask of root paths; None when two paths disagree."""
-    order = _topological_order(z)
-    assert order is not None
     masks: list[int | None] = [None] * z.num_nodes
     masks[z.root] = 0
     for v in order:
@@ -237,18 +248,15 @@ def _node_var_masks(z: Nrobp) -> list[int] | None:
     return masks  # type: ignore[return-value]
 
 
-def _reads_uniformly(z: Nrobp) -> bool:
-    """Uniformity of an already validated program."""
-    masks = _node_var_masks(z)
+def _reads_uniformly(z: Nrobp, order: list[int]) -> bool:
+    """Uniformity of an already validated program with topological order `order`."""
+    masks = _node_var_masks(z, order)
     return masks is not None and masks[z.leaf] == (1 << z.num_vars) - 1
 
 
 def is_uniform(z: Nrobp) -> bool:
     """All root-to-a paths read the same variables, and full paths read Var(F)."""
-    rep = validate_nrobp(z)
-    if not rep.ok:
-        raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
-    return _reads_uniformly(z)
+    return _reads_uniformly(z, _valid_order(z))
 
 
 def uniformize(z: Nrobp) -> Nrobp:
@@ -262,9 +270,7 @@ def uniformize(z: Nrobp) -> Nrobp:
     union of their path variable sets; the leaf targets all of Var(F).
     Output size is at most (2 * num_vars + 1) times the input size.
     """
-    rep = validate_nrobp(z)
-    if not rep.ok:
-        raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
+    order = _valid_order(z)
     full = (1 << z.num_vars) - 1
     if z.root == z.leaf:
         # constant-true single node: emit a fresh paired-literal chain
@@ -276,8 +282,6 @@ def uniformize(z: Nrobp) -> Nrobp:
             edges.append((v, v + 1, -(v + 1)))
         return Nrobp(z.num_vars + 1, edges, 0, z.num_vars, z.num_vars)
 
-    order = _topological_order(z)
-    assert order is not None
     av = [0] * z.num_nodes  # settled path-variable mask per original node
     next_node = z.num_nodes
     new_edges: list[tuple[int, int, int | None]] = []
@@ -316,15 +320,11 @@ def uniformize(z: Nrobp) -> Nrobp:
 
 def bp_satisfying_set(z: Nrobp, cap: int = 20) -> set[Assignment]:
     """Total assignments accepted by z, by consistency-restricted reachability."""
-    rep = validate_nrobp(z)
-    if not rep.ok:
-        raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
+    order = _valid_order(z)
     n = z.num_vars
     if n > cap:
         raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
     out: set[Assignment] = set()
-    order = _topological_order(z)
-    assert order is not None
     for mask in range(1 << n):
         reach = [False] * z.num_nodes
         reach[z.root] = True
@@ -390,7 +390,8 @@ class Nfbdd(Nrobp):
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int | None]],
                  root: int, leaf: int, num_vars: int) -> None:
         super().__init__(num_nodes, edges, root, leaf, num_vars)
-        rep = validate_nrobp(self)
+        order = _topological_order(self)
+        rep = _validate(self, order)
         if not rep.ok:
             raise ValueError(f"not a valid NROBP: {rep.violations[0]}")
         var_of: list[int | None] = [None] * num_nodes
@@ -410,27 +411,35 @@ class Nfbdd(Nrobp):
                 raise ValueError(f"node {v} does not carry opposite literals")
             var_of[v] = vars_.pop()
         self.var_of: tuple[int | None, ...] = tuple(var_of)
-        if not _reads_uniformly(self):
+        assert order is not None
+        if not _reads_uniformly(self, order):
             raise ValueError("program is not uniform")
 
 
-def _clause_drop(state: frozenset[tuple[int, ...]], x: int) -> frozenset[tuple[int, ...]]:
-    return frozenset(c for c in state if x not in c)
+def _level_key(forced: int, last: int) -> list[int]:
+    """Sorts states like their sorted residual clause tuples.
 
-
-def _clause_shrink(state: frozenset[tuple[int, ...]], x: int) -> frozenset[tuple[int, ...]] | None:
-    if (x,) in state:
-        return None
-    return frozenset(c if x not in c else (c[0] if c[1] == x else c[1],) for c in state)
+    Unit (w,) maps to 2w; the pairs, shared by the whole level, collapse
+    to one sentinel 2*last+1, last being their largest first endpoint.
+    """
+    keys = [2 * last + 1]
+    while forced:
+        b = forced & -forced
+        forced ^= b
+        keys.append(2 * b.bit_length() - 2)
+    keys.sort()
+    return keys
 
 
 def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd:
     """Split on variables in order, merging states with equal residual clause sets.
 
-    A state is the set of not-yet-satisfied clauses restricted to unread
-    variables. The negative branch is dropped when it falsifies a unit
-    residual clause; every surviving state reaches the leaf because the
-    all-positive extension satisfies any monotone residual.
+    A state is its forced mask: the unread neighbours of variables read
+    false. It fixes the residual clause set, which is every clause among
+    unread variables plus a unit clause per forced variable. The negative
+    branch on a forced variable falsifies a unit clause and is dropped;
+    every surviving state reaches the leaf because the all-positive
+    extension satisfies any monotone residual.
     """
     n = cnf.num_vars
     if order is None:
@@ -439,76 +448,61 @@ def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd
         order = tuple(order)
         if sorted(order) != list(range(n)):
             raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    initial: frozenset[tuple[int, ...]] = frozenset(cnf.clauses)
-    levels: list[list[frozenset[tuple[int, ...]]]] = [[initial]]
-    for x in order:
-        nxt: set[frozenset[tuple[int, ...]]] = set()
-        for s in levels[-1]:
-            nxt.add(_clause_drop(s, x))
-            neg = _clause_shrink(s, x)
-            if neg is not None:
-                nxt.add(neg)
-        levels.append(sorted(nxt, key=lambda s: tuple(sorted(s))))
-
-    ids: list[dict[frozenset[tuple[int, ...]], int]] = []
-    counter = 0
-    for level in levels:
-        d = {}
-        for s in level:
-            d[s] = counter
-            counter += 1
-        ids.append(d)
+    nbr = primal_graph(cnf).nbr_mask
+    pos = {x: i for i, x in enumerate(order)}
+    last = [-1] * (n + 1)  # last[i]: largest first endpoint of a clause unread after i reads
+    for u, v in cnf.clauses:
+        i = min(pos[u], pos[v])
+        last[i] = max(last[i], u)
+    for i in range(n - 1, -1, -1):
+        last[i] = max(last[i], last[i + 1])
+    unread = (1 << n) - 1
+    ids = {0: 0}  # node id per state of the current level, in level order
+    counter = 1
     edges: list[tuple[int, int, int | None]] = []
-    for li, x in enumerate(order):
-        lit = x + 1
-        for s in levels[li]:
-            t = ids[li][s]
-            edges.append((t, ids[li + 1][_clause_drop(s, x)], lit))
-            neg = _clause_shrink(s, x)
-            if neg is not None:
-                edges.append((t, ids[li + 1][neg], -lit))
-    assert levels[-1] == [frozenset()]
-    return Nfbdd(counter, edges, ids[0][initial], counter - 1, n)
-
-
-def _reachable_states(cnf: MonotoneCnf, read_mask: int,
-                      memo: dict[int, frozenset[frozenset[tuple[int, ...]]]],
-                      ) -> frozenset[frozenset[tuple[int, ...]]]:
-    """States reachable after reading the variables in read_mask, any order."""
-    cached = memo.get(read_mask)
-    if cached is not None:
-        return cached
-    if read_mask == 0:
-        result = frozenset([frozenset(cnf.clauses)])
-    else:
-        bit = read_mask & -read_mask
-        x = bit.bit_length() - 1
-        prev = _reachable_states(cnf, read_mask ^ bit, memo)
+    for i, x in enumerate(order):
+        bit = 1 << x
+        unread ^= bit
         nxt = set()
-        for s in prev:
-            nxt.add(_clause_drop(s, x))
-            neg = _clause_shrink(s, x)
-            if neg is not None:
-                nxt.add(neg)
-        result = frozenset(nxt)
-    memo[read_mask] = result
-    return result
+        for f in ids:
+            nxt.add(f & ~bit)
+            if not f & bit:
+                nxt.add((f | nbr[x]) & unread)
+        level = sorted(nxt, key=lambda f: _level_key(f, last[i + 1]))
+        nxt_ids = {f: counter + j for j, f in enumerate(level)}
+        counter += len(level)
+        for f, t in ids.items():
+            edges.append((t, nxt_ids[f & ~bit], x + 1))
+            if not f & bit:
+                edges.append((t, nxt_ids[(f | nbr[x]) & unread], -(x + 1)))
+        ids = nxt_ids
+    assert list(ids) == [0]
+    return Nfbdd(counter, edges, 0, counter - 1, n)
 
 
 def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ...]]:
     """Minimum compiled edge count over all variable orders, with a witness order.
 
-    DP over subsets: the states at a level depend only on the set of
-    variables read, so level costs add up along any order.
+    DP over subsets: the forced masks at a level depend only on the set
+    of variables read, so level costs add up along any order. Reading x
+    costs one edge from a mask that forces x and two otherwise.
     """
     n = cnf.num_vars
     if n > cap:
         raise ValueError(f"{n} variables exceed the order-search cap {cap}")
-    memo: dict[int, frozenset[frozenset[tuple[int, ...]]]] = {}
+    nbr = primal_graph(cnf).nbr_mask
     full = (1 << n) - 1
+    states = [[0]] * (full + 1)  # forced masks by read mask
     cost = [0] * (full + 1)
     choice = [-1] * (full + 1)
     for s in range(1, full + 1):
+        low = s & -s
+        nxt = set()
+        for f in states[s ^ low]:
+            nxt.add(f & ~low)
+            if not f & low:
+                nxt.add((f | nbr[low.bit_length() - 1]) & ~s & full)
+        states[s] = list(nxt)
         best = -1
         bx = -1
         t = s
@@ -516,8 +510,7 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
             bit = t & -t
             t ^= bit
             x = bit.bit_length() - 1
-            prev_states = _reachable_states(cnf, s ^ bit, memo)
-            step = sum(1 if (x,) in st else 2 for st in prev_states)
+            step = sum(1 if f & bit else 2 for f in states[s ^ bit])
             val = cost[s ^ bit] + step
             if best < 0 or val < best:
                 best = val

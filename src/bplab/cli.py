@@ -189,15 +189,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             warnings.simplefilter("ignore")
             g, params = hard_family_instance(args.k, r, allow_small_r=True)
         cnf = cnf_from_graph(g)
-        if args.order == "best" and g.n <= min(BEST_ORDER_LIMIT, args.cap_subset):
-            _, order = best_order_size(cnf, cap=min(BEST_ORDER_LIMIT, args.cap_subset))
-            y = nfbdd_compile(cnf, order)
-        else:
-            y = nfbdd_compile(cnf)
-        edges, nodes = y.size_edges, y.size_nodes
-        best_edges = "-"
+        best = None
         if g.n <= min(BEST_ORDER_LIMIT, args.cap_subset):
-            best_edges = str(best_order_size(cnf, cap=BEST_ORDER_LIMIT)[0])
+            best = best_order_size(cnf, cap=BEST_ORDER_LIMIT)
+        y = nfbdd_compile(cnf, best[1] if best and args.order == "best" else None)
+        edges, nodes = y.size_edges, y.size_nodes
+        best_edges = str(best[0]) if best else "-"
         dmw_s = q_s = lb_s = "-"
         if g.n <= args.cap_subset:
             try:

@@ -86,7 +86,9 @@ def composed_bound_constants() -> CompositeBound:
 
 
 def _read_masks(y: Nrobp) -> list[int]:
-    masks = _node_var_masks(y)
+    order = _topological_order(y)
+    assert order is not None
+    masks = _node_var_masks(y, order)
     if masks is None:
         raise ValueError("program is not uniform")
     return masks

@@ -55,24 +55,12 @@ def _check_partition(g: Graph, part: PrefixPartition) -> int:
     return mask
 
 
-def _augment(nbr: tuple[int, ...], smask: int, match_to: dict[int, int], u: int,
-             visited: list[int]) -> bool:
-    cand = nbr[u] & smask & ~visited[0]
-    while cand:
-        vb = cand & -cand
-        cand ^= vb
-        visited[0] |= vb
-        v = vb.bit_length() - 1
-        w = match_to.get(v)
-        if w is None or _augment(nbr, smask, match_to, w, visited):
-            match_to[v] = u
-            return True
-        cand &= ~visited[0]
-    return False
-
-
 def _cross_matching_pairs(g: Graph, pmask: int) -> dict[int, int]:
-    """Maximum matching over cut edges by augmenting paths; suffix vertex -> prefix vertex."""
+    """Maximum matching over cut edges by augmenting paths; suffix vertex -> prefix vertex.
+
+    Prefix vertices are matched lowest first, each by a depth-first search
+    that tries the lowest unvisited suffix neighbour first.
+    """
     smask = ((1 << g.n) - 1) & ~pmask
     nbr = g.nbr_mask
     match_to: dict[int, int] = {}
@@ -81,9 +69,27 @@ def _cross_matching_pairs(g: Graph, pmask: int) -> dict[int, int]:
         b = t & -t
         t ^= b
         u = b.bit_length() - 1
-        if nbr[u] & smask:
-            _augment(nbr, smask, match_to, u, [0])
+        cand = nbr[u] & smask
+        visited = 0
+        path: list[tuple[int, int]] = []  # (prefix, suffix) hops of the search
+        while cand:
+            vb = cand & -cand
+            visited |= vb
+            v = vb.bit_length() - 1
+            w = match_to.get(v)
+            if w is None:
+                match_to[v] = u
+                for pu, pv in path:
+                    match_to[pv] = pu
+                break
+            path.append((u, v))
+            u = w
+            cand = nbr[u] & smask & ~visited
+            while not cand and path:
+                u = path.pop()[0]
+                cand = nbr[u] & smask & ~visited
     return match_to
+
 
 def _cut_size_mask(g: Graph, pmask: int) -> int:
     return len(_cross_matching_pairs(g, pmask))

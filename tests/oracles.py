@@ -12,6 +12,7 @@ from fractions import Fraction
 import networkx as nx
 
 from bplab import Graph
+from bplab.bp import Nrobp
 
 ATLAS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -124,6 +125,54 @@ def truth_table_sats(cnf):
 def vertex_cover_masks(g):
     return {mask for mask in range(1 << g.n)
             if all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges)}
+
+
+def compile_by_clause_sets(cnf, order=None):
+    """Reference NFBDD compiler: one frozenset of residual clause tuples per state.
+
+    Splits on variables in order. The positive branch drops every clause
+    containing the variable; the negative branch shrinks them to unit
+    clauses and dies on a falsified unit clause. Each level is sorted by
+    its states' sorted clause tuples, nodes are numbered level by level,
+    and each node emits its positive edge before its negative one.
+    """
+    n = cnf.num_vars
+    order = tuple(range(n)) if order is None else tuple(order)
+
+    def drop(state, x):
+        return frozenset(c for c in state if x not in c)
+
+    def shrink(state, x):
+        if (x,) in state:
+            return None
+        return frozenset(c if x not in c else (c[0] if c[1] == x else c[1],)
+                         for c in state)
+
+    initial = frozenset(cnf.clauses)
+    levels = [[initial]]
+    for x in order:
+        nxt = set()
+        for s in levels[-1]:
+            nxt.add(drop(s, x))
+            neg = shrink(s, x)
+            if neg is not None:
+                nxt.add(neg)
+        levels.append(sorted(nxt, key=lambda s: tuple(sorted(s))))
+    ids = []
+    counter = 0
+    for level in levels:
+        ids.append({s: counter + i for i, s in enumerate(level)})
+        counter += len(level)
+    edges = []
+    for li, x in enumerate(order):
+        for s in levels[li]:
+            t = ids[li][s]
+            edges.append((t, ids[li + 1][drop(s, x)], x + 1))
+            neg = shrink(s, x)
+            if neg is not None:
+                edges.append((t, ids[li + 1][neg], -(x + 1)))
+    assert levels[-1] == [frozenset()]
+    return Nrobp(counter, edges, 0, counter - 1, n)
 
 
 def accepted_masks(z):

@@ -1,6 +1,8 @@
 """Tests for branching-program construction, validation, and compilation."""
 
+import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -24,9 +26,16 @@ from bplab.graphs import (
     cycle_graph,
     path_graph,
 )
+from bplab.fileio import write_bp
+from bplab.instances import hard_family_instance
 from bplab.suites import random_read_once_program
 
-from oracles import accepted_masks, atlas_connected, vertex_cover_masks
+from oracles import (
+    accepted_masks,
+    atlas_connected,
+    compile_by_clause_sets,
+    vertex_cover_masks,
+)
 
 
 def _masks(assignments):
@@ -182,6 +191,32 @@ def test_nfbdd_compile_accepts_vertex_covers_on_atlas():
         assert validate_nrobp(z).ok
         assert is_uniform(z)
         assert _masks(bp_satisfying_set(z)) == vertex_cover_masks(g)
+
+
+def test_nfbdd_compile_matches_clause_set_oracle_on_atlas():
+    rng = random.Random(7)
+    for g in atlas_connected(2, 6):
+        cnf = cnf_from_graph(g)
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        for order in (tuple(range(g.n)), tuple(reversed(range(g.n))), tuple(shuffled)):
+            assert write_bp(nfbdd_compile(cnf, order)) == \
+                write_bp(compile_by_clause_sets(cnf, order)), (g.edges, order)
+
+
+def test_nfbdd_compile_matches_clause_set_oracle_on_family():
+    for k, r in ((6, 4), (10, 2), (14, 1)):
+        g, _ = hard_family_instance(k, r, allow_small_r=True)
+        cnf = cnf_from_graph(g)
+        assert write_bp(nfbdd_compile(cnf)) == write_bp(compile_by_clause_sets(cnf)), (k, r)
+
+
+def test_nfbdd_compile_family_6_7_pinned():
+    g, _ = hard_family_instance(6, 7, allow_small_r=True)
+    z = nfbdd_compile(cnf_from_graph(g))
+    assert (z.size_nodes, z.size_edges) == (34920, 54830)
+    digest = hashlib.sha256(write_bp(z).encode()).hexdigest()
+    assert digest.startswith("00cce1c39f3a1d77")
 
 
 def test_nfbdd_compile_order_argument():

@@ -72,6 +72,14 @@ def test_cut_matching_against_oracle():
                 seen.update((u, v))
 
 
+def test_cut_matching_on_deep_augmenting_searches():
+    # the search from each even vertex first runs down the whole chain
+    # matched so far, up to 1500 hops deep, before its right neighbour
+    g = path_graph(3000)
+    part = PrefixPartition.split(g, range(0, 3000, 2))
+    assert cut_matching_size(g, part) == 1500
+
+
 def test_distant_cut_matching_against_oracle():
     for g in atlas_connected(2, 5):
         for mask in range(1, (1 << g.n) - 1):
