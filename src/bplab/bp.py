@@ -318,33 +318,46 @@ def uniformize(z: Nrobp) -> Nrobp:
     return Nrobp(next_node, new_edges, z.root, z.leaf, z.num_vars)
 
 
-def bp_satisfying_set(z: Nrobp, cap: int = 20) -> set[Assignment]:
-    """Total assignments accepted by z, by consistency-restricted reachability."""
+def _accepted(z: Nrobp, cap: int) -> int:
+    """Bitset over the 2^n assignment masks: bit m is set when z accepts mask m.
+
+    One forward reachability DP: reach[v] holds the masks consistent with
+    some root-to-v path. A positive literal on x keeps the masks with bit
+    x set, a negative one the masks with it clear. Each reach[v] is freed
+    once pushed along its out-edges, so only frontier nodes hold 2^n bits.
+    """
     order = _valid_order(z)
     n = z.num_vars
     if n > cap:
         raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
-    out: set[Assignment] = set()
-    for mask in range(1 << n):
-        reach = [False] * z.num_nodes
-        reach[z.root] = True
-        for v in order:
-            if not reach[v]:
-                continue
-            if v == z.leaf:
-                break
-            for i in z.out_edges[v]:
-                _, h, lab = z.edges[i]
-                if lab is None:
-                    reach[h] = True
-                elif lab > 0:
-                    if mask >> (lab - 1) & 1:
-                        reach[h] = True
-                elif not mask >> (-lab - 1) & 1:
-                    reach[h] = True
-        if reach[z.leaf]:
-            out.add(Assignment.from_mask(n, mask))
-    return out
+    pos = []  # pos[x]: masks with bit x set, as blocks of 2^x zeros then 2^x ones
+    for x in range(n):
+        bits = ((1 << (1 << x)) - 1) << (1 << x)
+        while bits.bit_length() < 1 << n:
+            bits |= bits << bits.bit_length()
+        pos.append(bits)
+    reach = [0] * z.num_nodes
+    reach[z.root] = (1 << (1 << n)) - 1
+    for v in order:
+        r = reach[v]
+        if not r or v == z.leaf:
+            continue
+        reach[v] = 0
+        for i in z.out_edges[v]:
+            _, h, lab = z.edges[i]
+            if lab is None:
+                reach[h] |= r
+            elif lab > 0:
+                reach[h] |= r & pos[lab - 1]
+            else:
+                reach[h] |= r & ~pos[-lab - 1]
+    return reach[z.leaf]
+
+
+def bp_satisfying_set(z: Nrobp, cap: int = 20) -> set[Assignment]:
+    """Total assignments accepted by z, decoded from the reachability bitset."""
+    bits = bin(_accepted(z, cap))[:1:-1]  # character m is bit m
+    return {Assignment.from_mask(z.num_vars, m) for m, c in enumerate(bits) if c == "1"}
 
 
 def root_leaf_paths(z: Nrobp, cap: int = 100000) -> list[tuple[int, ...]]:
@@ -382,10 +395,11 @@ class Nfbdd(Nrobp):
 
     A node with two out-edges carries opposite literals of one variable;
     a node with one out-edge reads its variable with one sign. Every
-    instance is checked for validity and uniformity on construction.
+    instance is checked for validity and uniformity on construction, and
+    keeps the topological order that check computed.
     """
 
-    __slots__ = ("var_of",)
+    __slots__ = ("var_of", "order", "path_totals")
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int | None]],
                  root: int, leaf: int, num_vars: int) -> None:
@@ -414,6 +428,9 @@ class Nfbdd(Nrobp):
         assert order is not None
         if not _reads_uniformly(self, order):
             raise ValueError("program is not uniform")
+        self.order = order  # the topological order, lowest node id first
+        # path-weight column per exact flag, filled on first use by covers
+        self.path_totals: dict[bool, list] = {}
 
 
 def _level_key(forced: int, last: int) -> list[int]:
@@ -531,4 +548,4 @@ def bp_equivalence(a: Nrobp, b: Nrobp, cap: int = 20) -> bool:
     """Accepted-set equality; both programs must share one variable universe."""
     if a.num_vars != b.num_vars:
         raise ValueError(f"variable universes differ: {a.num_vars} vs {b.num_vars}")
-    return bp_satisfying_set(a, cap) == bp_satisfying_set(b, cap)
+    return _accepted(a, cap) == _accepted(b, cap)

@@ -21,7 +21,6 @@ from .bp import (
     Nfbdd,
     Nrobp,
     _node_var_masks,
-    _topological_order,
     _var_of,
     is_uniform,
     root_leaf_paths,
@@ -85,21 +84,17 @@ def composed_bound_constants() -> CompositeBound:
     return CompositeBound(mw_factor=32, distant_factor=61, a5=a5, product=a5 * 32 * 61)
 
 
-def _read_masks(y: Nrobp) -> list[int]:
-    order = _topological_order(y)
-    assert order is not None
-    masks = _node_var_masks(y, order)
+def _read_masks(y: Nfbdd) -> list[int]:
+    masks = _node_var_masks(y, y.order)
     if masks is None:
         raise ValueError("program is not uniform")
     return masks
 
 
-def _parent_neg_masks(y: Nrobp) -> list[int]:
+def _parent_neg_masks(y: Nfbdd) -> list[int]:
     """Variables read negatively along one deterministic root path per node."""
-    order = _topological_order(y)
-    assert order is not None
     neg = [0] * y.num_nodes
-    for v in order:
+    for v in y.order:
         if v == y.root:
             continue
         e = y.in_edges[v][0]
@@ -137,48 +132,82 @@ def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
     )
 
 
-def _weight_table(y: Nfbdd, need: tuple[int, ...], exact: bool) -> list[list[Weight]]:
-    """table[v][m]: weight of v-to-leaf paths reading need[i] positively for each bit i of m.
+_Step = tuple[int, int, Weight, int, int]
 
-    Built once over a reverse topological order. An edge out of a two-way
-    node weighs 1/2; a negative edge on a still-needed variable adds
-    nothing. Each node adds its out-edges in edge order.
+
+def _column(y: Nfbdd, bmask: int, steps: list[_Step], sub: dict[int, list[Weight]],
+            exact: bool) -> list[Weight]:
+    """col[v]: weight of v-to-leaf paths reading every vertex of bmask positively.
+
+    The one path-weight recurrence. An edge on x outside B adds w*col[head];
+    a positive edge on x in B adds w*sub[x][head], sub[x] being the column
+    of B minus x; a negative edge on x in B adds nothing. steps must hold
+    every node at which all of B is unread; at every other node some vertex
+    of B is already read, so no path from it reads B and col stays 0.
+    """
+    zero: Weight = Fraction(0) if exact else 0.0
+    col = [zero] * y.num_nodes
+    if not bmask:
+        col[y.leaf] = Fraction(1) if exact else 1.0
+    for v, x, w, hp, hn in steps:
+        if bmask >> x & 1:
+            if hp >= 0:
+                col[v] = w * sub[x][hp]
+        elif hn < 0:
+            col[v] = w * col[hp]
+        elif hp < 0:
+            col[v] = w * col[hn]
+        else:
+            col[v] = w * col[hp] + w * col[hn]
+    return col
+
+
+_Columns = dict[int, tuple[list[Weight], list[_Step]]]
+
+
+def _base_columns(y: Nfbdd, exact: bool) -> _Columns:
+    """{0: (path totals, all steps)}; the totals are built once per diagram and flag.
+
+    A step (v, x, w, positive head, negative head) is kept per non-leaf
+    node in reverse topological order: x is the variable v reads, w its
+    edge weight (1/2 out of a two-way node, 1 out of a one-way node), and
+    a missing edge's head is -1.
     """
     half: Weight = Fraction(1, 2) if exact else 0.5
     one: Weight = Fraction(1) if exact else 1.0
-    zero: Weight = Fraction(0) if exact else 0.0
-    bits = [0] * (y.num_vars + 1)  # need bit per label magnitude
-    for i, v in enumerate(need):
-        bits[v + 1] = 1 << i
-    masks = range(1 << len(need))
-    table = [[zero] * len(masks) for _ in range(y.num_nodes)]
-    table[y.leaf][0] = one
-    order = _topological_order(y)
-    assert order is not None
-    for v in reversed(order):
+    steps = []
+    for v in reversed(y.order):
         if v == y.leaf:
             continue
         outs = y.out_edges[v]
-        w = half if len(outs) == 2 else one
-        row = table[v]
-        for m in masks:
-            acc = zero
-            for i in outs:
-                _, h, lab = y.edges[i]
-                bit = m & bits[abs(lab)] if lab is not None else 0
-                if not bit:
-                    acc += w * table[h][m]
-                elif lab > 0:
-                    acc += w * table[h][m ^ bit]
-            row[m] = acc
-    return table
+        heads = [-1, -1]
+        for i in outs:
+            _, h, lab = y.edges[i]
+            heads[lab < 0] = h
+        steps.append((v, y.var_of[v], half if len(outs) == 2 else one, heads[0], heads[1]))
+    col = y.path_totals.get(exact)
+    if col is None:
+        col = y.path_totals[exact] = _column(y, 0, steps, {}, exact)
+    return {0: (col, steps)}
+
+
+def _extend(y: Nfbdd, b: tuple[int, ...], cols: _Columns, read: list[int],
+            exact: bool) -> tuple[list[Weight], list[_Step]]:
+    """Column and steps of B = b, given cols holding B minus each of its vertices."""
+    bmask = sum(1 << v for v in b)
+    last = b[-1]
+    steps = [s for s in cols[bmask ^ 1 << last][1] if not read[s[0]] >> last & 1]
+    sub = {x: cols[bmask ^ 1 << x][0] for x in b}
+    return _column(y, bmask, steps, sub, exact), steps
 
 
 def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
     """Total weight of a-to-leaf paths; equals 1 at every node."""
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    return _weight_table(y, (), exact)[a][0]
+    if exact not in y.path_totals:
+        _base_columns(y, exact)
+    return y.path_totals[exact][a]
 
 
 def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
@@ -192,7 +221,13 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
         raise ValueError(f"{len(sset)} vertices exceed the subset cap {cap}")
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    return _weight_table(y, tuple(sorted(sset)), exact)[a][-1]
+    read = _read_masks(y)
+    cols = _base_columns(y, exact)
+    members = sorted(sset)
+    for size in range(1, len(members) + 1):
+        for b in itertools.combinations(members, size):
+            cols[sum(1 << v for v in b)] = _extend(y, b, cols, read, exact)
+    return cols[sum(1 << v for v in members)][0][a]
 
 
 def relative_weight(ctx: NodeContext, b: Iterable[int], exact: bool = False) -> Weight:
@@ -239,33 +274,43 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
 
     Also checks, for each node a whose variable's vertex v lies in B, that
     the positive out-edges land on nodes whose free set still contains
-    B minus v.
+    B minus v. DISes are walked smallest first, and every subset of a DIS
+    is a DIS, so each DIS costs one column built from its subsets' columns.
     """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
     read = _read_masks(y)
     negs = _parent_neg_masks(y)
     full_v = (1 << g.n) - 1
-    vert = [full_v & ~read[v] for v in range(y.num_nodes)]
     free = [_free_mask(g, read[v], negs[v]) for v in range(y.num_nodes)]
     one: Weight = Fraction(1) if exact else 1.0
+    # factors[a][v]: v's factor of the bound at node a, from its unread degree
+    by_degree = [(1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
+                 for d in range(g.n)]
+    factors = []
+    for a in range(y.num_nodes):
+        vert = full_v & ~read[a]
+        factors.append([by_degree[(m & vert).bit_count()] for m in g.nbr_mask])
 
     violations: list[str] = []
     pairs = 0
     side_checks = 0
     dis_list = _all_dis(g, max_dis_size)
+    cols = _base_columns(y, exact)
     for combo in dis_list:
         bmask = sum(1 << v for v in combo)
-        cov_at = _weight_table(y, combo, exact)
+        cov_at, steps = _extend(y, combo, cols, read, exact)
+        if len(combo) < max_dis_size:
+            cols[bmask] = (cov_at, steps)
         for a in range(y.num_nodes):
             if bmask & ~free[a]:
                 continue
             pairs += 1
-            cov = cov_at[a][-1]
-            rw: Weight = one
+            cov = cov_at[a]
+            rw = one
+            fa = factors[a]
             for v in combo:
-                d = (g.nbr_mask[v] & vert[a]).bit_count()
-                rw *= (1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
+                rw *= fa[v]
             bad = cov > rw if exact else cov > rw + tol
             if bad:
                 violations.append(
@@ -330,22 +375,22 @@ def min_dis_cover(g: Graph, t: int, cap: int = 20) -> tuple[int, tuple[frozenset
     clause-per-edge CNF of g, with a witness cover."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    cnf = cnf_from_graph(g)
+    cnf_from_graph(g)  # rejects isolated vertices
     n = g.n
     if n > cap:
         raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
-    sats = [mask for mask in range(1 << n)
-            if all(mask >> u & 1 or mask >> v & 1 for u, v in cnf.clauses)]
+    indep = [0]  # independent sets of g; their complements are the satisfying masks
+    for v, nbr in enumerate(g.nbr_mask):
+        indep += [s | 1 << v for s in indep if not nbr & s]
+    full = (1 << n) - 1
+    sats = sorted(full ^ s for s in indep)
     dis_sets = [combo for combo in itertools.combinations(range(n), t) if is_dis(g, combo)]
     if not dis_sets:
         raise ValueError(f"no DIS of size {t} exists")
     cover_masks = []
     for combo in dis_sets:
-        m = 0
-        for i, sat in enumerate(sats):
-            if all(sat >> v & 1 for v in combo):
-                m |= 1 << i
-        cover_masks.append(m)
+        bm = sum(1 << v for v in combo)
+        cover_masks.append(sum(1 << i for i, sat in enumerate(sats) if sat & bm == bm))
     universe = (1 << len(sats)) - 1
     reachable = 0
     for m in cover_masks:

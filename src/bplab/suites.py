@@ -14,6 +14,7 @@ from typing import Callable
 
 from .bp import (
     Nrobp,
+    bp_equivalence,
     bp_satisfying_set,
     nfbdd_compile,
     is_uniform,
@@ -154,7 +155,7 @@ def suite_uniformize(seed: int = 0, count: int = 25, num_vars: int = 6) -> list[
             _check(out, f"program #{i} valid", False, "; ".join(rep.violations[:2]))
             continue
         u = uniformize(z)
-        same = bp_satisfying_set(u) == bp_satisfying_set(z)
+        same = bp_equivalence(u, z)
         limit = (2 * num_vars + 1) * len(z.edges)
         _check(out, f"program #{i} uniformized",
                is_uniform(u) and same and len(u.edges) <= limit,

@@ -13,6 +13,8 @@ import networkx as nx
 
 from bplab import Graph
 from bplab.bp import Nrobp
+from bplab.covers import DeepcoverReport
+from bplab.graphs import is_dis
 
 ATLAS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -237,3 +239,92 @@ def random_connected_graph(n, seed, max_degree=5):
         deg[u] += 1
         deg[v] += 1
     return Graph(n, sorted(edges))
+
+
+def deepcover_by_dis_tables(y, g, max_dis_size=3, tol=1e-9, exact=False):
+    """Reference deepcover sweep: one 2^|B|-wide weight table per DIS B.
+
+    table[v][m] is the weight of v-to-leaf paths that read B[i] positively
+    for every bit i of m, rebuilt from scratch for each DIS. Pairs, side
+    checks and violations are produced in the order verify_deepcover
+    reports them: DISes by size then lexicographically, nodes by id.
+    """
+    half = Fraction(1, 2) if exact else 0.5
+    one = Fraction(1) if exact else 1.0
+    zero = Fraction(0) if exact else 0.0
+    indeg = [len(y.in_edges[v]) for v in range(y.num_nodes)]
+    order = [v for v in range(y.num_nodes) if indeg[v] == 0]
+    for v in order:
+        for i in y.out_edges[v]:
+            h = y.edges[i][1]
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                order.append(h)
+    read = [0] * y.num_nodes
+    neg = [0] * y.num_nodes
+    for v in order:
+        for i in y.out_edges[v]:
+            _, h, lab = y.edges[i]
+            read[h] = read[v] | 1 << (abs(lab) - 1)
+            if y.in_edges[h][0] == i:
+                neg[h] = neg[v] | (1 << (-lab - 1) if lab < 0 else 0)
+    full = (1 << g.n) - 1
+    vert = [full & ~r for r in read]
+    free = []
+    for v in range(y.num_nodes):
+        blocked = read[v]
+        for u in range(g.n):
+            if neg[v] >> u & 1:
+                blocked |= g.nbr_mask[u]
+        free.append(full & ~blocked)
+
+    dis_list = [combo for size in range(1, max_dis_size + 1)
+                for combo in itertools.combinations(range(g.n), size) if is_dis(g, combo)]
+    violations = []
+    pairs = 0
+    side_checks = 0
+    for combo in dis_list:
+        bits = {v: 1 << i for i, v in enumerate(combo)}
+        masks = range(1 << len(combo))
+        table = [[zero] * len(masks) for _ in range(y.num_nodes)]
+        table[y.leaf][0] = one
+        for v in reversed(order):
+            if v == y.leaf:
+                continue
+            outs = y.out_edges[v]
+            w = half if len(outs) == 2 else one
+            for m in masks:
+                acc = zero
+                for i in outs:
+                    _, h, lab = y.edges[i]
+                    bit = m & bits.get(abs(lab) - 1, 0)
+                    if not bit:
+                        acc += w * table[h][m]
+                    elif lab > 0:
+                        acc += w * table[h][m ^ bit]
+                table[v][m] = acc
+        bmask = sum(1 << v for v in combo)
+        for a in range(y.num_nodes):
+            if bmask & ~free[a]:
+                continue
+            pairs += 1
+            cov = table[a][-1]
+            rw = one
+            for v in combo:
+                d = (g.nbr_mask[v] & vert[a]).bit_count()
+                rw *= (1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
+            bad = cov > rw if exact else cov > rw + tol
+            if bad:
+                violations.append(
+                    f"node {a}, B={list(combo)}: covered weight {cov} exceeds bound {rw}")
+            av = y.var_of[a]
+            if av is not None and bmask >> av & 1:
+                for i in y.out_edges[a]:
+                    _, h, lab = y.edges[i]
+                    if lab > 0:
+                        side_checks += 1
+                        if bmask & ~(1 << av) & ~free[h]:
+                            violations.append(
+                                f"node {a} -> {h}: B minus {av} leaves the free set")
+    return DeepcoverReport(nodes=y.num_nodes, dis_count=len(dis_list), pairs_checked=pairs,
+                           side_checks=side_checks, violations=violations)

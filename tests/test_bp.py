@@ -298,3 +298,61 @@ def test_bp_satisfying_set_matches_path_semantics():
     big = nfbdd_compile(cnf_from_graph(path_graph(4)))
     with pytest.raises(ValueError, match="refusing exhaustive enumeration"):
         bp_satisfying_set(big, cap=3)
+
+
+def _relabel(z, perm):
+    """z with node v renamed perm[v]; edges keep their order."""
+    return Nrobp(z.num_nodes, [(perm[t], perm[h], lab) for t, h, lab in z.edges],
+                 perm[z.root], perm[z.leaf], z.num_vars)
+
+
+def test_accepted_bitset_matches_path_semantics():
+    for seed in range(40):
+        num_vars = 3 + seed % 8
+        z = random_read_once_program(num_vars, seed=500 + seed)
+        u = uniformize(z)
+        want = accepted_masks(z)
+        assert _masks(bp_satisfying_set(z)) == want
+        assert _masks(bp_satisfying_set(u)) == want
+        assert bp_equivalence(z, u)
+        assert bp_equivalence(u, z)
+        # the leaf gets the lowest id, so it is not last in node order
+        perm = list(reversed(range(z.num_nodes)))
+        flipped = _relabel(z, perm)
+        assert flipped.leaf == 0
+        assert _masks(bp_satisfying_set(flipped)) == want
+        assert bp_equivalence(flipped, u)
+
+
+def test_bp_equivalence_on_unequal_pairs():
+    checked = 0
+    for seed in range(30):
+        num_vars = 3 + seed % 6
+        a = random_read_once_program(num_vars, seed=900 + seed)
+        b = random_read_once_program(num_vars, seed=1900 + seed)
+        same = accepted_masks(a) == accepted_masks(b)
+        assert bp_equivalence(a, b) == same
+        assert bp_equivalence(uniformize(a), b) == same
+        checked += not same
+    assert checked >= 20
+    # one accepting path fewer: x1 read positively only
+    full = Nrobp(2, [(0, 1, 1), (0, 1, -1)], 0, 1, 1)
+    half = Nrobp(2, [(0, 1, 1)], 0, 1, 1)
+    assert not bp_equivalence(full, half)
+    assert _masks(bp_satisfying_set(half)) == {0b1}
+    assert bp_equivalence(Nrobp(1, [], 0, 0, 1), full)
+
+
+def test_accepted_bitset_cap_and_validity_errors():
+    z = random_read_once_program(6, seed=3)
+    with pytest.raises(ValueError, match=r"^refusing exhaustive enumeration over 6 "
+                                         r"variables \(cap 5\)$"):
+        bp_satisfying_set(z, cap=5)
+    with pytest.raises(ValueError, match=r"refusing exhaustive enumeration over 6 "
+                                         r"variables \(cap 5\)"):
+        bp_equivalence(z, z, cap=5)
+    broken = Nrobp(3, [(0, 1, 1), (1, 2, 1)], 0, 2, 1)
+    with pytest.raises(ValueError, match="program is not a valid NROBP: variable 0"):
+        bp_satisfying_set(broken)
+    with pytest.raises(ValueError, match="program is not a valid NROBP"):
+        bp_equivalence(broken, Nrobp(1, [], 0, 0, 1))

@@ -1,11 +1,12 @@
 """Tests for weighted path counting, cover extraction, and the constant stack."""
 
+import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
-from bplab.bp import Nrobp, nfbdd_compile, root_leaf_paths
+from bplab.bp import Nfbdd, Nrobp, nfbdd_compile, root_leaf_paths
 from bplab.covers import (
     composed_bound_constants,
     constants,
@@ -25,8 +26,14 @@ from bplab.graphs import (
     cycle_graph,
     path_graph,
 )
+from bplab.instances import hard_family_instance
 
-from oracles import atlas_connected, path_weight_oracle, vertex_cover_masks
+from oracles import (
+    atlas_connected,
+    deepcover_by_dis_tables,
+    path_weight_oracle,
+    vertex_cover_masks,
+)
 
 FIXTURES = [
     complete_graph(2),
@@ -258,3 +265,58 @@ def test_extract_cut_cover_rejections():
     trivial = Nrobp(2, [(0, 1, 1), (0, 1, -1)], 0, 1, 1)
     with pytest.raises(ValueError, match="graph has no edges, nothing to certify"):
         extract_cut_cover(trivial, Graph(1, []))
+
+
+def test_verify_deepcover_matches_per_dis_tables_on_atlas():
+    for g in atlas_connected(2, 6):
+        y = _compiled(g)
+        for exact in (False, True):
+            got = verify_deepcover(y, g, exact=exact)
+            assert got == deepcover_by_dis_tables(y, g, exact=exact), (g.edges, exact)
+
+
+def test_verify_deepcover_matches_per_dis_tables_on_family():
+    g, _ = hard_family_instance(6, 3, allow_small_r=True)
+    y = _compiled(g)
+    got = verify_deepcover(y, g, max_dis_size=3)
+    assert got == deepcover_by_dis_tables(y, g, max_dis_size=3)
+    assert got.ok
+    assert got.dis_count == 2004
+
+
+def test_verify_deepcover_violations_on_all_positive_chain():
+    # one-way nodes reading every variable positively: covered weight 1
+    # everywhere, so every (node, DIS) pair breaks the bound
+    n = 7
+    g = path_graph(n)
+    y = Nfbdd(n + 1, [(i, i + 1, i + 1) for i in range(n)], 0, n, n)
+    for a in range(n + 1):
+        assert path_weight_total(y, a, exact=True) == 1
+        assert covered_weight(y, a, range(a, n), exact=True) == 1
+    for exact in (False, True):
+        got = verify_deepcover(y, g, exact=exact)
+        want = deepcover_by_dis_tables(y, g, exact=exact)
+        assert got == want
+        assert len(got.violations) == got.pairs_checked > 0
+        assert got.side_checks > 0
+    assert got.violations[0] == "node 0, B=[0]: covered weight 1 exceeds bound 3/4"
+
+
+def test_path_weight_total_builds_the_totals_once(monkeypatch):
+    built = []
+    covers = importlib.import_module("bplab.covers")  # the package's `covers` is a function
+    column = covers._column
+
+    def counting(y, bmask, steps, sub, exact):
+        built.append((bmask, exact))
+        return column(y, bmask, steps, sub, exact)
+
+    monkeypatch.setattr(covers, "_column", counting)
+    y = _compiled(cycle_graph(8))
+    for _ in range(2):
+        for exact in (False, True):
+            for a in range(y.num_nodes):
+                path_weight_total(y, a, exact=exact)
+    assert built == [(0, False), (0, True)]
+    covered_weight(y, y.root, [0, 4])
+    assert built[2:] == [(1, False), (16, False), (17, False)]
