@@ -483,7 +483,7 @@ def extract_cut_cover(z: Nrobp, g: Graph, path_cap: int = 20000) -> CutCoverCert
             res = qual.get(mask, missing)
             if res is missing:
                 res = None
-                if _cut_size_mask(g, mask) >= d:
+                if _cut_size_mask(g, mask, d) >= d:
                     prefix = [v for v in range(g.n) if mask >> v & 1]
                     m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
                     if len(m) >= d:

@@ -14,8 +14,8 @@ from typing import Callable
 
 from .bp import (
     Nrobp,
+    _accepted,
     bp_equivalence,
-    bp_satisfying_set,
     nfbdd_compile,
     is_uniform,
     uniformize,
@@ -220,9 +220,10 @@ def suite_certify(seed: int = 0) -> list[CheckResult]:
                     ("C_8", cycle_graph(8))):
         y = nfbdd_compile(cnf_from_graph(g))
         cert = extract_cut_cover(y, g)
-        sats = bp_satisfying_set(y)
-        covered = all(
-            any(b <= a.positives() for b in cert.dis_sets) for a in sats)
+        accepted = _accepted(y, 20)
+        bmasks = [sum(1 << v for v in b) for b in cert.dis_sets]
+        covered = all(any(m & bm == bm for bm in bmasks)
+                      for m in range(1 << y.num_vars) if accepted >> m & 1)
         _check(out, f"{name} certificate covers all satisfying assignments",
                covered, f"q={cert.q}")
         lb = 2.0 ** (cert.dmw / constants(g.max_degree()).a_x)

@@ -2,14 +2,15 @@
 
 The width of a vertex order is the maximum, over its prefixes, of the
 largest (distant) matching among edges crossing the prefix/suffix cut.
-The graph width is the minimum over orders, computed by a DP over vertex
-subsets instead of permutations: the cut of a prefix depends only on the
-prefix as a set.
+The graph width is the minimum over orders, computed over vertex subsets
+instead of permutations: the cut of a prefix depends only on the prefix
+as a set. Only prefixes reachable through cuts no wider than the answer
+are visited (the reachable-good-sets search of Bodlaender, Fomin, Koster,
+Kratsch and Thilikos for vertex ordering problems).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -18,6 +19,7 @@ from .graphs import Graph, Matching, _closed_edge_mask
 
 SUBSET_DP_CAP = 22
 CROSS_EDGE_CAP = 32
+_WAIT = 255  # above every f + 1 the width search stores
 
 
 @dataclass(frozen=True)
@@ -55,17 +57,18 @@ def _check_partition(g: Graph, part: PrefixPartition) -> int:
     return mask
 
 
-def _cross_matching_pairs(g: Graph, pmask: int) -> dict[int, int]:
+def _cross_matching_pairs(g: Graph, pmask: int, limit: int | None = None) -> dict[int, int]:
     """Maximum matching over cut edges by augmenting paths; suffix vertex -> prefix vertex.
 
     Prefix vertices are matched lowest first, each by a depth-first search
-    that tries the lowest unvisited suffix neighbour first.
+    that tries the lowest unvisited suffix neighbour first. With a limit,
+    the search stops once the matching has `limit` edges.
     """
     smask = ((1 << g.n) - 1) & ~pmask
     nbr = g.nbr_mask
     match_to: dict[int, int] = {}
     t = pmask
-    while t:
+    while t and len(match_to) != limit:
         b = t & -t
         t ^= b
         u = b.bit_length() - 1
@@ -91,8 +94,8 @@ def _cross_matching_pairs(g: Graph, pmask: int) -> dict[int, int]:
     return match_to
 
 
-def _cut_size_mask(g: Graph, pmask: int) -> int:
-    return len(_cross_matching_pairs(g, pmask))
+def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None) -> int:
+    return len(_cross_matching_pairs(g, pmask, limit))
 
 
 def max_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
@@ -119,17 +122,22 @@ def _compat_masks(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...
     return tuple(order), tuple(compat)
 
 
-def _max_compatible_subset(cand: int, compat: tuple[int, ...]) -> tuple[int, int]:
-    """Largest pairwise-compatible edge subset of cand; branch and bound."""
+def _max_compatible_subset(cand: int, compat: tuple[int, ...],
+                           limit: int | None = None) -> tuple[int, int]:
+    """Largest pairwise-compatible edge subset of cand; branch and bound.
+
+    With a limit, the search stops once it holds `limit` edges.
+    """
     best = 0
     best_set = 0
+    stop = cand.bit_count() if limit is None else limit
 
     def grow(cand: int, size: int, chosen: int) -> None:
         nonlocal best, best_set
         if size > best:
             best, best_set = size, chosen
         while cand:
-            if size + cand.bit_count() <= best:
+            if size + cand.bit_count() <= best or best >= stop:
                 return
             b = cand & -cand
             cand ^= b
@@ -140,11 +148,25 @@ def _max_compatible_subset(cand: int, compat: tuple[int, ...]) -> tuple[int, int
     return best, best_set
 
 
-def _cross_edge_cand(edge_order: tuple[tuple[int, int], ...], pmask: int) -> int:
-    cand = 0
+def _incident_edge_masks(g: Graph, edge_order: tuple[tuple[int, int], ...]) -> list[int]:
+    """Per vertex, the edges (as bits of edge_order) that touch it."""
+    inc = [0] * g.n
     for i, (u, v) in enumerate(edge_order):
-        if bool(pmask >> u & 1) != bool(pmask >> v & 1):
-            cand |= 1 << i
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    return inc
+
+
+def _cross_edges(inc: list[int], pmask: int, cross_cap: int) -> int:
+    """Edges with exactly one end in the prefix: an edge inside it is xor-ed out twice."""
+    cand = 0
+    while pmask:
+        b = pmask & -pmask
+        pmask ^= b
+        cand ^= inc[b.bit_length() - 1]
+    if cand.bit_count() > cross_cap:
+        raise ValueError(
+            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
     return cand
 
 
@@ -152,10 +174,7 @@ def max_distant_cross_matching(g: Graph, part: PrefixPartition,
                                cross_cap: int = CROSS_EDGE_CAP) -> Matching:
     pmask = _check_partition(g, part)
     edge_order, compat = _compat_masks(g)
-    cand = _cross_edge_cand(edge_order, pmask)
-    if cand.bit_count() > cross_cap:
-        raise ValueError(
-            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
+    cand = _cross_edges(_incident_edge_masks(g, edge_order), pmask, cross_cap)
     _, chosen = _max_compatible_subset(cand, compat)
     edges = [edge_order[i] for i in range(len(edge_order)) if chosen >> i & 1]
     return Matching(tuple(edges))
@@ -166,61 +185,82 @@ def cut_distant_matching_size(g: Graph, part: PrefixPartition,
     return len(max_distant_cross_matching(g, part, cross_cap))
 
 
-def _subset_dp(g: Graph, cut_of_mask: Callable[[int], int], cap: int) -> WidthResult:
+def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> WidthResult:
+    """Width and witness order by a threshold search over prefixes.
+
+    f(s), the least over orders of s of its largest prefix cut, is at most
+    w exactly when s is reachable from the empty set by adding one vertex at
+    a time through prefixes whose cut is at most w. So for w = 0, 1, ... the
+    search extends the prefixes reached so far, and the first w that reaches
+    the full set is the width. A prefix first reached at threshold w has
+    f = w. cut_upto(s, k) is the cut of s when below k, else some value >= k;
+    a child whose cut is over the threshold waits and is evaluated again at
+    the next one.
+
+    The witness follows, from the full set down, the lowest vertex whose
+    removal leaves a prefix with f no larger: the first minimiser of the DP
+    over all 2^n subsets, since no prefix left out of the search can be one.
+    """
     n = g.n
     if n > cap:
         raise ValueError(f"{n} vertices exceed the subset-DP cap {cap}")
     full = (1 << n) - 1
-    f = [0] * (full + 1)
-    choice = [0] * (full + 1)
-    cut = [0] * (full + 1)
-    for s in range(1, full + 1):
-        c = cut_of_mask(s)
-        cut[s] = c
-        best = -1
-        bv = -1
-        t = s
-        while t:
-            b = t & -t
-            t ^= b
-            prev = f[s ^ b]
-            val = prev if prev > c else c
-            if best < 0 or val < best:
-                best = val
-                bv = b.bit_length() - 1
-        f[s] = best
-        choice[s] = bv
+    seen = bytearray(full + 1)  # f + 1 once reached; _WAIT while queued or over the threshold
+    seen[0] = _WAIT
+    queue = [0]
+    waiting: list[int] = []
+    w = 0
+    while True:
+        while queue:
+            s = queue.pop()
+            if cut_upto(s, w + 1) > w:
+                waiting.append(s)
+                continue
+            seen[s] = w + 1
+            rest = full ^ s
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if not seen[s | b]:
+                    seen[s | b] = _WAIT
+                    queue.append(s | b)
+        if 0 < seen[full] < _WAIT:
+            break
+        w += 1
+        queue, waiting = waiting, []
     order: list[int] = []
     s = full
     while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
+        t = s
+        while True:
+            b = t & -t
+            t ^= b
+            if 0 < seen[s ^ b] <= seen[s]:  # WAIT exceeds every f + 1
+                break
+        order.append(b.bit_length() - 1)
+        s ^= b
     order.reverse()
     cuts = []
     m = 0
     for v in order[:-1]:
         m |= 1 << v
-        cuts.append(cut[m])
-    return WidthResult(f[full], tuple(order), tuple(cuts))
+        cuts.append(cut_upto(m, w + 1))
+    return WidthResult(w, tuple(order), tuple(cuts))
 
 
 def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
     """Exact matching width with a witness order and its per-prefix cuts."""
-    return _subset_dp(g, lambda s: _cut_size_mask(g, s), cap)
+    return _subset_dp(g, lambda s, k: _cut_size_mask(g, s, k), cap)
 
 
 def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
               cross_cap: int = CROSS_EDGE_CAP) -> WidthResult:
     """Exact distant matching width with a witness order and its per-prefix cuts."""
     edge_order, compat = _compat_masks(g)
+    inc = _incident_edge_masks(g, edge_order)
 
-    def cut(s: int) -> int:
-        cand = _cross_edge_cand(edge_order, s)
-        if cand.bit_count() > cross_cap:
-            raise ValueError(
-                f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
-        return _max_compatible_subset(cand, compat)[0]
+    def cut(s: int, k: int) -> int:
+        return _max_compatible_subset(_cross_edges(inc, s, cross_cap), compat, k)[0]
 
     return _subset_dp(g, cut, cap)
 

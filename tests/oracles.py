@@ -15,6 +15,7 @@ from bplab import Graph
 from bplab.bp import Nrobp
 from bplab.covers import DeepcoverReport
 from bplab.graphs import is_dis
+from bplab.widths import WidthResult, _compat_masks, _cross_matching_pairs, _max_compatible_subset
 
 ATLAS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -116,6 +117,70 @@ def dmw_by_permutations(g):
         cut[mask] = max_distant_cross_oracle(
             g, [v for v in range(g.n) if mask >> v & 1])
     return _min_over_permutations(g, cut)
+
+
+def width_by_full_subset_dp(g, cut_of_mask, cap=22):
+    """Reference width DP: cut_of_mask is evaluated on all 2^n vertex subsets.
+
+    f[s] is the least, over orders of s, largest prefix cut; choice[s] is the
+    first vertex, lowest first, that attains it. The witness order is read
+    back from choice, with the cut of each proper prefix.
+    """
+    n = g.n
+    if n > cap:
+        raise ValueError(f"{n} vertices exceed the subset-DP cap {cap}")
+    full = (1 << n) - 1
+    f = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    cut = [0] * (full + 1)
+    for s in range(1, full + 1):
+        c = cut_of_mask(s)
+        cut[s] = c
+        best = -1
+        bv = -1
+        t = s
+        while t:
+            b = t & -t
+            t ^= b
+            prev = f[s ^ b]
+            val = prev if prev > c else c
+            if best < 0 or val < best:
+                best = val
+                bv = b.bit_length() - 1
+        f[s] = best
+        choice[s] = bv
+    order = []
+    s = full
+    while s:
+        v = choice[s]
+        order.append(v)
+        s ^= 1 << v
+    order.reverse()
+    cuts = []
+    m = 0
+    for v in order[:-1]:
+        m |= 1 << v
+        cuts.append(cut[m])
+    return WidthResult(f[full], tuple(order), tuple(cuts))
+
+
+def mw_by_full_subset_dp(g):
+    """Matching width over all subsets, with the package's uncapped cut matching."""
+    return width_by_full_subset_dp(g, lambda s: len(_cross_matching_pairs(g, s)))
+
+
+def dmw_by_full_subset_dp(g):
+    """Distant matching width over all subsets; cut edges found by scanning every edge."""
+    edge_order, compat = _compat_masks(g)
+
+    def cut(s):
+        cand = 0
+        for i, (u, v) in enumerate(edge_order):
+            if (s >> u & 1) != (s >> v & 1):
+                cand |= 1 << i
+        return _max_compatible_subset(cand, compat)[0]
+
+    return width_by_full_subset_dp(g, cut)
 
 
 def truth_table_sats(cnf):

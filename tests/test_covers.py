@@ -1,11 +1,11 @@
 """Tests for weighted path counting, cover extraction, and the constant stack."""
 
-import importlib
 import math
 from fractions import Fraction
 
 import pytest
 
+import bplab.covers
 from bplab.bp import Nfbdd, Nrobp, nfbdd_compile, root_leaf_paths
 from bplab.covers import (
     composed_bound_constants,
@@ -304,14 +304,13 @@ def test_verify_deepcover_violations_on_all_positive_chain():
 
 def test_path_weight_total_builds_the_totals_once(monkeypatch):
     built = []
-    covers = importlib.import_module("bplab.covers")  # the package's `covers` is a function
-    column = covers._column
+    column = bplab.covers._column
 
     def counting(y, bmask, steps, sub, exact):
         built.append((bmask, exact))
         return column(y, bmask, steps, sub, exact)
 
-    monkeypatch.setattr(covers, "_column", counting)
+    monkeypatch.setattr(bplab.covers, "_column", counting)
     y = _compiled(cycle_graph(8))
     for _ in range(2):
         for exact in (False, True):

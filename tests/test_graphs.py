@@ -9,7 +9,6 @@ from bplab import (
     MonotoneCnf,
     cnf_from_graph,
     complete_graph,
-    covers,
     cycle_graph,
     edges_distant_compatible,
     enumerate_satisfying,
@@ -21,6 +20,7 @@ from bplab import (
     primal_graph,
     satisfies,
 )
+from bplab.graphs import covers
 from oracles import atlas_connected, edges_distant_oracle, truth_table_sats, vertex_cover_masks
 
 

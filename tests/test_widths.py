@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bplab import widths
 from bplab import (
     Graph,
     Matching,
@@ -14,6 +15,7 @@ from bplab import (
     cycle_graph,
     dmw_exact,
     greedy_distant_extraction,
+    hard_family_instance,
     is_distant_matching,
     max_cross_matching,
     max_distant_cross_matching,
@@ -24,9 +26,12 @@ from bplab import (
 from oracles import (
     atlas_connected,
     cut_matching_size_oracle,
+    dmw_by_full_subset_dp,
     dmw_by_permutations,
     max_distant_cross_oracle,
+    mw_by_full_subset_dp,
     mw_by_permutations,
+    random_connected_graph,
 )
 
 
@@ -116,6 +121,70 @@ def test_width_witnesses_are_consistent():
                 cuts.append(cut_fn(g, part))
             assert tuple(cuts) == res.witness_cuts
             assert max(cuts) == res.value
+
+
+def test_capped_cuts_are_the_cut_or_the_cap():
+    for g in atlas_connected(2, 6):
+        edge_order, compat = widths._compat_masks(g)
+        inc = widths._incident_edge_masks(g, edge_order)
+        for mask in range(1, 1 << g.n):
+            prefix = [v for v in range(g.n) if mask >> v & 1]
+            mw_cut = cut_matching_size_oracle(g, prefix)
+            cand = widths._cross_edges(inc, mask, widths.CROSS_EDGE_CAP)
+            dmw_cut = max_distant_cross_oracle(g, prefix)
+            for k in range(4):
+                assert widths._cut_size_mask(g, mask, k) == min(mw_cut, k)
+                assert widths._max_compatible_subset(cand, compat, k)[0] == min(dmw_cut, k)
+
+
+def _family(k, r):
+    with pytest.warns(UserWarning, match="below the intended regime"):
+        return hard_family_instance(k, r, allow_small_r=True)[0]
+
+
+def test_widths_equal_the_full_subset_dp():
+    graphs = atlas_connected(1, 7)
+    graphs += [make(n) for make in (path_graph, complete_graph) for n in range(1, 11)]
+    graphs += [cycle_graph(n) for n in range(3, 11)]
+    graphs += [Graph(0), Graph(1), Graph(5)]
+    graphs += [_family(6, 1), _family(6, 2), _family(14, 1)]
+    graphs += [random_connected_graph(n, 10 * n + d, d) for n in (12, 14, 16) for d in (3, 5)]
+    for g in graphs:
+        assert mw_exact(g) == mw_by_full_subset_dp(g), g.edges
+        assert dmw_exact(g) == dmw_by_full_subset_dp(g), g.edges
+
+
+def test_search_evaluates_few_cuts_on_the_family_graph(monkeypatch):
+    g = _family(14, 1)
+    assert g.n == 18
+    calls = {"mw": 0, "dmw": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(widths, "_cross_matching_pairs",
+                        counted("mw", widths._cross_matching_pairs))
+    monkeypatch.setattr(widths, "_max_compatible_subset",
+                        counted("dmw", widths._max_compatible_subset))
+    assert mw_exact(g).value == 3
+    assert dmw_exact(g).value == 1
+    assert 0 < calls["mw"] < 2 ** 18 // 10
+    assert 0 < calls["dmw"] < 2 ** 18 // 10
+
+
+def test_long_cycle_at_the_cap():
+    g = cycle_graph(22)
+    for res, cut_fn in ((mw_exact(g), cut_matching_size),
+                        (dmw_exact(g), cut_distant_matching_size)):
+        assert res.value == 2
+        assert sorted(res.witness_order) == list(range(22))
+        cuts = tuple(cut_fn(g, PrefixPartition.split(g, res.witness_order[:i]))
+                     for i in range(1, 22))
+        assert cuts == res.witness_cuts
+        assert max(cuts) == 2
 
 
 def test_subset_dp_cap():
