@@ -202,7 +202,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 dmw_s = str(d)
                 lb = 2.0 ** (d / a5)
                 lb_s = fmt_num(lb)
-                cert = extract_cut_cover(y, g, path_cap=args.path_cap)
+                cert = extract_cut_cover(y, g, path_cap=args.path_cap, d=d)
                 q_s = str(cert.q)
                 if lb > nodes:
                     failures.append(

@@ -450,19 +450,22 @@ def _descendants(z: Nrobp, node: int) -> set[int]:
     return seen
 
 
-def extract_cut_cover(z: Nrobp, g: Graph, path_cap: int = 20000) -> CutCoverCertificate:
+def extract_cut_cover(z: Nrobp, g: Graph, path_cap: int = 20000,
+                      d: int | None = None) -> CutCoverCertificate:
     """Build a cut-cover certificate from a uniform program for g's clauses.
 
     Walk each root-leaf path to its earliest node whose read/unread vertex
     split carries a distant matching of size dmw(g); per matching edge,
     keep the endpoint that every path through the node reads positively
-    (the lower vertex id when both qualify).
+    (the lower vertex id when both qualify). d is the exact dmw of g when
+    the caller has it; otherwise it is computed here.
     """
     if z.num_vars != g.n:
         raise ValueError(f"program reads {z.num_vars} variables but g has {g.n} vertices")
     if not is_uniform(z):
         raise ValueError("program must be uniform")
-    d = dmw_exact(g).value
+    if d is None:
+        d = dmw_exact(g).value
     if d == 0:
         raise ValueError("graph has no edges, nothing to certify")
 

@@ -124,27 +124,56 @@ def _compat_masks(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...
 
 def _max_compatible_subset(cand: int, compat: tuple[int, ...],
                            limit: int | None = None) -> tuple[int, int]:
-    """Largest pairwise-compatible edge subset of cand; branch and bound.
+    """Largest pairwise-compatible edge subset of cand, capped at limit edges.
 
-    With a limit, the search stops once it holds `limit` edges.
+    Returns its size and, of the subsets that size, the first in the
+    lexicographic order of their sorted edge indices. Limits 1 to 3 are
+    answered by direct loops; otherwise a branch and bound visits subsets
+    in that order, never pushing a branch that cannot beat the best so far.
     """
-    best = 0
-    best_set = 0
+    if not cand or limit is not None and limit < 1:
+        return 0, 0
+    low = cand & -cand
+    if limit == 1:
+        return 1, low
+    if limit == 2 or limit == 3:
+        pair = 0
+        t = cand
+        while t:
+            b = t & -t
+            t ^= b
+            c = t & compat[b.bit_length() - 1]
+            if not c:
+                continue
+            if limit == 2:
+                return 2, b | (c & -c)
+            pair = pair or b | (c & -c)
+            while c & (c - 1):  # a triple needs two compatible edges after b
+                b2 = c & -c
+                c ^= b2
+                d = c & compat[b2.bit_length() - 1]
+                if d:
+                    return 3, b | b2 | (d & -d)
+        return (2, pair) if pair else (1, low)
     stop = cand.bit_count() if limit is None else limit
-
-    def grow(cand: int, size: int, chosen: int) -> None:
-        nonlocal best, best_set
+    best = best_set = 0
+    stack = [(cand, 0, 0)]  # (candidates left, size, chosen) of a partial subset
+    while stack:
+        rest, size, chosen = stack.pop()
+        if size + rest.bit_count() <= best:
+            continue
+        b = rest & -rest
+        rest ^= b
+        stack.append((rest, size, chosen))
+        size += 1
+        chosen |= b
         if size > best:
             best, best_set = size, chosen
-        while cand:
-            if size + cand.bit_count() <= best or best >= stop:
-                return
-            b = cand & -cand
-            cand ^= b
-            i = b.bit_length() - 1
-            grow(cand & compat[i], size + 1, chosen | b)
-
-    grow(cand, 0, 0)
+            if best >= stop:
+                break
+        child = rest & compat[b.bit_length() - 1]
+        if size + child.bit_count() > best:
+            stack.append((child, size, chosen))
     return best, best_set
 
 
@@ -157,6 +186,13 @@ def _incident_edge_masks(g: Graph, edge_order: tuple[tuple[int, int], ...]) -> l
     return inc
 
 
+def _checked_cut_edges(cand: int, cross_cap: int) -> int:
+    if cand.bit_count() > cross_cap:
+        raise ValueError(
+            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
+    return cand
+
+
 def _cross_edges(inc: list[int], pmask: int, cross_cap: int) -> int:
     """Edges with exactly one end in the prefix: an edge inside it is xor-ed out twice."""
     cand = 0
@@ -164,10 +200,28 @@ def _cross_edges(inc: list[int], pmask: int, cross_cap: int) -> int:
         b = pmask & -pmask
         pmask ^= b
         cand ^= inc[b.bit_length() - 1]
-    if cand.bit_count() > cross_cap:
-        raise ValueError(
-            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
-    return cand
+    return _checked_cut_edges(cand, cross_cap)
+
+
+def _cut_edge_tables(inc: list[int]) -> list[list[int]]:
+    """Per 8-vertex chunk, the xor of inc over the vertices of each byte value."""
+    tables = []
+    for lo in range(0, len(inc), 8):
+        tab = [0] * (1 << min(8, len(inc) - lo))
+        for byte in range(1, len(tab)):
+            b = byte & -byte
+            tab[byte] = tab[byte ^ b] ^ inc[lo + b.bit_length() - 1]
+        tables.append(tab)
+    return tables
+
+
+def _table_cross_edges(tables: list[list[int]], pmask: int, cross_cap: int) -> int:
+    """_cross_edges by one table lookup per 8-vertex chunk of the prefix."""
+    cand = 0
+    for tab in tables:
+        cand ^= tab[pmask & 255]
+        pmask >>= 8
+    return _checked_cut_edges(cand, cross_cap)
 
 
 def max_distant_cross_matching(g: Graph, part: PrefixPartition,
@@ -257,10 +311,10 @@ def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
               cross_cap: int = CROSS_EDGE_CAP) -> WidthResult:
     """Exact distant matching width with a witness order and its per-prefix cuts."""
     edge_order, compat = _compat_masks(g)
-    inc = _incident_edge_masks(g, edge_order)
+    tables = _cut_edge_tables(_incident_edge_masks(g, edge_order))
 
     def cut(s: int, k: int) -> int:
-        return _max_compatible_subset(_cross_edges(inc, s, cross_cap), compat, k)[0]
+        return _max_compatible_subset(_table_cross_edges(tables, s, cross_cap), compat, k)[0]
 
     return _subset_dp(g, cut, cap)
 

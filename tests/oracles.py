@@ -15,7 +15,7 @@ from bplab import Graph
 from bplab.bp import Nrobp
 from bplab.covers import DeepcoverReport
 from bplab.graphs import is_dis
-from bplab.widths import WidthResult, _compat_masks, _cross_matching_pairs, _max_compatible_subset
+from bplab.widths import WidthResult, _compat_masks, _cross_matching_pairs
 
 ATLAS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -178,9 +178,34 @@ def dmw_by_full_subset_dp(g):
         for i, (u, v) in enumerate(edge_order):
             if (s >> u & 1) != (s >> v & 1):
                 cand |= 1 << i
-        return _max_compatible_subset(cand, compat)[0]
+        return max_compatible_subset_by_recursion(cand, compat)[0]
 
     return width_by_full_subset_dp(g, cut)
+
+
+def max_compatible_subset_by_recursion(cand, compat, limit=None):
+    """Largest pairwise-compatible edge subset of cand; branch and bound.
+
+    With a limit, the search stops once it holds `limit` edges.
+    """
+    best = 0
+    best_set = 0
+    stop = cand.bit_count() if limit is None else limit
+
+    def grow(cand, size, chosen):
+        nonlocal best, best_set
+        if size > best:
+            best, best_set = size, chosen
+        while cand:
+            if size + cand.bit_count() <= best or best >= stop:
+                return
+            b = cand & -cand
+            cand ^= b
+            i = b.bit_length() - 1
+            grow(cand & compat[i], size + 1, chosen | b)
+
+    grow(cand, 0, 0)
+    return best, best_set
 
 
 def truth_table_sats(cnf):

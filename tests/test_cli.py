@@ -2,6 +2,8 @@
 
 import pytest
 
+import bplab.cli
+import bplab.covers
 from bplab.bp import Nrobp, is_uniform, nfbdd_compile, bp_satisfying_set, uniformize
 from bplab.cli import main
 from bplab.fileio import parse_bp, parse_cnf, parse_graph, parse_td, write_bp, write_cnf, write_graph
@@ -207,3 +209,19 @@ def test_experiment_frozen_csv(tmp_path, capsys):
     assert rc1 == 0 and rc2 == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text() == EXPECTED_CSV
+
+
+def test_experiment_computes_dmw_once_per_row(monkeypatch, capsys):
+    sizes = []
+    exact = bplab.cli.dmw_exact
+
+    def counted(g, **kwargs):
+        sizes.append(g.n)
+        return exact(g, **kwargs)
+
+    monkeypatch.setattr(bplab.cli, "dmw_exact", counted)
+    monkeypatch.setattr(bplab.covers, "dmw_exact", counted)
+    rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "3")
+    assert rc == 0
+    assert out == "".join(EXPECTED_CSV.splitlines(keepends=True)[:4])
+    assert sizes == [6, 14]

@@ -255,6 +255,18 @@ def test_extract_cut_cover_covers_every_assignment():
         assert cert.q >= cert.bound - 1e-9
 
 
+def test_extract_cut_cover_takes_the_callers_dmw(monkeypatch):
+    graphs = [cycle_graph(8)] + atlas_connected(2, 5)
+    certs = [extract_cut_cover(_compiled(g), g) for g in graphs]
+
+    def no_dmw(*args, **kwargs):
+        raise AssertionError("dmw_exact called although d was given")
+
+    monkeypatch.setattr(bplab.covers, "dmw_exact", no_dmw)
+    for g, cert in zip(graphs, certs):
+        assert extract_cut_cover(_compiled(g), g, d=cert.dmw) == cert
+
+
 def test_extract_cut_cover_rejections():
     notuniform = Nrobp(1, [], 0, 0, 2)
     with pytest.raises(ValueError, match="program must be uniform"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     cut_matching_size_oracle,
     dmw_by_full_subset_dp,
     dmw_by_permutations,
+    max_compatible_subset_by_recursion,
     max_distant_cross_oracle,
     mw_by_full_subset_dp,
     mw_by_permutations,
@@ -135,6 +137,46 @@ def test_capped_cuts_are_the_cut_or_the_cap():
             for k in range(4):
                 assert widths._cut_size_mask(g, mask, k) == min(mw_cut, k)
                 assert widths._max_compatible_subset(cand, compat, k)[0] == min(dmw_cut, k)
+
+
+def test_compatible_subsets_equal_the_recursive_search():
+    cases = [(g, range(1 << g.n)) for g in atlas_connected(1, 6)]
+    rng = random.Random(6)
+    for n in (16, 18):
+        for d in (3, 5):
+            cases.append((random_connected_graph(n, 100 * n + d, d),
+                          [rng.getrandbits(n) for _ in range(200)]))
+    for g, masks in cases:
+        edge_order, compat = widths._compat_masks(g)
+        inc = widths._incident_edge_masks(g, edge_order)
+        for mask in masks:
+            cand = widths._cross_edges(inc, mask, widths.CROSS_EDGE_CAP)
+            for limit in (None, 0, 1, 2, 3, 4):
+                assert (widths._max_compatible_subset(cand, compat, limit)
+                        == max_compatible_subset_by_recursion(cand, compat, limit)), g.edges
+
+
+def test_table_cut_edges_at_chunk_boundaries():
+    graphs = [random_connected_graph(n, n, d) for n in (0, 1, 7, 8, 9, 16, 17, 22)
+              for d in (3, 5)]
+    graphs.append(cycle_graph(22))
+    rng = random.Random(8)
+    for g in graphs:
+        edge_order, _ = widths._compat_masks(g)
+        inc = widths._incident_edge_masks(g, edge_order)
+        tables = widths._cut_edge_tables(inc)
+        assert len(tables) == (g.n + 7) // 8
+        masks = range(1 << g.n) if g.n <= 9 else [rng.getrandbits(g.n) for _ in range(500)]
+        for mask in masks:
+            assert (widths._table_cross_edges(tables, mask, len(g.edges))
+                    == widths._cross_edges(inc, mask, len(g.edges)))
+
+
+def test_distant_cross_edge_cap_past_the_first_chunk():
+    # the hub, vertex 21, is in the third 8-vertex chunk; the prefix {21} cuts every edge
+    star = Graph(22, [(v, 21) for v in range(21)])
+    with pytest.raises(ValueError, match="21 cut edges exceed the exhaustive cap 20"):
+        dmw_exact(star, cross_cap=20)
 
 
 def _family(k, r):
