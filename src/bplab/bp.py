@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Assignment, MonotoneCnf, primal_graph
 
@@ -248,15 +248,17 @@ def _node_var_masks(z: Nrobp, order: list[int]) -> list[int] | None:
     return masks  # type: ignore[return-value]
 
 
-def _reads_uniformly(z: Nrobp, order: list[int]) -> bool:
-    """Uniformity of an already validated program with topological order `order`."""
+def _uniform_masks(z: Nrobp, order: list[int]) -> list[int] | None:
+    """Per-node read masks of an already validated program; None when not uniform."""
     masks = _node_var_masks(z, order)
-    return masks is not None and masks[z.leaf] == (1 << z.num_vars) - 1
+    if masks is None or masks[z.leaf] != (1 << z.num_vars) - 1:
+        return None
+    return masks
 
 
 def is_uniform(z: Nrobp) -> bool:
     """All root-to-a paths read the same variables, and full paths read Var(F)."""
-    return _reads_uniformly(z, _valid_order(z))
+    return _uniform_masks(z, _valid_order(z)) is not None
 
 
 def uniformize(z: Nrobp) -> Nrobp:
@@ -360,36 +362,6 @@ def bp_satisfying_set(z: Nrobp, cap: int = 20) -> set[Assignment]:
     return {Assignment.from_mask(z.num_vars, m) for m, c in enumerate(bits) if c == "1"}
 
 
-def root_leaf_paths(z: Nrobp, cap: int = 100000) -> list[tuple[int, ...]]:
-    """All root-leaf paths as tuples of edge indices, in DFS order."""
-    paths: list[tuple[int, ...]] = []
-    path: list[int] = []
-    stack: list[Iterator[int]] = []
-    v = z.root
-    while True:
-        if v == z.leaf:
-            paths.append(tuple(path))
-            if len(paths) > cap:
-                raise ValueError(f"more than {cap} root-leaf paths")
-        else:
-            stack.append(iter(z.out_edges[v]))
-        # back up to the deepest node with an untried out-edge
-        while stack:
-            del path[len(stack) - 1:]
-            i = next(stack[-1], None)
-            if i is not None:
-                break
-            stack.pop()
-        else:
-            return paths
-        path.append(i)
-        v = z.edges[i][1]
-
-
-def path_literals(z: Nrobp, path: Sequence[int]) -> frozenset[int]:
-    return frozenset(z.edges[i][2] for i in path if z.edges[i][2] is not None)
-
-
 class Nfbdd(Nrobp):
     """Fully labeled uniform NROBP with out-degree <= 2 per node.
 
@@ -426,7 +398,7 @@ class Nfbdd(Nrobp):
             var_of[v] = vars_.pop()
         self.var_of: tuple[int | None, ...] = tuple(var_of)
         assert order is not None
-        if not _reads_uniformly(self, order):
+        if _uniform_masks(self, order) is None:
             raise ValueError("program is not uniform")
         self.order = order  # the topological order, lowest node id first
         # path-weight column per exact flag, filled on first use by covers

@@ -202,7 +202,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 dmw_s = str(d)
                 lb = 2.0 ** (d / a5)
                 lb_s = fmt_num(lb)
-                cert = extract_cut_cover(y, g, path_cap=args.path_cap, d=d)
+                cert = extract_cut_cover(y, g, d=d)
                 q_s = str(cert.q)
                 if lb > nodes:
                     failures.append(
@@ -307,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, default=5, help="largest height")
     p.add_argument("--order", choices=("natural", "best"), default="natural",
                    help="variable order strategy for the size columns")
-    p.add_argument("--path-cap", type=int, default=20000,
-                   help="largest number of root-leaf paths to walk")
     _add_flags(p, "cap-subset", "out")
     p.set_defaults(func=cmd_experiment)
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .bp import (
-    Nfbdd,
-    Nrobp,
-    _node_var_masks,
-    _var_of,
-    is_uniform,
-    root_leaf_paths,
-)
+from .bp import Nfbdd, Nrobp, _node_var_masks, _uniform_masks, _valid_order, _var_of
 from .graphs import Graph, Matching, cnf_from_graph, is_dis
 from .widths import (
     PrefixPartition,
@@ -424,100 +417,72 @@ class CutCoverCertificate:
         return len(self.cut_nodes)
 
 
-def _ancestors(z: Nrobp, node: int) -> set[int]:
-    seen = {node}
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        for i in z.in_edges[v]:
-            t = z.edges[i][0]
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def _descendants(z: Nrobp, node: int) -> set[int]:
-    seen = {node}
-    stack = [node]
-    while stack:
-        v = stack.pop()
-        for i in z.out_edges[v]:
-            h = z.edges[i][1]
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return seen
-
-
-def extract_cut_cover(z: Nrobp, g: Graph, path_cap: int = 20000,
-                      d: int | None = None) -> CutCoverCertificate:
+def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
+                      path_cap: int | None = None) -> CutCoverCertificate:
     """Build a cut-cover certificate from a uniform program for g's clauses.
 
-    Walk each root-leaf path to its earliest node whose read/unread vertex
-    split carries a distant matching of size dmw(g); per matching edge,
+    A node qualifies when its read/unread vertex split carries a distant
+    matching of size dmw(g). The cut is the qualifying nodes reached from
+    the root through non-qualifying ones, i.e. the earliest qualifying node
+    of each root-leaf path, found in one forward pass. Per matching edge,
     keep the endpoint that every path through the node reads positively
     (the lower vertex id when both qualify). d is the exact dmw of g when
-    the caller has it; otherwise it is computed here.
+    the caller has it; otherwise it is computed here. path_cap is ignored.
     """
     if z.num_vars != g.n:
         raise ValueError(f"program reads {z.num_vars} variables but g has {g.n} vertices")
-    if not is_uniform(z):
+    order = _valid_order(z)
+    read = _uniform_masks(z, order)
+    if read is None:
         raise ValueError("program must be uniform")
     if d is None:
         d = dmw_exact(g).value
     if d == 0:
         raise ValueError("graph has no edges, nothing to certify")
 
-    missing = object()
-    qual: dict[int, Matching | None] = {}
-    cut: dict[int, tuple[int, Matching]] = {}
-    for path in root_leaf_paths(z, cap=path_cap):
-        mask = 0
-        hit = None
-        for eidx in path:
-            _, h, lab = z.edges[eidx]
-            if lab is not None:
-                mask |= 1 << _var_of(lab)
-            if h == z.leaf:
-                break
-            if mask == 0:
-                continue
-            res = qual.get(mask, missing)
-            if res is missing:
-                res = None
+    neg = [1 << _var_of(lab) if lab is not None and lab < 0 else 0 for _, _, lab in z.edges]
+    qual: dict[int, Matching | None] = {0: None}
+    reached = [False] * z.num_nodes
+    reached[z.root] = True
+    negf = [0] * z.num_nodes  # variables read negatively on some path ending at v
+    cut = []
+    for v in order:
+        onward = reached[v]
+        if onward:
+            mask = read[v]
+            if mask not in qual:
+                qual[mask] = None
                 if _cut_size_mask(g, mask, d) >= d:
-                    prefix = [v for v in range(g.n) if mask >> v & 1]
+                    prefix = [u for u in range(g.n) if mask >> u & 1]
                     m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
                     if len(m) >= d:
-                        res = Matching(m.edges[:d])
-                qual[mask] = res
-            if res is not None:
-                hit = (h, mask, res)
-                break
-        if hit is None:
-            raise RuntimeError("a root-leaf path admits no qualifying split")
-        node, mask, m = hit
-        cut.setdefault(node, (mask, m))
+                        qual[mask] = Matching(m.edges[:d])
+            if qual[mask] is not None:
+                cut.append(v)
+                onward = False
+        for i in z.out_edges[v]:
+            h = z.edges[i][1]
+            negf[h] |= negf[v] | neg[i]
+            reached[h] = reached[h] or onward
+    if reached[z.leaf]:
+        raise RuntimeError("a root-leaf path admits no qualifying split")
+    negb = [0] * z.num_nodes  # variables read negatively on some path leaving v
+    for v in reversed(order):
+        for i in z.out_edges[v]:
+            negb[v] |= negb[z.edges[i][1]] | neg[i]
 
-    neg_edges: dict[int, list[tuple[int, int]]] = {}
-    for t, h, lab in z.edges:
-        if lab is not None and lab < 0:
-            neg_edges.setdefault(_var_of(lab), []).append((t, h))
-
-    nodes = []
+    nodes = sorted(cut)
     dis_sets = []
     matchings = []
-    for node in sorted(cut):
-        mask, m = cut[node]
-        anc = _ancestors(z, node)
-        desc = _descendants(z, node)
+    for node in nodes:
+        mask = read[node]
+        m = qual[mask]
         picks = []
         for a, b in m.edges:
             u1 = a if mask >> a & 1 else b
             u2 = b if u1 == a else a
-            ok1 = not any(h in anc for _, h in neg_edges.get(u1, ()))
-            ok2 = not any(t in desc for t, _ in neg_edges.get(u2, ()))
+            ok1 = not negf[node] >> u1 & 1
+            ok2 = not negb[node] >> u2 & 1
             if ok1 and ok2:
                 picks.append(min(u1, u2))
             elif ok1:
@@ -529,7 +494,6 @@ def extract_cut_cover(z: Nrobp, g: Graph, path_cap: int = 20000,
                     f"neither endpoint of ({a}, {b}) covers all paths through node {node}")
         bset = frozenset(picks)
         assert len(bset) == d and is_dis(g, bset)
-        nodes.append(node)
         dis_sets.append(bset)
         matchings.append(m)
     bound = 2.0 ** (d / constants(g.max_degree()).a_x)

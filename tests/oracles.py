@@ -8,14 +8,22 @@ the bitmask machinery of the package under test.
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import networkx as nx
 
-from bplab import Graph
-from bplab.bp import Nrobp
-from bplab.covers import DeepcoverReport
-from bplab.graphs import is_dis
-from bplab.widths import WidthResult, _compat_masks, _cross_matching_pairs
+from bplab.bp import Nrobp, _var_of, is_uniform
+from bplab.covers import CutCoverCertificate, DeepcoverReport, constants
+from bplab.graphs import Graph, Matching, is_dis
+from bplab.widths import (
+    PrefixPartition,
+    WidthResult,
+    _compat_masks,
+    _cross_matching_pairs,
+    _cut_size_mask,
+    dmw_exact,
+    max_distant_cross_matching,
+)
 
 ATLAS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -418,3 +426,151 @@ def deepcover_by_dis_tables(y, g, max_dis_size=3, tol=1e-9, exact=False):
                                 f"node {a} -> {h}: B minus {av} leaves the free set")
     return DeepcoverReport(nodes=y.num_nodes, dis_count=len(dis_list), pairs_checked=pairs,
                            side_checks=side_checks, violations=violations)
+
+
+def root_leaf_paths(z: Nrobp, cap: int = 100000) -> list[tuple[int, ...]]:
+    """All root-leaf paths as tuples of edge indices, in DFS order."""
+    paths: list[tuple[int, ...]] = []
+    path: list[int] = []
+    stack: list[Iterator[int]] = []
+    v = z.root
+    while True:
+        if v == z.leaf:
+            paths.append(tuple(path))
+            if len(paths) > cap:
+                raise ValueError(f"more than {cap} root-leaf paths")
+        else:
+            stack.append(iter(z.out_edges[v]))
+        # back up to the deepest node with an untried out-edge
+        while stack:
+            del path[len(stack) - 1:]
+            i = next(stack[-1], None)
+            if i is not None:
+                break
+            stack.pop()
+        else:
+            return paths
+        path.append(i)
+        v = z.edges[i][1]
+
+
+def path_literals(z: Nrobp, path: Sequence[int]) -> frozenset[int]:
+    return frozenset(z.edges[i][2] for i in path if z.edges[i][2] is not None)
+
+
+def _ancestors(z: Nrobp, node: int) -> set[int]:
+    seen = {node}
+    stack = [node]
+    while stack:
+        v = stack.pop()
+        for i in z.in_edges[v]:
+            t = z.edges[i][0]
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _descendants(z: Nrobp, node: int) -> set[int]:
+    seen = {node}
+    stack = [node]
+    while stack:
+        v = stack.pop()
+        for i in z.out_edges[v]:
+            h = z.edges[i][1]
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return seen
+
+
+def cut_cover_by_paths(z: Nrobp, g: Graph, path_cap: int = 20000,
+                       d: int | None = None) -> CutCoverCertificate:
+    """Build a cut-cover certificate from a uniform program for g's clauses.
+
+    Walk each root-leaf path to its earliest node whose read/unread vertex
+    split carries a distant matching of size dmw(g); per matching edge,
+    keep the endpoint that every path through the node reads positively
+    (the lower vertex id when both qualify). d is the exact dmw of g when
+    the caller has it; otherwise it is computed here.
+    """
+    if z.num_vars != g.n:
+        raise ValueError(f"program reads {z.num_vars} variables but g has {g.n} vertices")
+    if not is_uniform(z):
+        raise ValueError("program must be uniform")
+    if d is None:
+        d = dmw_exact(g).value
+    if d == 0:
+        raise ValueError("graph has no edges, nothing to certify")
+
+    missing = object()
+    qual: dict[int, Matching | None] = {}
+    cut: dict[int, tuple[int, Matching]] = {}
+    for path in root_leaf_paths(z, cap=path_cap):
+        mask = 0
+        hit = None
+        for eidx in path:
+            _, h, lab = z.edges[eidx]
+            if lab is not None:
+                mask |= 1 << _var_of(lab)
+            if h == z.leaf:
+                break
+            if mask == 0:
+                continue
+            res = qual.get(mask, missing)
+            if res is missing:
+                res = None
+                if _cut_size_mask(g, mask, d) >= d:
+                    prefix = [v for v in range(g.n) if mask >> v & 1]
+                    m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+                    if len(m) >= d:
+                        res = Matching(m.edges[:d])
+                qual[mask] = res
+            if res is not None:
+                hit = (h, mask, res)
+                break
+        if hit is None:
+            raise RuntimeError("a root-leaf path admits no qualifying split")
+        node, mask, m = hit
+        cut.setdefault(node, (mask, m))
+
+    neg_edges: dict[int, list[tuple[int, int]]] = {}
+    for t, h, lab in z.edges:
+        if lab is not None and lab < 0:
+            neg_edges.setdefault(_var_of(lab), []).append((t, h))
+
+    nodes = []
+    dis_sets = []
+    matchings = []
+    for node in sorted(cut):
+        mask, m = cut[node]
+        anc = _ancestors(z, node)
+        desc = _descendants(z, node)
+        picks = []
+        for a, b in m.edges:
+            u1 = a if mask >> a & 1 else b
+            u2 = b if u1 == a else a
+            ok1 = not any(h in anc for _, h in neg_edges.get(u1, ()))
+            ok2 = not any(t in desc for t, _ in neg_edges.get(u2, ()))
+            if ok1 and ok2:
+                picks.append(min(u1, u2))
+            elif ok1:
+                picks.append(u1)
+            elif ok2:
+                picks.append(u2)
+            else:
+                raise RuntimeError(
+                    f"neither endpoint of ({a}, {b}) covers all paths through node {node}")
+        bset = frozenset(picks)
+        assert len(bset) == d and is_dis(g, bset)
+        nodes.append(node)
+        dis_sets.append(bset)
+        matchings.append(m)
+    bound = 2.0 ** (d / constants(g.max_degree()).a_x)
+    return CutCoverCertificate(
+        cut_nodes=tuple(nodes),
+        dis_sets=tuple(dis_sets),
+        matchings=tuple(matchings),
+        dmw=d,
+        bound=bound,
+    )

@@ -15,8 +15,6 @@ from bplab.bp import (
     bp_satisfying_set,
     is_uniform,
     nfbdd_compile,
-    path_literals,
-    root_leaf_paths,
     uniformize,
     validate_nrobp,
 )
@@ -34,6 +32,8 @@ from oracles import (
     accepted_masks,
     atlas_connected,
     compile_by_clause_sets,
+    path_literals,
+    root_leaf_paths,
     vertex_cover_masks,
 )
 

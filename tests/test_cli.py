@@ -183,6 +183,7 @@ def test_certify_reports_uncoverable_node(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["mw", "--graph", "g", "--exact"],
     ["certify", "--bp", "b", "--graph", "g", "--path-cap", "5"],
+    ["experiment", "--path-cap", "5"],
     ["cover", "--graph", "g", "--t", "1", "--seed", "1"],
     ["verify", "--suite", "widths", "--cap-vars", "5"],
     ["mw", "--graph", "g", "--out", "o"],

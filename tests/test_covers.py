@@ -1,12 +1,15 @@
 """Tests for weighted path counting, cover extraction, and the constant stack."""
 
 import math
+import random
+import time
+import warnings
 from fractions import Fraction
 
 import pytest
 
 import bplab.covers
-from bplab.bp import Nfbdd, Nrobp, nfbdd_compile, root_leaf_paths
+from bplab.bp import Nfbdd, Nrobp, nfbdd_compile, uniformize
 from bplab.covers import (
     composed_bound_constants,
     constants,
@@ -24,14 +27,19 @@ from bplab.graphs import (
     cnf_from_graph,
     complete_graph,
     cycle_graph,
+    is_dis,
     path_graph,
 )
 from bplab.instances import hard_family_instance
+from bplab.suites import random_read_once_program
+from bplab.widths import dmw_exact
 
 from oracles import (
     atlas_connected,
+    cut_cover_by_paths,
     deepcover_by_dis_tables,
     path_weight_oracle,
+    root_leaf_paths,
     vertex_cover_masks,
 )
 
@@ -277,6 +285,79 @@ def test_extract_cut_cover_rejections():
     trivial = Nrobp(2, [(0, 1, 1), (0, 1, -1)], 0, 1, 1)
     with pytest.raises(ValueError, match="graph has no edges, nothing to certify"):
         extract_cut_cover(trivial, Graph(1, []))
+
+
+def _outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_extract_cut_cover_matches_the_path_oracle():
+    cases = []
+    for g in atlas_connected(2, 7):
+        d = dmw_exact(g).value
+        y = _compiled(g)
+        cases += [(y, g, d), (y, g, d + 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k, r in [(6, 1), (6, 2), (10, 1), (14, 1)]:
+            g, _ = hard_family_instance(k, r, allow_small_r=True)
+            cases.append((_compiled(g), g, None))
+    rng = random.Random(0)
+    for g in atlas_connected(3, 6)[::4]:
+        order = rng.sample(range(g.n), g.n)
+        cases.append((nfbdd_compile(cnf_from_graph(g), order), g, None))
+        z = random_read_once_program(g.n, rng.randrange(10 ** 6))
+        cases += [(z, g, None), (uniformize(z), g, None)]
+    cases.append((uniformize(Nrobp(1, [], 0, 0, 2)), complete_graph(2), None))
+    cases.append((Nrobp(2, [(0, 1, 1), (1, 0, 2)], 0, 1, 2), complete_graph(2), None))
+    kinds = set()
+    for y, g, d in cases:
+        got = _outcome(extract_cut_cover, y, g, d=d)
+        assert got == _outcome(cut_cover_by_paths, y, g, d=d), (g.edges, d)
+        kinds.add(got[1].split(" ")[0] if isinstance(got, tuple) else "certificate")
+    assert kinds == {"certificate", "a", "neither", "program"}
+
+
+def test_extract_cut_cover_without_a_qualifying_split():
+    for g, d in [(path_graph(3), 2), (cycle_graph(8), 3)]:
+        with pytest.raises(RuntimeError, match="^a root-leaf path admits no qualifying split$"):
+            extract_cut_cover(_compiled(g), g, d=d)
+
+
+def _reaches_leaf_without(z, removed):
+    seen = {z.root}
+    stack = [z.root]
+    while stack:
+        v = stack.pop()
+        for i in z.out_edges[v]:
+            h = z.edges[i][1]
+            if h not in seen and h not in removed:
+                seen.add(h)
+                stack.append(h)
+    return z.leaf in seen
+
+
+def test_extract_cut_cover_past_the_old_path_cap():
+    elapsed = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k, r, d, q in [(6, 3, 1, 2), (6, 7, 2, 12)]:
+            g, _ = hard_family_instance(k, r, allow_small_r=True)
+            y = _compiled(g)
+            start = time.perf_counter()
+            cert = extract_cut_cover(y, g, d=d)
+            elapsed += time.perf_counter() - start
+            assert cert.q == q and cert.dmw == d
+            if (k, r) == (6, 3):
+                assert cert.cut_nodes == (1, 2)
+            assert _reaches_leaf_without(y, set())
+            assert not _reaches_leaf_without(y, set(cert.cut_nodes))
+            for b in cert.dis_sets:
+                assert len(b) == d and is_dis(g, b)
+    assert elapsed < 1.0
 
 
 def test_verify_deepcover_matches_per_dis_tables_on_atlas():
