@@ -44,20 +44,23 @@ class Nrobp:
         self.root = root
         self.leaf = leaf
         es = []
-        for t, h, lab in edges:
+        out: list = [[] for _ in range(num_nodes)]
+        inc: list = [[] for _ in range(num_nodes)]
+        for i, e in enumerate(edges):
+            t, h, lab = e
             if not (0 <= t < num_nodes and 0 <= h < num_nodes):
                 raise ValueError(f"edge ({t}, {h}) out of range")
             if lab is not None and not 1 <= abs(lab) <= num_vars:
                 raise ValueError(f"label {lab} out of range for {num_vars} variables")
-            es.append((t, h, lab))
-        self.edges: tuple[tuple[int, int, int | None], ...] = tuple(es)
-        out: list[list[int]] = [[] for _ in range(num_nodes)]
-        inc: list[list[int]] = [[] for _ in range(num_nodes)]
-        for i, (t, h, _) in enumerate(self.edges):
+            es.append(e if type(e) is tuple else (t, h, lab))  # share the caller's tuples
             out[t].append(i)
             inc[h].append(i)
-        self.out_edges: tuple[tuple[int, ...], ...] = tuple(tuple(o) for o in out)
-        self.in_edges: tuple[tuple[int, ...], ...] = tuple(tuple(i) for i in inc)
+        for v in range(num_nodes):  # in place, so only one list is copied at a time
+            out[v] = tuple(out[v])
+            inc[v] = tuple(inc[v])
+        self.edges: tuple[tuple[int, int, int | None], ...] = tuple(es)
+        self.out_edges: tuple[tuple[int, ...], ...] = tuple(out)
+        self.in_edges: tuple[tuple[int, ...], ...] = tuple(inc)
 
     @property
     def size_edges(self) -> int:
@@ -82,7 +85,15 @@ class BpReport:
 
 
 def _topological_order(z: Nrobp) -> list[int] | None:
-    """Kahn's algorithm, lowest node id first; None when a cycle remains."""
+    """Kahn's algorithm, lowest node id first; None when a cycle remains.
+
+    When every edge runs from a lower id to a higher one, that order is
+    0, 1, ..., n-1: node k is ready once 0..k-1 are out, and is then the
+    lowest ready id. Compiled, parsed and renumbered programs all take
+    this path; only other inputs pay for the heap.
+    """
+    if all(t < h for t, h, _ in z.edges):
+        return list(range(z.num_nodes))
     indeg = [len(z.in_edges[v]) for v in range(z.num_nodes)]
     ready = [v for v in range(z.num_nodes) if indeg[v] == 0]
     heapq.heapify(ready)
@@ -128,36 +139,41 @@ def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
         if z.leaf not in sinks:
             violations.append(f"declared leaf {z.leaf} has outgoing edges")
 
-    reach = {z.root}
-    stack = [z.root]
-    undirected: list[list[int]] = [[] for _ in range(z.num_nodes)]
-    for t, h, _ in z.edges:
-        undirected[t].append(h)
-        undirected[h].append(t)
-    while stack:
-        u = stack.pop()
-        for v in undirected[u]:
+    # an acyclic program with one source reaches every node from it, so only
+    # other programs need the undirected search for disconnected nodes
+    if order is None or sources != [z.root]:
+        reach = {z.root}
+        stack = [z.root]
+        undirected: list[list[int]] = [[] for _ in range(z.num_nodes)]
+        for t, h, _ in z.edges:
+            undirected[t].append(h)
+            undirected[h].append(t)
+        while stack:
+            u = stack.pop()
+            for v in undirected[u]:
+                if v not in reach:
+                    reach.add(v)
+                    stack.append(v)
+        for v in range(z.num_nodes):
             if v not in reach:
-                reach.add(v)
-                stack.append(v)
-    for v in range(z.num_nodes):
-        if v not in reach:
-            violations.append(f"node {v} is disconnected from the root")
-
-    if order is not None and sources == [z.root]:
+                violations.append(f"node {v} is disconnected from the root")
+    else:
         # possible-read sets: vars readable on some root-to-node path
+        edges = z.edges
+        out_edges = z.out_edges
         poss = [0] * z.num_nodes
         offender = None
         for v in order:
-            for i in z.out_edges[v]:
-                t, h, lab = z.edges[i]
+            pv = poss[v]
+            for i in out_edges[v]:
+                _, h, lab = edges[i]
                 if lab is not None:
-                    vb = 1 << _var_of(lab)
-                    if poss[t] & vb and offender is None:
-                        offender = (i, _var_of(lab))
-                    poss[h] |= poss[t] | vb
+                    vb = 1 << (abs(lab) - 1)
+                    if pv & vb and offender is None:
+                        offender = (i, abs(lab) - 1)
+                    poss[h] |= pv | vb
                 else:
-                    poss[h] |= poss[t]
+                    poss[h] |= pv
         if offender is not None:
             i, var = offender
             path = _witness_double_read(z, i, var)
@@ -167,7 +183,12 @@ def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
 
 
 def _valid_order(z: Nrobp) -> list[int]:
-    """Topological order of z; ValueError naming the first defect if z is invalid."""
+    """Topological order of z; ValueError naming the first defect if z is invalid.
+
+    An Nfbdd was validated on construction and answers with the order it kept.
+    """
+    if isinstance(z, Nfbdd):
+        return z.order
     order = _topological_order(z)
     rep = _validate(z, order)
     if not rep.ok:
@@ -233,17 +254,21 @@ def _witness_double_read(z: Nrobp, edge_idx: int, var: int) -> list[int]:
 
 def _node_var_masks(z: Nrobp, order: list[int]) -> list[int] | None:
     """Per-node variable mask of root paths; None when two paths disagree."""
+    edges = z.edges
+    out_edges = z.out_edges
     masks: list[int | None] = [None] * z.num_nodes
     masks[z.root] = 0
     for v in order:
-        if masks[v] is None:
+        mv = masks[v]
+        if mv is None:
             continue
-        for i in z.out_edges[v]:
-            _, h, lab = z.edges[i]
-            m = masks[v] | (1 << _var_of(lab) if lab is not None else 0)
-            if masks[h] is None:
+        for i in out_edges[v]:
+            _, h, lab = edges[i]
+            m = mv | 1 << (abs(lab) - 1) if lab is not None else mv
+            mh = masks[h]
+            if mh is None:
                 masks[h] = m
-            elif masks[h] != m:
+            elif mh != m:
                 return None
     return masks  # type: ignore[return-value]
 
@@ -380,22 +405,26 @@ class Nfbdd(Nrobp):
         rep = _validate(self, order)
         if not rep.ok:
             raise ValueError(f"not a valid NROBP: {rep.violations[0]}")
+        edges = self.edges
         var_of: list[int | None] = [None] * num_nodes
-        for v in range(num_nodes):
-            out = self.out_edges[v]
-            if v == self.leaf:
+        for v, out in enumerate(self.out_edges):
+            if v == leaf:
                 continue
-            if not 1 <= len(out) <= 2:
+            if len(out) == 1:
+                a = b = edges[out[0]][2]
+            elif len(out) == 2:
+                a = edges[out[0]][2]
+                b = edges[out[1]][2]
+            else:
                 raise ValueError(f"node {v} has out-degree {len(out)}, need 1 or 2")
-            labs = [self.edges[i][2] for i in out]
-            if any(lab is None for lab in labs):
+            if a is None or b is None:
                 raise ValueError(f"node {v} has an unlabeled out-edge")
-            vars_ = {_var_of(lab) for lab in labs}
-            if len(vars_) != 1:
-                raise ValueError(f"node {v} reads two variables {sorted(vars_)}")
-            if len(labs) == 2 and labs[0] != -labs[1]:
+            if abs(a) != abs(b):
+                raise ValueError(
+                    f"node {v} reads two variables {sorted({abs(a) - 1, abs(b) - 1})}")
+            if len(out) == 2 and a != -b:
                 raise ValueError(f"node {v} does not carry opposite literals")
-            var_of[v] = vars_.pop()
+            var_of[v] = abs(a) - 1
         self.var_of: tuple[int | None, ...] = tuple(var_of)
         assert order is not None
         if _uniform_masks(self, order) is None:

@@ -19,12 +19,7 @@ from typing import Iterable, Union
 
 from .bp import Nfbdd, Nrobp, _node_var_masks, _uniform_masks, _valid_order, _var_of
 from .graphs import Graph, Matching, cnf_from_graph, is_dis
-from .widths import (
-    PrefixPartition,
-    _cut_size_mask,
-    dmw_exact,
-    max_distant_cross_matching,
-)
+from .widths import _cut_size_mask, _distant_matching_of_mask, _distant_tables, dmw_exact
 
 Weight = Union[float, Fraction]
 
@@ -277,27 +272,34 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     full_v = (1 << g.n) - 1
     free = [_free_mask(g, read[v], negs[v]) for v in range(y.num_nodes)]
     one: Weight = Fraction(1) if exact else 1.0
-    # factors[a][v]: v's factor of the bound at node a, from its unread degree
+    # factors[a][v]: v's factor of the bound at node a, from its unread degree;
+    # nodes with equal read masks share one list
     by_degree = [(1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
                  for d in range(g.n)]
+    by_read: dict[int, list[Weight]] = {}
     factors = []
-    for a in range(y.num_nodes):
-        vert = full_v & ~read[a]
-        factors.append([by_degree[(m & vert).bit_count()] for m in g.nbr_mask])
+    for r in read:
+        if r not in by_read:
+            vert = full_v & ~r
+            by_read[r] = [by_degree[(m & vert).bit_count()] for m in g.nbr_mask]
+        factors.append(by_read[r])
 
     violations: list[str] = []
     pairs = 0
     side_checks = 0
     dis_list = _all_dis(g, max_dis_size)
     cols = _base_columns(y, exact)
+    # nodes whose free set holds B, by B's mask; each list filters B minus its last vertex's
+    holders: dict[int, list[int]] = {0: list(range(y.num_nodes))}
     for combo in dis_list:
         bmask = sum(1 << v for v in combo)
         cov_at, steps = _extend(y, combo, cols, read, exact)
+        last = combo[-1]
+        nodes = [a for a in holders[bmask ^ 1 << last] if free[a] >> last & 1]
         if len(combo) < max_dis_size:
             cols[bmask] = (cov_at, steps)
-        for a in range(y.num_nodes):
-            if bmask & ~free[a]:
-                continue
+            holders[bmask] = nodes
+        for a in nodes:
             pairs += 1
             cov = cov_at[a]
             rw = one
@@ -442,6 +444,7 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
 
     neg = [1 << _var_of(lab) if lab is not None and lab < 0 else 0 for _, _, lab in z.edges]
     qual: dict[int, Matching | None] = {0: None}
+    tables = None  # distant-matching tables of g, built at the first candidate split
     reached = [False] * z.num_nodes
     reached[z.root] = True
     negf = [0] * z.num_nodes  # variables read negatively on some path ending at v
@@ -453,8 +456,9 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
             if mask not in qual:
                 qual[mask] = None
                 if _cut_size_mask(g, mask, d) >= d:
-                    prefix = [u for u in range(g.n) if mask >> u & 1]
-                    m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+                    if tables is None:
+                        tables = _distant_tables(g)
+                    m = _distant_matching_of_mask(tables, mask)
                     if len(m) >= d:
                         qual[mask] = Matching(m.edges[:d])
             if qual[mask] is not None:

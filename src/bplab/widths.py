@@ -224,14 +224,27 @@ def _table_cross_edges(tables: list[list[int]], pmask: int, cross_cap: int) -> i
     return _checked_cut_edges(cand, cross_cap)
 
 
+_DistantTables = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[int]]
+
+
+def _distant_tables(g: Graph) -> _DistantTables:
+    """Edge order, compatibility masks and incident-edge masks; O(edges^2), build once."""
+    edge_order, compat = _compat_masks(g)
+    return edge_order, compat, _incident_edge_masks(g, edge_order)
+
+
+def _distant_matching_of_mask(tables: _DistantTables, pmask: int,
+                              cross_cap: int = CROSS_EDGE_CAP) -> Matching:
+    """Maximum distant matching across the cut of prefix mask pmask."""
+    edge_order, compat, inc = tables
+    _, chosen = _max_compatible_subset(_cross_edges(inc, pmask, cross_cap), compat)
+    return Matching(tuple(e for i, e in enumerate(edge_order) if chosen >> i & 1))
+
+
 def max_distant_cross_matching(g: Graph, part: PrefixPartition,
                                cross_cap: int = CROSS_EDGE_CAP) -> Matching:
     pmask = _check_partition(g, part)
-    edge_order, compat = _compat_masks(g)
-    cand = _cross_edges(_incident_edge_masks(g, edge_order), pmask, cross_cap)
-    _, chosen = _max_compatible_subset(cand, compat)
-    edges = [edge_order[i] for i in range(len(edge_order)) if chosen >> i & 1]
-    return Matching(tuple(edges))
+    return _distant_matching_of_mask(_distant_tables(g), pmask, cross_cap)
 
 
 def cut_distant_matching_size(g: Graph, part: PrefixPartition,

@@ -5,6 +5,7 @@ enumeration, path enumeration, truth tables. Deliberately written without
 the bitmask machinery of the package under test.
 """
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from typing import Iterator, Sequence
 
 import networkx as nx
 
-from bplab.bp import Nrobp, _var_of, is_uniform
+from bplab.bp import BpReport, Nrobp, _find_cycle, _var_of, _witness_double_read, is_uniform
 from bplab.covers import CutCoverCertificate, DeepcoverReport, constants
 from bplab.graphs import Graph, Matching, is_dis
 from bplab.widths import (
@@ -574,3 +575,115 @@ def cut_cover_by_paths(z: Nrobp, g: Graph, path_cap: int = 20000,
         dmw=d,
         bound=bound,
     )
+
+
+def topological_order_by_heap(z):
+    """Kahn's algorithm, lowest node id first; None when a cycle remains."""
+    indeg = [len(z.in_edges[v]) for v in range(z.num_nodes)]
+    ready = [v for v in range(z.num_nodes) if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for i in z.out_edges[v]:
+            h = z.edges[i][1]
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                heapq.heappush(ready, h)
+    return order if len(order) == z.num_nodes else None
+
+
+def validate_by_bfs(z, order):
+    """validate_nrobp given z's topological order, or None when z is cyclic.
+
+    Every program pays for the undirected connectivity search here.
+    """
+    violations: list[str] = []
+    if order is None:
+        violations.append(f"cycle through nodes {_find_cycle(z)}")
+
+    sources = [v for v in range(z.num_nodes) if not z.in_edges[v]]
+    sinks = [v for v in range(z.num_nodes) if not z.out_edges[v]]
+    if sources != [z.root]:
+        for v in sources:
+            if v != z.root:
+                violations.append(f"node {v} has no incoming edges but is not the root")
+        if z.root not in sources:
+            violations.append(f"declared root {z.root} has incoming edges")
+    if sinks != [z.leaf]:
+        for v in sinks:
+            if v != z.leaf:
+                violations.append(f"node {v} has no outgoing edges but is not the leaf")
+        if z.leaf not in sinks:
+            violations.append(f"declared leaf {z.leaf} has outgoing edges")
+
+    reach = {z.root}
+    stack = [z.root]
+    undirected: list[list[int]] = [[] for _ in range(z.num_nodes)]
+    for t, h, _ in z.edges:
+        undirected[t].append(h)
+        undirected[h].append(t)
+    while stack:
+        u = stack.pop()
+        for v in undirected[u]:
+            if v not in reach:
+                reach.add(v)
+                stack.append(v)
+    for v in range(z.num_nodes):
+        if v not in reach:
+            violations.append(f"node {v} is disconnected from the root")
+
+    if order is not None and sources == [z.root]:
+        # possible-read sets: vars readable on some root-to-node path
+        poss = [0] * z.num_nodes
+        offender = None
+        for v in order:
+            for i in z.out_edges[v]:
+                t, h, lab = z.edges[i]
+                if lab is not None:
+                    vb = 1 << _var_of(lab)
+                    if poss[t] & vb and offender is None:
+                        offender = (i, _var_of(lab))
+                    poss[h] |= poss[t] | vb
+                else:
+                    poss[h] |= poss[t]
+        if offender is not None:
+            i, var = offender
+            path = _witness_double_read(z, i, var)
+            violations.append(
+                f"variable {var} is read twice along the path through nodes {path}")
+    return BpReport(violations=violations)
+
+
+def nfbdd_error_by_sets(num_nodes, edges, root, leaf, num_vars):
+    """The message Nfbdd(...) raises for these arguments, or None when it accepts them.
+
+    Validity first, then each node in id order by per-node list and set
+    checks (out-degree, unlabeled edge, one variable, opposite literals),
+    then uniformity.
+    """
+    try:
+        z = Nrobp(num_nodes, edges, root, leaf, num_vars)
+    except ValueError as exc:
+        return str(exc)
+    rep = validate_by_bfs(z, topological_order_by_heap(z))
+    if not rep.ok:
+        return f"not a valid NROBP: {rep.violations[0]}"
+    for v in range(num_nodes):
+        out = z.out_edges[v]
+        if v == z.leaf:
+            continue
+        if not 1 <= len(out) <= 2:
+            return f"node {v} has out-degree {len(out)}, need 1 or 2"
+        labs = [z.edges[i][2] for i in out]
+        if any(lab is None for lab in labs):
+            return f"node {v} has an unlabeled out-edge"
+        vars_ = {_var_of(lab) for lab in labs}
+        if len(vars_) != 1:
+            return f"node {v} reads two variables {sorted(vars_)}"
+        if len(labs) == 2 and labs[0] != -labs[1]:
+            return f"node {v} does not carry opposite literals"
+    if not is_uniform(z):
+        return "program is not uniform"
+    return None

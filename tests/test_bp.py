@@ -7,9 +7,11 @@ import time
 
 import pytest
 
+import bplab.bp
 from bplab.bp import (
     Nfbdd,
     Nrobp,
+    _topological_order,
     best_order_size,
     bp_equivalence,
     bp_satisfying_set,
@@ -24,7 +26,7 @@ from bplab.graphs import (
     cycle_graph,
     path_graph,
 )
-from bplab.fileio import write_bp
+from bplab.fileio import parse_bp, write_bp
 from bplab.instances import hard_family_instance
 from bplab.suites import random_read_once_program
 
@@ -32,8 +34,11 @@ from oracles import (
     accepted_masks,
     atlas_connected,
     compile_by_clause_sets,
+    nfbdd_error_by_sets,
     path_literals,
     root_leaf_paths,
+    topological_order_by_heap,
+    validate_by_bfs,
     vertex_cover_masks,
 )
 
@@ -356,3 +361,118 @@ def test_accepted_bitset_cap_and_validity_errors():
         bp_satisfying_set(broken)
     with pytest.raises(ValueError, match="program is not a valid NROBP"):
         bp_equivalence(broken, Nrobp(1, [], 0, 0, 1))
+
+
+def _permuted(z, rng):
+    """z with node ids shuffled, so its edges no longer run from low ids to high."""
+    p = list(range(z.num_nodes))
+    rng.shuffle(p)
+    return Nrobp(z.num_nodes, [(p[t], p[h], lab) for t, h, lab in z.edges],
+                 p[z.root], p[z.leaf], z.num_vars)
+
+
+def _random_digraph(rng):
+    """Small labeled digraph, often cyclic, multi-source, disconnected or double-reading."""
+    n = rng.randint(1, 7)
+    num_vars = rng.randint(1, 3)
+
+    def label():
+        return rng.choice([None, rng.randint(1, num_vars), -rng.randint(1, num_vars)])
+
+    if rng.random() < 0.5:
+        edges = [(rng.randrange(n), rng.randrange(n), label())
+                 for _ in range(rng.randint(0, 10))]
+        return Nrobp(n, edges, rng.randrange(n), rng.randrange(n), num_vars)
+    # a DAG in which every node but 0 has an edge from a lower one
+    edges = [(rng.randrange(v), v, label()) for v in range(1, n)]
+    for _ in range(rng.randint(0, 4)):
+        t = rng.randrange(n)
+        if t < n - 1:
+            edges.append((t, rng.randrange(t + 1, n), label()))
+    return _permuted(Nrobp(n, edges, 0, n - 1, num_vars), rng)
+
+
+def _assert_like_references(z):
+    order = topological_order_by_heap(z)
+    assert _topological_order(z) == order
+    assert validate_nrobp(z).violations == validate_by_bfs(z, order).violations
+
+
+def test_order_and_violations_equal_the_heap_and_bfs_references():
+    rng = random.Random(8)
+    for g in atlas_connected(2, 6):
+        y = nfbdd_compile(cnf_from_graph(g))
+        _assert_like_references(y)
+        assert y.order == topological_order_by_heap(y)
+        z = _permuted(y, rng)
+        assert topological_order_by_heap(z) != list(range(z.num_nodes))
+        _assert_like_references(z)
+        assert Nfbdd(z.num_nodes, z.edges, z.root, z.leaf, z.num_vars).order == \
+            topological_order_by_heap(z)
+    for seed in range(80):
+        z = random_read_once_program(2 + seed % 6, seed=seed)
+        _assert_like_references(z)
+        _assert_like_references(uniformize(z))
+        _assert_like_references(_permuted(z, rng))
+    for z in [Nrobp(3, [(0, 1, None), (1, 2, None), (1, 1, None)], 0, 2, 1),
+              Nrobp(3, [(0, 2, None), (1, 2, None)], 0, 2, 1),
+              Nrobp(4, [(0, 1, None), (2, 3, None)], 0, 1, 1),
+              Nrobp(3, [(0, 1, 1), (1, 2, 1)], 0, 2, 1),
+              Nrobp(3, [(2, 1, 1), (1, 0, -1)], 2, 0, 1),
+              Nrobp(1, [], 0, 0, 0)]:
+        _assert_like_references(z)
+    kinds = {"cycle": 0, "no incoming": 0, "no outgoing": 0, "disconnected": 0,
+             "read twice": 0, "ok": 0}
+    for _ in range(600):
+        z = _random_digraph(rng)
+        _assert_like_references(z)
+        for v in validate_nrobp(z).violations or ["ok"]:
+            for kind in kinds:
+                kinds[kind] += kind in v
+    assert min(kinds.values()) > 5, kinds
+
+
+def test_compiled_and_parsed_programs_skip_the_heap(monkeypatch):
+    g, _ = hard_family_instance(6, 3, allow_small_r=True)
+    y = nfbdd_compile(cnf_from_graph(g))
+    z = random_read_once_program(6, seed=4)
+    parsed = [parse_bp(write_bp(x)) for x in (y, z, _permuted(z, random.Random(1)))]
+    monkeypatch.setattr(bplab.bp, "heapq", None)
+    for x in [nfbdd_compile(cnf_from_graph(g))] + parsed:
+        assert _topological_order(x) == list(range(x.num_nodes))
+        assert validate_nrobp(x).ok
+
+
+def test_nfbdd_errors_equal_the_per_node_set_checks():
+    rng = random.Random(3)
+    bases = [nfbdd_compile(cnf_from_graph(g)) for g in atlas_connected(2, 4)]
+    kinds = ("out-degree", "unlabeled", "two variables", "opposite literals")
+    seen = set()
+    for _ in range(1500):
+        y = rng.choice(bases)
+        edges = list(y.edges)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(edges))
+            t, h, lab = edges[i]
+            move = rng.randrange(5)
+            if move == 0:
+                edges[i] = (t, h, None)
+            elif move == 1:
+                edges[i] = (t, h, -lab if lab else 1)
+            elif move == 2:
+                edges[i] = (t, h, rng.choice([1, -1]) * rng.randint(1, y.num_vars))
+            elif move == 3:
+                edges.append((t, rng.randrange(t + 1, y.num_nodes), lab))
+            else:
+                del edges[i]
+        args = (y.num_nodes, edges, y.root, y.leaf, y.num_vars)
+        want = nfbdd_error_by_sets(*args)
+        if want is None:
+            assert Nfbdd(*args).order == topological_order_by_heap(Nrobp(*args))
+        else:
+            with pytest.raises(ValueError) as exc:
+                Nfbdd(*args)
+            assert str(exc.value) == want
+        seen.update(kind for kind in kinds if want and kind in want)
+        seen.add(want is None)
+    assert seen == set(kinds) | {True, False}, seen

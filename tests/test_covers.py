@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import bplab.covers
+import bplab.widths
 from bplab.bp import Nfbdd, Nrobp, nfbdd_compile, uniformize
 from bplab.covers import (
     composed_bound_constants,
@@ -32,7 +33,7 @@ from bplab.graphs import (
 )
 from bplab.instances import hard_family_instance
 from bplab.suites import random_read_once_program
-from bplab.widths import dmw_exact
+from bplab.widths import PrefixPartition, dmw_exact, max_distant_cross_matching
 
 from oracles import (
     atlas_connected,
@@ -412,3 +413,55 @@ def test_path_weight_total_builds_the_totals_once(monkeypatch):
     assert built == [(0, False), (0, True)]
     covered_weight(y, y.root, [0, 4])
     assert built[2:] == [(1, False), (16, False), (17, False)]
+
+
+def test_extract_cut_cover_builds_the_distant_tables_once(monkeypatch):
+    compat = bplab.widths._compat_masks
+    matched = bplab.covers._distant_matching_of_mask
+    built = []
+    masks = []
+
+    def counting(graph):
+        built.append(graph.n)
+        return compat(graph)
+
+    def matching(tables, pmask):
+        masks.append(pmask)
+        return matched(tables, pmask)
+
+    def per_mask(tables, pmask):  # a whole max_distant_cross_matching per read mask
+        prefix = [u for u in range(g.n) if pmask >> u & 1]
+        return max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g, _ = hard_family_instance(6, 7, allow_small_r=True)
+    y = _compiled(g)
+    monkeypatch.setattr(bplab.widths, "_compat_masks", counting)
+    monkeypatch.setattr(bplab.covers, "_distant_matching_of_mask", matching)
+    cert = extract_cut_cover(y, g, d=2)
+    assert built == [g.n]
+    assert len(set(masks)) == len(masks) > 1
+    monkeypatch.setattr(bplab.covers, "_distant_matching_of_mask", per_mask)
+    assert extract_cut_cover(y, g, d=2) == cert
+
+
+def test_verify_deepcover_matches_per_dis_tables_with_shuffled_ids():
+    # node ids out of topological order: pairs and violations still come by node id
+    rng = random.Random(5)
+    n = 6
+    chain = [(i, i + 1, i + 1) for i in range(n)]
+    violations = 0
+    for g in [path_graph(n), cycle_graph(n)]:
+        for y in [Nfbdd(n + 1, chain, 0, n, n), _compiled(g)]:
+            p = list(range(y.num_nodes))
+            rng.shuffle(p)
+            z = Nfbdd(y.num_nodes, [(p[t], p[h], lab) for t, h, lab in y.edges],
+                      p[y.root], p[y.leaf], y.num_vars)
+            for size in (1, 2, 3, 4):
+                for exact in (False, True):
+                    got = verify_deepcover(z, g, max_dis_size=size, exact=exact)
+                    assert got == deepcover_by_dis_tables(z, g, max_dis_size=size,
+                                                          exact=exact)
+                    violations += len(got.violations)
+    assert violations > 0
