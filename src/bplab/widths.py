@@ -6,7 +6,10 @@ The graph width is the minimum over orders, computed over vertex subsets
 instead of permutations: the cut of a prefix depends only on the prefix
 as a set. Only prefixes reachable through cuts no wider than the answer
 are visited (the reachable-good-sets search of Bodlaender, Fomin, Koster,
-Kratsch and Thilikos for vertex ordering problems).
+Kratsch and Thilikos for vertex ordering problems), and the search stops
+at the first prefix that is the full vertex set. The witness order then
+checks, lazily and downwards, the prefixes of the last threshold that
+the search did not reach.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .graphs import Graph, Matching, _closed_edge_mask
 SUBSET_DP_CAP = 22
 CROSS_EDGE_CAP = 32
 _WAIT = 255  # above every f + 1 the width search stores
+_DEAD = 254  # f above the final threshold, shown by the witness walk; below _WAIT
 
 
 @dataclass(frozen=True)
@@ -252,25 +256,70 @@ def cut_distant_matching_size(g: Graph, part: PrefixPartition,
     return len(max_distant_cross_matching(g, part, cross_cap))
 
 
+def _reaches_within(seen: bytearray, s: int, w: int,
+                    cut_upto: Callable[[int, int], int]) -> bool:
+    """Whether prefix s has f <= w, by a downward search through cuts <= w.
+
+    seen must mark every prefix with f <= w - 1 by f + 1, so an unmarked
+    s has f >= w. It has f <= w exactly when its cut is at most w and
+    some subset one vertex smaller is marked at most w + 1 or, in turn,
+    has f <= w. A chain found is marked w + 1; each subset shown to have
+    none is marked _DEAD, so no subset is evaluated twice.
+    """
+    stack = []  # (subset, its smaller subsets still to try) along the chain
+    t = s
+    while True:
+        if cut_upto(t, w + 1) > w:
+            seen[t] = _DEAD
+        else:
+            smaller = []
+            rest = t
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                v = seen[t ^ b]
+                if 0 < v <= w + 1:
+                    seen[t] = w + 1
+                    for u, _ in stack:
+                        seen[u] = w + 1
+                    return True
+                if v != _DEAD:
+                    smaller.append(t ^ b)
+            stack.append((t, iter(smaller)))
+        while stack:
+            u, smaller = stack[-1]
+            t = next((x for x in smaller if seen[x] != _DEAD), -1)
+            if t >= 0:
+                break
+            seen[u] = _DEAD
+            stack.pop()
+        else:
+            return False
+
+
 def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> WidthResult:
     """Width and witness order by a threshold search over prefixes.
 
     f(s), the least over orders of s of its largest prefix cut, is at most
     w exactly when s is reachable from the empty set by adding one vertex at
     a time through prefixes whose cut is at most w. So for w = 0, 1, ... the
-    search extends the prefixes reached so far, and the first w that reaches
-    the full set is the width. A prefix first reached at threshold w has
-    f = w. cut_upto(s, k) is the cut of s when below k, else some value >= k;
-    a child whose cut is over the threshold waits and is evaluated again at
-    the next one.
+    search extends the prefixes reached so far, and stops as soon as the
+    full set is reached: w is the width. cut_upto(s, k) is the cut of s when
+    below k, else some value >= k; a child whose cut is over the threshold
+    waits and is evaluated again at the next one. Every threshold below w is
+    exhausted, so each prefix with f < w is marked f + 1; of those with
+    f = w, only the ones the search reached before stopping are marked.
 
     The witness follows, from the full set down, the lowest vertex whose
     removal leaves a prefix with f no larger: the first minimiser of the DP
-    over all 2^n subsets, since no prefix left out of the search can be one.
+    over all 2^n subsets. Where that prefix has f = w and is not marked,
+    _reaches_within decides it, so only candidates the walk meets are
+    searched.
     """
     n = g.n
-    if n > cap:
-        raise ValueError(f"{n} vertices exceed the subset-DP cap {cap}")
+    limit = min(cap, SUBSET_DP_CAP)
+    if n > limit:
+        raise ValueError(f"{n} vertices exceed the subset-DP cap {limit}")
     full = (1 << n) - 1
     seen = bytearray(full + 1)  # f + 1 once reached; _WAIT while queued or over the threshold
     seen[0] = _WAIT
@@ -284,6 +333,8 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
                 waiting.append(s)
                 continue
             seen[s] = w + 1
+            if s == full:
+                break
             rest = full ^ s
             while rest:
                 b = rest & -rest
@@ -291,7 +342,7 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
                 if not seen[s | b]:
                     seen[s | b] = _WAIT
                     queue.append(s | b)
-        if 0 < seen[full] < _WAIT:
+        if seen[full] == w + 1:
             break
         w += 1
         queue, waiting = waiting, []
@@ -302,7 +353,10 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
         while True:
             b = t & -t
             t ^= b
-            if 0 < seen[s ^ b] <= seen[s]:  # WAIT exceeds every f + 1
+            v = seen[s ^ b]
+            if 0 < v <= seen[s]:  # _DEAD and _WAIT exceed every f + 1
+                break
+            if seen[s] > w and v != _DEAD and _reaches_within(seen, s ^ b, w, cut_upto):
                 break
         order.append(b.bit_length() - 1)
         s ^= b

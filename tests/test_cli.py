@@ -4,10 +4,11 @@ import pytest
 
 import bplab.cli
 import bplab.covers
+import bplab.widths
 from bplab.bp import Nrobp, is_uniform, nfbdd_compile, bp_satisfying_set, uniformize
 from bplab.cli import main
 from bplab.fileio import parse_bp, parse_cnf, parse_graph, parse_td, write_bp, write_cnf, write_graph
-from bplab.graphs import cnf_from_graph, complete_graph, cycle_graph
+from bplab.graphs import cnf_from_graph, complete_graph, cycle_graph, path_graph
 from bplab.instances import validate_tree_decomposition
 from bplab.suites import SUITES, random_read_once_program
 
@@ -104,6 +105,20 @@ def test_mw_and_dmw(tmp_path, capsys):
     rc, out, err = run(capsys, "dmw", "--graph", graph)
     assert rc == 0
     assert out.splitlines()[0] == "dmw=1"
+
+
+def test_width_cap_above_the_table_limit(tmp_path, monkeypatch, capsys):
+    def no_table(size):
+        raise AssertionError(f"a table of {size} bytes was allocated")
+
+    monkeypatch.setattr(bplab.widths, "bytearray", no_table, raising=False)
+    graph = tmp_path / "path23.graph"
+    graph.write_text(write_graph(path_graph(23)))
+    for which in ("mw", "dmw"):
+        rc, out, err = run(capsys, which, "--graph", str(graph), "--cap-subset", "40")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: 23 vertices exceed the subset-DP cap 22\n"
 
 
 def test_uniformize_command(tmp_path, capsys):

@@ -217,6 +217,70 @@ def test_search_evaluates_few_cuts_on_the_family_graph(monkeypatch):
     assert 0 < calls["dmw"] < 2 ** 18 // 10
 
 
+def _counted_cuts(monkeypatch):
+    """Count mw and dmw cut evaluations by wrapping the two cut searches."""
+    calls = {"mw": 0, "dmw": 0}
+    for name, attr in (("mw", "_cross_matching_pairs"), ("dmw", "_max_compatible_subset")):
+        def wrapper(*args, name=name, fn=getattr(widths, attr)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(widths, attr, wrapper)
+    return calls
+
+
+def test_star_at_the_cap_stops_at_the_full_set(monkeypatch):
+    # K_{1,21}: every subset is reachable at w = 1, so a search that drains
+    # the last threshold evaluates all 2^22 prefixes
+    star = Graph(22, [(0, v) for v in range(1, 22)])
+    calls = _counted_cuts(monkeypatch)
+    mw = mw_exact(star)
+    dmw = dmw_exact(star, cross_cap=21)
+    assert mw.value == dmw.value == 1
+    for res, oracle in ((mw, cut_matching_size_oracle), (dmw, max_distant_cross_oracle)):
+        assert sorted(res.witness_order) == list(range(22))
+        assert res.witness_cuts == tuple(oracle(star, res.witness_order[:i])
+                                         for i in range(1, 22))
+    assert 0 < calls["mw"] < 2000
+    assert 0 < calls["dmw"] < 2000
+
+
+def test_lazy_witness_checks_take_both_outcomes(monkeypatch):
+    # the graph set of test_widths_equal_the_full_subset_dp: its walks must
+    # meet unmarked candidates that are reachable and ones that are not
+    graphs = atlas_connected(1, 7)
+    graphs += [make(n) for make in (path_graph, complete_graph) for n in range(1, 11)]
+    graphs += [cycle_graph(n) for n in range(3, 11)]
+    graphs += [Graph(0), Graph(1), Graph(5)]
+    graphs += [_family(6, 1), _family(6, 2), _family(14, 1)]
+    graphs += [random_connected_graph(n, 10 * n + d, d) for n in (12, 14, 16) for d in (3, 5)]
+    marks = []
+    check = widths._reaches_within
+
+    def recorded(seen, s, w, cut_upto):
+        found = check(seen, s, w, cut_upto)
+        marks.append((found, seen[s] == (w + 1 if found else widths._DEAD)))
+        return found
+
+    monkeypatch.setattr(widths, "_reaches_within", recorded)
+    for g in graphs:
+        mw_exact(g)
+        dmw_exact(g)
+    assert all(marked for _, marked in marks)
+    assert {found for found, _ in marks} == {True, False}
+
+
+def test_search_evaluates_few_distant_cuts_on_a_dense_graph(monkeypatch):
+    # the width-dp benchmark's seed-1 graph: 16 vertices, 32 edges, degree <= 5
+    g = Graph(16, [(0, 1), (0, 2), (0, 6), (0, 9), (1, 4), (1, 6), (1, 8), (2, 3),
+                   (2, 12), (3, 5), (3, 7), (3, 9), (3, 10), (4, 8), (4, 14), (4, 15),
+                   (5, 8), (5, 9), (5, 12), (5, 15), (6, 7), (6, 12), (6, 14), (7, 13),
+                   (8, 9), (8, 11), (9, 12), (10, 11), (10, 13), (10, 14), (13, 14),
+                   (14, 15)])
+    calls = _counted_cuts(monkeypatch)
+    assert dmw_exact(g).value == 1
+    assert 0 < calls["dmw"] < 2 ** 16 // 100
+
+
 def test_long_cycle_at_the_cap():
     g = cycle_graph(22)
     for res, cut_fn in ((mw_exact(g), cut_matching_size),
@@ -235,6 +299,16 @@ def test_subset_dp_cap():
     with pytest.raises(ValueError, match="exceed the subset-DP cap 6"):
         mw_exact(path_graph(7), cap=6)
     assert mw_exact(path_graph(7), cap=7).value == 1
+
+
+def test_subset_dp_cap_above_the_table_limit(monkeypatch):
+    def no_table(size):
+        raise AssertionError(f"a table of {size} bytes was allocated")
+
+    monkeypatch.setattr(widths, "bytearray", no_table, raising=False)
+    for width in (mw_exact, dmw_exact):
+        with pytest.raises(ValueError, match="^23 vertices exceed the subset-DP cap 22$"):
+            width(path_graph(23), cap=40)
 
 
 def test_distant_cross_edge_cap():
