@@ -402,62 +402,126 @@ class Nfbdd(Nrobp):
                  root: int, leaf: int, num_vars: int) -> None:
         super().__init__(num_nodes, edges, root, leaf, num_vars)
         order = _topological_order(self)
-        rep = _validate(self, order)
-        if not rep.ok:
-            raise ValueError(f"not a valid NROBP: {rep.violations[0]}")
-        edges = self.edges
-        var_of: list[int | None] = [None] * num_nodes
-        for v, out in enumerate(self.out_edges):
-            if v == leaf:
-                continue
-            if len(out) == 1:
-                a = b = edges[out[0]][2]
-            elif len(out) == 2:
-                a = edges[out[0]][2]
-                b = edges[out[1]][2]
-            else:
-                raise ValueError(f"node {v} has out-degree {len(out)}, need 1 or 2")
-            if a is None or b is None:
-                raise ValueError(f"node {v} has an unlabeled out-edge")
-            if abs(a) != abs(b):
-                raise ValueError(
-                    f"node {v} reads two variables {sorted({abs(a) - 1, abs(b) - 1})}")
-            if len(out) == 2 and a != -b:
-                raise ValueError(f"node {v} does not carry opposite literals")
-            var_of[v] = abs(a) - 1
-        self.var_of: tuple[int | None, ...] = tuple(var_of)
+        var_of = _fbdd_reads(self, order)
+        if var_of is None:
+            raise ValueError(_nfbdd_defect(self, order))
         assert order is not None
-        if _uniform_masks(self, order) is None:
-            raise ValueError("program is not uniform")
+        self.var_of: tuple[int | None, ...] = var_of
         self.order = order  # the topological order, lowest node id first
         # path-weight column per exact flag, filled on first use by covers
         self.path_totals: dict[bool, list] = {}
 
 
-def _level_key(forced: int, last: int) -> list[int]:
-    """Sorts states like their sorted residual clause tuples.
+def _fbdd_reads(z: Nrobp, order: list[int] | None) -> tuple[int | None, ...] | None:
+    """Variable read at each node of a valid uniform NFBDD; None on any defect.
 
-    Unit (w,) maps to 2w; the pairs, shared by the whole level, collapse
-    to one sentinel 2*last+1, last being their largest first endpoint.
+    One walk in topological order (None for a cyclic z) carries each
+    node's read mask to its heads. It checks the out-degree, the labels
+    and the read-once property at each node, that every in-edge brings the
+    same mask, and that the leaf's mask is full. Root and leaf must be the
+    only source and sink; with those, an acyclic program reaches every
+    node from the root.
     """
-    keys = [2 * last + 1]
-    while forced:
-        b = forced & -forced
-        forced ^= b
-        keys.append(2 * b.bit_length() - 2)
-    keys.sort()
-    return keys
+    in_edges = z.in_edges
+    out_edges = z.out_edges
+    if (order is None or in_edges.count(()) != 1 or in_edges[z.root]
+            or out_edges.count(()) != 1 or out_edges[z.leaf]):
+        return None
+    edges = z.edges
+    var_of: list[int | None] = [None] * z.num_nodes
+    masks: list[int | None] = [None] * z.num_nodes
+    masks[z.root] = 0
+    for v in order:
+        out = out_edges[v]
+        if not out:
+            continue  # the leaf
+        a = edges[out[0]][2]
+        if a is None or len(out) > 2 or len(out) == 2 and edges[out[1]][2] != -a:
+            return None
+        x = abs(a) - 1
+        m = masks[v]
+        if m >> x & 1:  # type: ignore[operator]
+            return None
+        m |= 1 << x  # type: ignore[operator]
+        var_of[v] = x
+        for i in out:
+            h = edges[i][1]
+            mh = masks[h]
+            if mh is None:
+                masks[h] = m
+            elif mh != m:
+                return None
+    if masks[z.leaf] != (1 << z.num_vars) - 1:
+        return None
+    del masks  # freed before var_of is copied
+    return tuple(var_of)
+
+
+def _nfbdd_defect(z: Nrobp, order: list[int] | None) -> str:
+    """The first defect that keeps z from being an NFBDD, by priority.
+
+    Validity first, then each node in id order (out-degree, unlabeled
+    out-edge, one variable, opposite literals), then uniformity. Called
+    only once _fbdd_reads has rejected z, so one of them fails.
+    """
+    rep = _validate(z, order)
+    if not rep.ok:
+        return f"not a valid NROBP: {rep.violations[0]}"
+    edges = z.edges
+    for v, out in enumerate(z.out_edges):
+        if v == z.leaf:
+            continue
+        if len(out) == 1:
+            a = b = edges[out[0]][2]
+        elif len(out) == 2:
+            a = edges[out[0]][2]
+            b = edges[out[1]][2]
+        else:
+            return f"node {v} has out-degree {len(out)}, need 1 or 2"
+        if a is None or b is None:
+            return f"node {v} has an unlabeled out-edge"
+        if abs(a) != abs(b):
+            return f"node {v} reads two variables {sorted({abs(a) - 1, abs(b) - 1})}"
+        if len(out) == 2 and a != -b:
+            return f"node {v} does not carry opposite literals"
+    assert order is not None and _uniform_masks(z, order) is None
+    return "program is not uniform"
+
+
+def _level_key(forced: int, m: int) -> int:
+    """Int key that sorts a level's states like their sorted residual clause tuples.
+
+    forced holds variable w at bit n-1-w, and m = n-1-last, last being the
+    largest first endpoint of the unread pairs, which every state of the
+    level shares. Two states' tuples first differ at the smallest unit (w,)
+    that only one of them holds.
+    - w <= last (bit >= m): (w,) sorts before every shared pair, so the
+      state holding it comes first; on the bits >= m that is the larger
+      value, hence -forced.
+    - w > last (bit < m): the same holds unless the other state holds no
+      unit past w; its tuple is then a prefix and comes first.
+    The low part x = forced mod 2^m adds 0 when x = 0, and otherwise
+    2^m - (x + lowbit(x)) + popcount(x), which lies in [1, 2^m): the high
+    bits decide first, and x = 0, a prefix of every low part, comes first.
+    For nonzero low parts whose top differing bit is set in x only, that
+    offset is the smaller one unless the other part has no bit below it.
+    """
+    x = forced & ((1 << m) - 1)
+    if not x:
+        return -forced
+    return (1 << m) + x.bit_count() - (x & -x) - forced
 
 
 def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd:
     """Split on variables in order, merging states with equal residual clause sets.
 
     A state is its forced mask: the unread neighbours of variables read
-    false. It fixes the residual clause set, which is every clause among
-    unread variables plus a unit clause per forced variable. The negative
-    branch on a forced variable falsifies a unit clause and is dropped;
-    every surviving state reaches the leaf because the all-positive
-    extension satisfies any monotone residual.
+    false, variable w at bit n-1-w so that one int key sorts a level. It
+    fixes the residual clause set, which is every clause among unread
+    variables plus a unit clause per forced variable. The negative branch
+    on a forced variable falsifies a unit clause and is dropped; every
+    surviving state reaches the leaf because the all-positive extension
+    satisfies any monotone residual.
     """
     n = cnf.num_vars
     if order is None:
@@ -466,7 +530,8 @@ def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd
         order = tuple(order)
         if sorted(order) != list(range(n)):
             raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    nbr = primal_graph(cnf).nbr_mask
+    bits = [1 << (n - 1 - w) for w in range(n)]
+    nbr = [sum(bits[w] for w in adj) for adj in primal_graph(cnf).adj]
     pos = {x: i for i, x in enumerate(order)}
     last = [-1] * (n + 1)  # last[i]: largest first endpoint of a clause unread after i reads
     for u, v in cnf.clauses:
@@ -479,20 +544,22 @@ def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd
     counter = 1
     edges: list[tuple[int, int, int | None]] = []
     for i, x in enumerate(order):
-        bit = 1 << x
+        bit = bits[x]
         unread ^= bit
+        nb = nbr[x]
         nxt = set()
         for f in ids:
-            nxt.add(f & ~bit)
+            nxt.add(f & unread)
             if not f & bit:
-                nxt.add((f | nbr[x]) & unread)
-        level = sorted(nxt, key=lambda f: _level_key(f, last[i + 1]))
-        nxt_ids = {f: counter + j for j, f in enumerate(level)}
-        counter += len(level)
+                nxt.add((f | nb) & unread)
+        m = n - 1 - last[i + 1]
+        by_key = {_level_key(f, m): f for f in nxt}
+        nxt_ids = {by_key[key]: counter + j for j, key in enumerate(sorted(by_key))}
+        counter += len(nxt_ids)
         for f, t in ids.items():
-            edges.append((t, nxt_ids[f & ~bit], x + 1))
+            edges.append((t, nxt_ids[f & unread], x + 1))
             if not f & bit:
-                edges.append((t, nxt_ids[(f | nbr[x]) & unread], -(x + 1)))
+                edges.append((t, nxt_ids[(f | nb) & unread], -(x + 1)))
         ids = nxt_ids
     assert list(ids) == [0]
     return Nfbdd(counter, edges, 0, counter - 1, n)
@@ -528,7 +595,8 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
             bit = t & -t
             t ^= bit
             x = bit.bit_length() - 1
-            step = sum(1 if f & bit else 2 for f in states[s ^ bit])
+            prev = states[s ^ bit]
+            step = 2 * len(prev) - (sum(map(bit.__and__, prev)) >> x)
             val = cost[s ^ bit] + step
             if best < 0 or val < best:
                 best = val

@@ -197,9 +197,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         best_edges = str(best[0]) if best else "-"
         dmw_s = q_s = lb_s = "-"
         if g.n <= args.cap_subset:
+            # a cap refusal is a usage error, as in `dmw`, not a failed row
+            d = dmw_exact(g, cap=args.cap_subset).value
+            dmw_s = str(d)
             try:
-                d = dmw_exact(g, cap=args.cap_subset).value
-                dmw_s = str(d)
                 lb = 2.0 ** (d / a5)
                 lb_s = fmt_num(lb)
                 cert = extract_cut_cover(y, g, d=d)

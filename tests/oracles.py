@@ -228,6 +228,22 @@ def vertex_cover_masks(g):
             if all(mask >> u & 1 or mask >> v & 1 for u, v in g.edges)}
 
 
+def level_key_by_units(forced, last):
+    """Sorts states like their sorted residual clause tuples (reference key).
+
+    forced holds variable w at bit w. Unit (w,) maps to 2w; the pairs,
+    shared by the whole level, collapse to one sentinel 2*last+1, last
+    being their largest first endpoint.
+    """
+    keys = [2 * last + 1]
+    while forced:
+        b = forced & -forced
+        forced ^= b
+        keys.append(2 * b.bit_length() - 2)
+    keys.sort()
+    return keys
+
+
 def compile_by_clause_sets(cnf, order=None):
     """Reference NFBDD compiler: one frozenset of residual clause tuples per state.
 

@@ -11,6 +11,7 @@ import bplab.bp
 from bplab.bp import (
     Nfbdd,
     Nrobp,
+    _level_key,
     _topological_order,
     best_order_size,
     bp_equivalence,
@@ -34,6 +35,7 @@ from oracles import (
     accepted_masks,
     atlas_connected,
     compile_by_clause_sets,
+    level_key_by_units,
     nfbdd_error_by_sets,
     path_literals,
     root_leaf_paths,
@@ -210,10 +212,41 @@ def test_nfbdd_compile_matches_clause_set_oracle_on_atlas():
 
 
 def test_nfbdd_compile_matches_clause_set_oracle_on_family():
+    rng = random.Random(12)
     for k, r in ((6, 4), (10, 2), (14, 1)):
         g, _ = hard_family_instance(k, r, allow_small_r=True)
         cnf = cnf_from_graph(g)
         assert write_bp(nfbdd_compile(cnf)) == write_bp(compile_by_clause_sets(cnf)), (k, r)
+        if k == 14:
+            continue
+        # shuffled within blocks of 8: a fully random order on (6,4)'s 62
+        # variables compiles to an exponential program
+        shuffled = []
+        for start in range(0, g.n, 8):
+            block = list(range(start, min(start + 8, g.n)))
+            rng.shuffle(block)
+            shuffled += block
+        for order in (tuple(reversed(range(g.n))), tuple(shuffled)):
+            assert write_bp(nfbdd_compile(cnf, order)) == \
+                write_bp(compile_by_clause_sets(cnf, order)), (k, r, order)
+
+
+def test_level_key_sorts_like_the_unit_lists():
+    # the compiler's key reads variable w at bit n-1-w; the reference at bit w
+    rng = random.Random(13)
+    for n in range(1, 63):
+        for last in range(-1, n):
+            masks = set()
+            for _ in range(4):
+                f = rng.getrandbits(n)
+                if rng.random() < 0.5:
+                    f &= rng.getrandbits(n)
+                # a truncated copy keeps only f's smallest units: its list is a prefix
+                masks |= {f, f & ((1 << rng.randint(0, n)) - 1), f ^ 1 << rng.randrange(n)}
+            reversed_of = {int(format(f, f"0{n}b")[::-1], 2): f for f in masks}
+            want = sorted(masks, key=lambda f: level_key_by_units(f, last))
+            got = sorted(reversed_of, key=lambda f: _level_key(f, n - 1 - last))
+            assert [reversed_of[f] for f in got] == want, (n, last, want)
 
 
 def test_nfbdd_compile_family_6_7_pinned():
@@ -246,6 +279,10 @@ def test_nfbdd_constructor_rejections():
         Nfbdd(2, [(0, 1, 1), (0, 1, 1)], 0, 1, 1)
     with pytest.raises(ValueError, match="program is not uniform"):
         Nfbdd(2, [(0, 1, 1)], 0, 1, 2)
+    # node 3 is reached reading {0, 1, 2} first, then {0, 1}; the leaf's mask is full
+    with pytest.raises(ValueError, match="program is not uniform"):
+        Nfbdd(6, [(0, 1, 1), (0, 4, -1), (1, 2, 2), (1, 2, -2), (2, 3, 3), (2, 3, -3),
+                  (4, 3, 2), (4, 3, -2), (3, 5, 4), (3, 5, -4)], 0, 5, 4)
     with pytest.raises(ValueError, match="not a valid NROBP"):
         Nfbdd(3, [(0, 1, 1), (1, 2, 1), (1, 2, -1)], 0, 2, 1)
 
@@ -445,11 +482,13 @@ def test_compiled_and_parsed_programs_skip_the_heap(monkeypatch):
 
 def test_nfbdd_errors_equal_the_per_node_set_checks():
     rng = random.Random(3)
-    bases = [nfbdd_compile(cnf_from_graph(g)) for g in atlas_connected(2, 4)]
+    natural = [nfbdd_compile(cnf_from_graph(g)) for g in atlas_connected(2, 4)]
+    # ids out of topological order: messages still name the first bad node by id
+    bases = [(y, False) for y in natural] + [(_permuted(y, rng), True) for y in natural]
     kinds = ("out-degree", "unlabeled", "two variables", "opposite literals")
     seen = set()
-    for _ in range(1500):
-        y = rng.choice(bases)
+    for _ in range(3000):
+        y, shuffled = rng.choice(bases)
         edges = list(y.edges)
         for _ in range(rng.randint(1, 3)):
             i = rng.randrange(len(edges))
@@ -462,7 +501,8 @@ def test_nfbdd_errors_equal_the_per_node_set_checks():
             elif move == 2:
                 edges[i] = (t, h, rng.choice([1, -1]) * rng.randint(1, y.num_vars))
             elif move == 3:
-                edges.append((t, rng.randrange(t + 1, y.num_nodes), lab))
+                h = rng.randrange(t + 1, y.num_nodes) if t < y.num_nodes - 1 else t - 1
+                edges.append((t, h, lab))
             else:
                 del edges[i]
         args = (y.num_nodes, edges, y.root, y.leaf, y.num_vars)
@@ -473,6 +513,7 @@ def test_nfbdd_errors_equal_the_per_node_set_checks():
             with pytest.raises(ValueError) as exc:
                 Nfbdd(*args)
             assert str(exc.value) == want
-        seen.update(kind for kind in kinds if want and kind in want)
-        seen.add(want is None)
-    assert seen == set(kinds) | {True, False}, seen
+        seen.update((shuffled, kind) for kind in kinds if want and kind in want)
+        seen.add((shuffled, want is None))
+    assert seen == {(shuffled, kind) for shuffled in (False, True)
+                    for kind in kinds + (True, False)}, seen

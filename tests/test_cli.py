@@ -119,6 +119,22 @@ def test_width_cap_above_the_table_limit(tmp_path, monkeypatch, capsys):
         assert rc == 2
         assert out == ""
         assert err == "error: 23 vertices exceed the subset-DP cap 22\n"
+    rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "3", "--r-max", "3",
+                       "--cap-subset", "40")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: 30 vertices exceed the subset-DP cap 22\n"
+
+
+def test_experiment_row_failure_keeps_the_csv(monkeypatch, capsys):
+    def no_cover(y, g, d):
+        raise RuntimeError("a root-leaf path admits no qualifying split")
+
+    monkeypatch.setattr(bplab.cli, "extract_cut_cover", no_cover)
+    rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "1")
+    assert rc == 1
+    assert out == "k,r,n,edges,nodes,best_edges,dmw,q,lb\n6,1,6,24,16,22,1,-,1.01587301587\n"
+    assert err == "ASSERT FAIL r=1: a root-leaf path admits no qualifying split\n"
 
 
 def test_uniformize_command(tmp_path, capsys):
