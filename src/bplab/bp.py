@@ -512,8 +512,34 @@ def _level_key(forced: int, m: int) -> int:
     return (1 << m) + x.bit_count() - (x & -x) - forced
 
 
-def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd:
-    """Split on variables in order, merging states with equal residual clause sets.
+# Most states a compile may hold: the whole diagram, or one level when only sized.
+COMPILE_STATE_CAP = 2_000_000
+
+
+def _read_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:
+    """order as a tuple (0..n-1 when None); ValueError unless it permutes 0..n-1."""
+    if order is None:
+        return tuple(range(n))
+    order = tuple(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
+    return order
+
+
+def _order_name(order: tuple[int, ...]) -> str:
+    if order == tuple(range(len(order))):
+        return "the natural order"
+    shown = ",".join(map(str, order[:12]))
+    return f"order {shown}" + (",..." if len(order) > 12 else "")
+
+
+def _cap_error(what: str, count: int, i: int, order: tuple[int, ...]) -> ValueError:
+    return ValueError(f"{what} holds {count} states after {i + 1} of {len(order)} reads in "
+                      f"{_order_name(order)}, over the compile state cap {COMPILE_STATE_CAP}")
+
+
+def _levels(cnf: MonotoneCnf, order: tuple[int, ...]):
+    """The compile's level transition, one read of order at a time.
 
     A state is its forced mask: the unread neighbours of variables read
     false, variable w at bit n-1-w so that one int key sorts a level. It
@@ -522,47 +548,85 @@ def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd
     on a forced variable falsifies a unit clause and is dropped; every
     surviving state reaches the leaf because the all-positive extension
     satisfies any monotone residual.
+
+    Yields (x, pos, neg, nxt) per variable x read: pos[j] and neg[j] are
+    the states that the level's state j reaches by reading x true and false
+    (neg[j] is None when j forces x), and nxt lists the next level, whose
+    states pos and neg share. A consumer may reorder nxt in place, and the
+    next read walks it in that order.
     """
     n = cnf.num_vars
-    if order is None:
-        order = tuple(range(n))
-    else:
-        order = tuple(order)
-        if sorted(order) != list(range(n)):
-            raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
     bits = [1 << (n - 1 - w) for w in range(n)]
     nbr = [sum(bits[w] for w in adj) for adj in primal_graph(cnf).adj]
-    pos = {x: i for i, x in enumerate(order)}
-    last = [-1] * (n + 1)  # last[i]: largest first endpoint of a clause unread after i reads
-    for u, v in cnf.clauses:
-        i = min(pos[u], pos[v])
-        last[i] = max(last[i], u)
-    for i in range(n - 1, -1, -1):
-        last[i] = max(last[i], last[i + 1])
     unread = (1 << n) - 1
-    ids = {0: 0}  # node id per state of the current level, in level order
-    counter = 1
-    edges: list[tuple[int, int, int | None]] = []
-    for i, x in enumerate(order):
+    level = [0]
+    for x in order:
         bit = bits[x]
         unread ^= bit
         nb = nbr[x]
-        nxt = set()
-        for f in ids:
-            nxt.add(f & unread)
-            if not f & bit:
-                nxt.add((f | nb) & unread)
+        seen: dict[int, int] = {}  # each state once, so equal successors share it
+        keep = seen.setdefault
+        pos = [keep(g, g) for g in map(unread.__and__, level)]
+        neg = [None if f & bit else keep(g := (f | nb) & unread, g) for f in level]
+        level = list(seen)
+        del seen, keep  # the list alone holds the next level while it is consumed
+        yield x, pos, neg, level
+
+
+def nfbdd_compile(cnf: MonotoneCnf, order: Sequence[int] | None = None) -> Nfbdd:
+    """Split on variables in order, merging states with equal residual clause sets.
+
+    The states and their transitions come from _levels; each level is
+    sorted by _level_key, which fixes the node ids. ValueError once the
+    diagram passes COMPILE_STATE_CAP nodes.
+    """
+    n = cnf.num_vars
+    order = _read_order(n, order)
+    pos_of = {x: i for i, x in enumerate(order)}
+    last = [-1] * (n + 1)  # last[i]: largest first endpoint of a clause unread after i reads
+    for u, v in cnf.clauses:
+        i = min(pos_of[u], pos_of[v])
+        last[i] = max(last[i], u)
+    for i in range(n - 1, -1, -1):
+        last[i] = max(last[i], last[i + 1])
+    ids = {0: 0}  # node id per state of the current level; its edges reuse these ints
+    counter = 1
+    edges: list[tuple[int, int, int | None]] = []
+    for i, (x, pos, neg, nxt) in enumerate(_levels(cnf, order)):
+        if counter + len(nxt) > COMPILE_STATE_CAP:
+            raise _cap_error("the compiled diagram", counter + len(nxt), i, order)
         m = n - 1 - last[i + 1]
         by_key = {_level_key(f, m): f for f in nxt}
         nxt_ids = {by_key[key]: counter + j for j, key in enumerate(sorted(by_key))}
-        counter += len(nxt_ids)
-        for f, t in ids.items():
-            edges.append((t, nxt_ids[f & unread], x + 1))
-            if not f & bit:
-                edges.append((t, nxt_ids[(f | nb) & unread], -(x + 1)))
+        nxt[:] = nxt_ids  # the next read walks the level in id order
+        del by_key
+        for t, p, q in zip(ids.values(), pos, neg):
+            edges.append((t, nxt_ids[p], x + 1))
+            if q is not None:
+                edges.append((t, nxt_ids[q], -(x + 1)))
+        counter += len(nxt)
         ids = nxt_ids
     assert list(ids) == [0]
     return Nfbdd(counter, edges, 0, counter - 1, n)
+
+
+def compiled_size(cnf: MonotoneCnf, order: Sequence[int] | None = None
+                  ) -> tuple[int, int, tuple[int, ...]]:
+    """(nodes, edges, level widths) of nfbdd_compile(cnf, order), without building it.
+
+    Runs the same level transition, holding one level at a time; level
+    widths count the states after each read, so nodes = 1 + their sum.
+    ValueError once one level passes COMPILE_STATE_CAP states.
+    """
+    order = _read_order(cnf.num_vars, order)
+    edges = 0
+    widths = []
+    for i, (_, _, neg, nxt) in enumerate(_levels(cnf, order)):
+        if len(nxt) > COMPILE_STATE_CAP:
+            raise _cap_error("one level", len(nxt), i, order)
+        edges += 2 * len(neg) - neg.count(None)
+        widths.append(len(nxt))
+    return 1 + sum(widths), edges, tuple(widths)
 
 
 def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ...]]:

@@ -7,10 +7,12 @@ reports and CSV files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
 
-from .bp import best_order_size, nfbdd_compile, uniformize
+from .bp import best_order_size, compiled_size, nfbdd_compile, uniformize
 from .covers import constants, coverlb_bound, extract_cut_cover, min_dis_cover
 from .fileio import (
     fmt_num,
@@ -44,11 +46,15 @@ def _read(path: str) -> str:
         raise SystemExit(f"cannot read {path}: {exc.strerror}")
 
 
-def _write_out(path: str, text: str) -> None:
+def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc.strerror}")
+
+
+def _write_out(path: str, text: str) -> None:
+    _write(path, text)
     print(f"wrote {path}")
 
 
@@ -85,10 +91,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
         _, order = best_order_size(cnf, cap=min(BEST_ORDER_LIMIT, args.cap_subset))
     elif args.order:
         order = tuple(int(t) for t in args.order.split(","))
-    y = nfbdd_compile(cnf, order)
+    if args.out:
+        y = nfbdd_compile(cnf, order)
+        nodes, edges = y.size_nodes, y.size_edges
+    else:
+        nodes, edges, _ = compiled_size(cnf, order)
     used = order if order is not None else tuple(range(cnf.num_vars))
     print("order=" + ",".join(str(v) for v in used))
-    print(f"nodes={y.size_nodes} edges={y.size_edges}")
+    print(f"nodes={nodes} edges={edges}")
     if args.out:
         _write_out(args.out, write_bp(y))
     return 0
@@ -181,8 +191,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     import warnings
 
     rows: list[list[str]] = []
+    stats: list[dict] = []
     a5 = constants(5).a_x
-    prev_edges = prev_nodes = 0
+    prev_edges = prev_nodes = prev_n = 0
     failures: list[str] = []
     for r in range(args.r_min, args.r_max + 1):
         with warnings.catch_warnings():
@@ -192,11 +203,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         best = None
         if g.n <= min(BEST_ORDER_LIMIT, args.cap_subset):
             best = best_order_size(cnf, cap=BEST_ORDER_LIMIT)
-        y = nfbdd_compile(cnf, best[1] if best and args.order == "best" else None)
-        edges, nodes = y.size_edges, y.size_nodes
+        order = best[1] if best and args.order == "best" else None
+        certified = g.n <= args.cap_subset  # only these rows build the diagram
+        try:
+            nodes, edges, widths = compiled_size(cnf, order)
+            y = nfbdd_compile(cnf, order) if certified else None
+        except ValueError as exc:
+            raise ValueError(f"row k={args.k} r={r}: {exc}") from None
         best_edges = str(best[0]) if best else "-"
         dmw_s = q_s = lb_s = "-"
-        if g.n <= args.cap_subset:
+        if certified:
             # a cap refusal is a usage error, as in `dmw`, not a failed row
             d = dmw_exact(g, cap=args.cap_subset).value
             dmw_s = str(d)
@@ -214,7 +230,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             failures.append(
                 f"r={r}: compiled size shrank ({prev_edges},{prev_nodes}) -> "
                 f"({edges},{nodes})")
-        prev_edges, prev_nodes = edges, nodes
+        slope = None
+        if prev_n:  # growth exponent against the previous row
+            slope = round(math.log(nodes / prev_nodes) / math.log(g.n / prev_n), 4)
+        stats.append({
+            "k": args.k, "r": r, "n": g.n, "nodes": nodes, "edges": edges,
+            "widest_level": max(widths, default=1),
+            "mean_level_width": round(nodes / (g.n + 1), 4),
+            "materialised": certified, "slope": slope,
+        })
+        prev_edges, prev_nodes, prev_n = edges, nodes, g.n
         rows.append([str(args.k), str(r), str(params.n), str(edges), str(nodes),
                      best_edges, dmw_s, q_s, lb_s])
     rows.sort(key=lambda row: (int(row[0]), int(row[1])))
@@ -224,6 +249,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         _write_out(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
+    if args.stats:
+        _write(args.stats, json.dumps({"rows": stats}, indent=1) + "\n")
     for msg in failures:
         print(f"ASSERT FAIL {msg}", file=sys.stderr)
     return 1 if failures else 0
@@ -308,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, default=5, help="largest height")
     p.add_argument("--order", choices=("natural", "best"), default="natural",
                    help="variable order strategy for the size columns")
+    p.add_argument("--stats", help="write per-row compile counts to this JSON file")
     _add_flags(p, "cap-subset", "out")
     p.set_defaults(func=cmd_experiment)
 

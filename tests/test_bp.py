@@ -1,9 +1,11 @@
 """Tests for branching-program construction, validation, and compilation."""
 
+import collections
 import hashlib
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,12 +18,14 @@ from bplab.bp import (
     best_order_size,
     bp_equivalence,
     bp_satisfying_set,
+    compiled_size,
     is_uniform,
     nfbdd_compile,
     uniformize,
     validate_nrobp,
 )
 from bplab.graphs import (
+    Graph,
     cnf_from_graph,
     complete_graph,
     cycle_graph,
@@ -517,3 +521,87 @@ def test_nfbdd_errors_equal_the_per_node_set_checks():
         seen.add((shuffled, want is None))
     assert seen == {(shuffled, kind) for shuffled in (False, True)
                     for kind in kinds + (True, False)}, seen
+
+
+EXPECTED_SWEEPS = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+
+
+def _block_shuffled(n, rng):
+    order = []
+    for start in range(0, n, 8):
+        block = list(range(start, min(start + 8, n)))
+        rng.shuffle(block)
+        order += block
+    return tuple(order)
+
+
+def _sizes_agree(cnf, order=None):
+    """compiled_size against the built diagram: sizes, and a width per depth."""
+    nodes, edges, widths = compiled_size(cnf, order)
+    z = nfbdd_compile(cnf, order)
+    assert (nodes, edges) == (z.size_nodes, z.size_edges), order
+    assert 1 + sum(widths) == nodes
+    depth = [0] * z.num_nodes  # edges run in tail id order, level by level
+    for t, h, _ in z.edges:
+        depth[h] = depth[t] + 1
+    per_depth = collections.Counter(depth[1:])
+    assert widths == tuple(per_depth[d] for d in range(1, cnf.num_vars + 1))
+    return nodes, edges
+
+
+def test_compiled_size_equals_the_built_diagram():
+    rng = random.Random(21)
+    for g in atlas_connected(2, 6):
+        cnf = cnf_from_graph(g)
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        for order in (None, tuple(reversed(range(g.n))), tuple(shuffled)):
+            _sizes_agree(cnf, order)
+    for name in ("sweep_k6.csv", "sweep_k10.csv"):
+        for line in (EXPECTED_SWEEPS / name).read_text().splitlines()[1:]:
+            k, r, _, edges, nodes = map(int, line.split(",")[:5])
+            g, _ = hard_family_instance(k, r, allow_small_r=True)
+            assert _sizes_agree(cnf_from_graph(g)) == (nodes, edges), (k, r)
+    for k, r in ((6, 4), (10, 2)):
+        g, _ = hard_family_instance(k, r, allow_small_r=True)
+        cnf = cnf_from_graph(g)
+        for order in (tuple(reversed(range(g.n))), _block_shuffled(g.n, rng)):
+            _sizes_agree(cnf, order)
+
+
+def test_compiled_size_of_the_empty_formula_and_bad_orders():
+    assert compiled_size(cnf_from_graph(Graph(0))) == (1, 0, ())
+    cnf = cnf_from_graph(path_graph(3))
+    for bad in ((0, 0, 1), (0, 1), (0, 1, 3), (2, 1, 0, 3)):
+        with pytest.raises(ValueError, match="is not a permutation") as built:
+            nfbdd_compile(cnf, bad)
+        with pytest.raises(ValueError, match="is not a permutation") as sized:
+            compiled_size(cnf, bad)
+        assert str(built.value) == str(sized.value)
+
+
+def test_compile_state_cap(monkeypatch):
+    assert bplab.bp.COMPILE_STATE_CAP == 2_000_000
+    g, _ = hard_family_instance(6, 4, allow_small_r=True)
+    cnf = cnf_from_graph(g)
+    widths = compiled_size(cnf)[2]  # widest level 58, 772 nodes
+    monkeypatch.setattr(bplab.bp, "COMPILE_STATE_CAP", 20)
+    with pytest.raises(ValueError) as sized:
+        compiled_size(cnf)
+    assert str(sized.value) == ("one level holds 29 states after 7 of 62 reads in the "
+                                "natural order, over the compile state cap 20")
+    with pytest.raises(ValueError) as built:
+        nfbdd_compile(cnf)
+    assert str(built.value) == ("the compiled diagram holds 30 states after 5 of 62 reads "
+                                "in the natural order, over the compile state cap 20")
+    order = tuple(reversed(range(g.n)))
+    with pytest.raises(ValueError, match=r"reads in order 61,60,59,58,57,56,55,54,53,52,"
+                                         r"51,50,\.\.\., over the compile state cap 20"):
+        compiled_size(cnf, order)
+    # the sized path caps one level, the built one the whole diagram
+    monkeypatch.setattr(bplab.bp, "COMPILE_STATE_CAP", max(widths))
+    assert compiled_size(cnf)[0] == 772
+    with pytest.raises(ValueError, match="the compiled diagram holds"):
+        nfbdd_compile(cnf)
+    monkeypatch.setattr(bplab.bp, "COMPILE_STATE_CAP", 772)
+    assert nfbdd_compile(cnf).size_nodes == 772

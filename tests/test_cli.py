@@ -1,7 +1,13 @@
 """End-to-end tests driving the command line through main(argv)."""
 
+import json
+import math
+import random
+from pathlib import Path
+
 import pytest
 
+import bplab.bp
 import bplab.cli
 import bplab.covers
 import bplab.widths
@@ -257,3 +263,106 @@ def test_experiment_computes_dmw_once_per_row(monkeypatch, capsys):
     assert rc == 0
     assert out == "".join(EXPECTED_CSV.splitlines(keepends=True)[:4])
     assert sizes == [6, 14]
+
+
+EXPECTED_SWEEPS = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+
+
+def _family_cnf(tmp_path, capsys, k, r):
+    run(capsys, "gen", "--k", str(k), "--r", str(r), "--allow-small-r", "--out", str(tmp_path))
+    capsys.readouterr()
+    return str(tmp_path / "instance.cnf")
+
+
+def test_compile_without_out_only_sizes(tmp_path, monkeypatch, capsys):
+    cnf = _family_cnf(tmp_path, capsys, 6, 2)
+
+    def no_diagram(cnf, order=None):
+        raise AssertionError("the diagram was built")
+
+    monkeypatch.setattr(bplab.cli, "nfbdd_compile", no_diagram)
+    rc, out, err = run(capsys, "compile", "--cnf", cnf)
+    assert (rc, err) == (0, "")
+    assert out == "order=0,1,2,3,4,5,6,7,8,9,10,11,12,13\nnodes=60 edges=93\n"
+    order = tuple(range(13, -1, -1))
+    rc, out, err = run(capsys, "compile", "--cnf", cnf, "--order", ",".join(map(str, order)))
+    assert (rc, err) == (0, "")
+    z = nfbdd_compile(parse_cnf(Path(cnf).read_text()), order)
+    assert out.splitlines()[1] == f"nodes={z.size_nodes} edges={z.size_edges}"
+
+
+def test_compile_sizes_a_random_order_past_the_cap(tmp_path, capsys):
+    # a fully random order on (6,4) gives 5.9M nodes; its widest level, 682,722
+    # states, is under the cap, so the size is printed instead of MemoryError
+    cnf = _family_cnf(tmp_path, capsys, 6, 4)
+    order = list(range(62))
+    random.Random(12).shuffle(order)
+    order_s = ",".join(map(str, order))
+    rc, out, err = run(capsys, "compile", "--cnf", cnf, "--order", order_s)
+    assert (rc, err) == (0, "")
+    assert out == f"order={order_s}\nnodes=5883094 edges=8750387\n"
+
+
+def test_compile_state_cap_exits_2(tmp_path, monkeypatch, capsys):
+    cnf = _family_cnf(tmp_path, capsys, 6, 4)
+    monkeypatch.setattr(bplab.bp, "COMPILE_STATE_CAP", 20)
+    tail = " of 62 reads in the natural order, over the compile state cap 20\n"
+    rc, out, err = run(capsys, "compile", "--cnf", cnf)
+    assert (rc, out) == (2, "")
+    assert err == "error: one level holds 29 states after 7" + tail
+    bp_path = tmp_path / "x.bp"
+    rc, out, err = run(capsys, "compile", "--cnf", cnf, "--out", str(bp_path))
+    assert (rc, out) == (2, "")
+    assert err == "error: the compiled diagram holds 30 states after 5" + tail
+    assert not bp_path.exists()
+    rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "4", "--r-max", "4")
+    assert (rc, out) == (2, "")
+    assert err == "error: row k=6 r=4: one level holds 29 states after 7" + tail
+    # a certified row builds the diagram, under the same cap
+    monkeypatch.setattr(bplab.bp, "COMPILE_STATE_CAP", 10)
+    rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "2", "--r-max", "2")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: row k=6 r=2: the compiled diagram holds ")
+
+
+def test_experiment_builds_only_certified_rows(monkeypatch, capsys):
+    built = []
+
+    def counted(cnf, order=None):
+        built.append(cnf.num_vars)
+        return nfbdd_compile(cnf, order)
+
+    monkeypatch.setattr(bplab.cli, "nfbdd_compile", counted)
+    rc, out, err = run(capsys, "experiment", "--k", "10", "--r-min", "1", "--r-max", "4")
+    assert (rc, err) == (0, "")
+    assert out == (EXPECTED_SWEEPS / "sweep_k10.csv").read_text()
+    assert built == [12]
+
+
+def test_experiment_stats_sidecar(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    rc, plain, _ = run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "4")
+    rc2, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "4",
+                        "--stats", str(stats))
+    assert (rc, rc2, err) == (0, 0, "")
+    assert out == plain == "".join(EXPECTED_CSV.splitlines(keepends=True)[:5])
+    rows = json.loads(stats.read_text())["rows"]
+    assert rows == [
+        {"k": 6, "r": 1, "n": 6, "nodes": 16, "edges": 24, "widest_level": 4,
+         "mean_level_width": 2.2857, "materialised": True, "slope": None},
+        {"k": 6, "r": 2, "n": 14, "nodes": 60, "edges": 93, "widest_level": 10,
+         "mean_level_width": 4.0, "materialised": True, "slope": 1.56},
+        {"k": 6, "r": 3, "n": 30, "nodes": 216, "edges": 338, "widest_level": 24,
+         "mean_level_width": 6.9677, "materialised": False, "slope": 1.6807},
+        {"k": 6, "r": 4, "n": 62, "nodes": 772, "edges": 1211, "widest_level": 58,
+         "mean_level_width": 12.254, "materialised": False, "slope": 1.7546},
+    ]
+    for prev, row in zip(rows, rows[1:]):
+        growth = math.log(row["nodes"] / prev["nodes"]) / math.log(row["n"] / prev["n"])
+        assert row["slope"] == pytest.approx(growth, abs=1e-4)
+    for row in rows:
+        assert row["mean_level_width"] == pytest.approx(row["nodes"] / (row["n"] + 1),
+                                                        abs=1e-4)
+    run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "4",
+        "--stats", str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == stats.read_bytes()
