@@ -252,16 +252,14 @@ def _witness_double_read(z: Nrobp, edge_idx: int, var: int) -> list[int]:
     return [z.root]
 
 
-def _node_var_masks(z: Nrobp, order: list[int]) -> list[int] | None:
-    """Per-node variable mask of root paths; None when two paths disagree."""
+def _uniform_masks(z: Nrobp, order: list[int]) -> list[int] | None:
+    """Per-node read masks of an already validated program; None when not uniform."""
     edges = z.edges
     out_edges = z.out_edges
     masks: list[int | None] = [None] * z.num_nodes
     masks[z.root] = 0
-    for v in order:
+    for v in order:  # a valid program reaches every node from the root
         mv = masks[v]
-        if mv is None:
-            continue
         for i in out_edges[v]:
             _, h, lab = edges[i]
             m = mv | 1 << (abs(lab) - 1) if lab is not None else mv
@@ -270,15 +268,9 @@ def _node_var_masks(z: Nrobp, order: list[int]) -> list[int] | None:
                 masks[h] = m
             elif mh != m:
                 return None
-    return masks  # type: ignore[return-value]
-
-
-def _uniform_masks(z: Nrobp, order: list[int]) -> list[int] | None:
-    """Per-node read masks of an already validated program; None when not uniform."""
-    masks = _node_var_masks(z, order)
-    if masks is None or masks[z.leaf] != (1 << z.num_vars) - 1:
+    if masks[z.leaf] != (1 << z.num_vars) - 1:
         return None
-    return masks
+    return masks  # type: ignore[return-value]
 
 
 def is_uniform(z: Nrobp) -> bool:
@@ -396,7 +388,7 @@ class Nfbdd(Nrobp):
     keeps the topological order that check computed.
     """
 
-    __slots__ = ("var_of", "order", "path_totals")
+    __slots__ = ("var_of", "order", "path_totals", "_masks")
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int | None]],
                  root: int, leaf: int, num_vars: int) -> None:
@@ -410,6 +402,34 @@ class Nfbdd(Nrobp):
         self.order = order  # the topological order, lowest node id first
         # path-weight column per exact flag, filled on first use by covers
         self.path_totals: dict[bool, list] = {}
+        self._masks: tuple[list[int], list[int]] | None = None
+
+    def node_masks(self) -> tuple[list[int], list[int]]:
+        """(read, neg): per node, the variables its root paths read, and those
+        that one of them, found by following first in-edges, reads negatively.
+
+        One walk on the first call, kept for later ones, and never in the
+        constructor: at k=10 r=6 that is 1.1M pairs of 508-bit ints.
+        """
+        if self._masks is None:
+            self._masks = _mask_walk(self)
+        return self._masks
+
+
+def _mask_walk(y: Nfbdd) -> tuple[list[int], list[int]]:
+    """Nfbdd.node_masks: each node adds its first in-edge's literal to its tail's masks."""
+    edges = y.edges
+    in_edges = y.in_edges
+    read = [0] * y.num_nodes
+    neg = [0] * y.num_nodes
+    for v in y.order:
+        if v == y.root:
+            continue
+        t, _, lab = edges[in_edges[v][0]]
+        bit = 1 << (abs(lab) - 1)
+        read[v] = read[t] | bit
+        neg[v] = neg[t] | bit if lab < 0 else neg[t]
+    return read, neg
 
 
 def _fbdd_reads(z: Nrobp, order: list[int] | None) -> tuple[int | None, ...] | None:

@@ -59,11 +59,7 @@ def _write_out(path: str, text: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        params = family_params(args.k, args.r, allow_small_r=args.allow_small_r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = family_params(args.k, args.r, allow_small_r=args.allow_small_r)
     edges = family_edge_count(params)
     print(f"k={params.k} y={params.y} r={params.r} p={params.p} "
           f"n={params.n} edges={edges}")
@@ -106,14 +102,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_width(args: argparse.Namespace, which: str) -> int:
     g = parse_graph(_read(args.graph))
-    try:
-        if which == "mw":
-            res = mw_exact(g, cap=args.cap_subset)
-        else:
-            res = dmw_exact(g, cap=args.cap_subset)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    width = mw_exact if which == "mw" else dmw_exact
+    res = width(g, cap=args.cap_subset)
     print(f"{which}={res.value}")
     print("order=" + ",".join(str(v) for v in res.witness_order))
     return 0
@@ -129,11 +119,7 @@ def cmd_dmw(args: argparse.Namespace) -> int:
 
 def cmd_uniformize(args: argparse.Namespace) -> int:
     z = parse_bp(_read(args.bp))
-    try:
-        u = uniformize(z)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    u = uniformize(z)
     print(f"nodes={z.size_nodes}->{u.size_nodes} "
           f"edges={z.size_edges}->{u.size_edges}")
     if args.out:
@@ -160,11 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_cover(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
-    try:
-        q, cover = min_dis_cover(g, args.t, cap=args.cap_vars)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    q, cover = min_dis_cover(g, args.t, cap=args.cap_vars)
     bound = coverlb_bound(g.max_degree(), args.t)
     print(f"q={q}")
     for b in cover:
@@ -178,7 +160,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.graph))
     try:
         cert = extract_cut_cover(z, g)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"q={cert.q} dmw={cert.dmw} bound={fmt_num(cert.bound)}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .bp import Nfbdd, Nrobp, _node_var_masks, _uniform_masks, _valid_order, _var_of
+from .bp import Nfbdd, Nrobp, _uniform_masks, _valid_order, _var_of
 from .graphs import Graph, Matching, cnf_from_graph, is_dis
 from .widths import _cut_size_mask, _distant_matching_of_mask, _distant_tables, dmw_exact
 
@@ -72,25 +72,6 @@ def composed_bound_constants() -> CompositeBound:
     return CompositeBound(mw_factor=32, distant_factor=61, a5=a5, product=a5 * 32 * 61)
 
 
-def _read_masks(y: Nfbdd) -> list[int]:
-    masks = _node_var_masks(y, y.order)
-    if masks is None:
-        raise ValueError("program is not uniform")
-    return masks
-
-
-def _parent_neg_masks(y: Nfbdd) -> list[int]:
-    """Variables read negatively along one deterministic root path per node."""
-    neg = [0] * y.num_nodes
-    for v in y.order:
-        if v == y.root:
-            continue
-        e = y.in_edges[v][0]
-        t, _, lab = y.edges[e]
-        neg[v] = neg[t] | (1 << _var_of(lab) if lab is not None and lab < 0 else 0)
-    return neg
-
-
 def _free_mask(g: Graph, read: int, neg: int) -> int:
     blocked = read
     m = neg
@@ -102,13 +83,17 @@ def _free_mask(g: Graph, read: int, neg: int) -> int:
 
 
 def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
-    """Context of node a in a diagram for the clause graph g."""
+    """Context of node a in a diagram for the clause graph g.
+
+    The first call on y walks the whole diagram for its node masks; later
+    calls reuse them and cost O(g.n) mask operations.
+    """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    read = _read_masks(y)[a]
-    neg = _parent_neg_masks(y)[a]
+    reads, negs = y.node_masks()
+    read, neg = reads[a], negs[a]
     vert_mask = ((1 << g.n) - 1) & ~read
     free = _free_mask(g, read, neg)
     ld = {v: (g.nbr_mask[v] & vert_mask).bit_count() for v in range(g.n)}
@@ -209,7 +194,7 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
         raise ValueError(f"{len(sset)} vertices exceed the subset cap {cap}")
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    read = _read_masks(y)
+    read = y.node_masks()[0]
     cols = _base_columns(y, exact)
     members = sorted(sset)
     for size in range(1, len(members) + 1):
@@ -267,8 +252,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
-    read = _read_masks(y)
-    negs = _parent_neg_masks(y)
+    read, negs = y.node_masks()
     full_v = (1 << g.n) - 1
     free = [_free_mask(g, read[v], negs[v]) for v in range(y.num_nodes)]
     one: Weight = Fraction(1) if exact else 1.0
@@ -434,7 +418,7 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
     if z.num_vars != g.n:
         raise ValueError(f"program reads {z.num_vars} variables but g has {g.n} vertices")
     order = _valid_order(z)
-    read = _uniform_masks(z, order)
+    read = z.node_masks()[0] if isinstance(z, Nfbdd) else _uniform_masks(z, order)
     if read is None:
         raise ValueError("program must be uniform")
     if d is None:

@@ -181,37 +181,16 @@ def _max_compatible_subset(cand: int, compat: tuple[int, ...],
     return best, best_set
 
 
-def _incident_edge_masks(g: Graph, edge_order: tuple[tuple[int, int], ...]) -> list[int]:
-    """Per vertex, the edges (as bits of edge_order) that touch it."""
-    inc = [0] * g.n
+def _cut_edge_tables(g: Graph, edge_order: tuple[tuple[int, int], ...]) -> list[list[int]]:
+    """Per 8-vertex chunk and byte value, the edges (as bits of edge_order) with
+    one end among the chunk's vertices in that byte and the other outside them."""
+    inc = [0] * g.n  # per vertex, the edges that touch it
     for i, (u, v) in enumerate(edge_order):
         inc[u] |= 1 << i
         inc[v] |= 1 << i
-    return inc
-
-
-def _checked_cut_edges(cand: int, cross_cap: int) -> int:
-    if cand.bit_count() > cross_cap:
-        raise ValueError(
-            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
-    return cand
-
-
-def _cross_edges(inc: list[int], pmask: int, cross_cap: int) -> int:
-    """Edges with exactly one end in the prefix: an edge inside it is xor-ed out twice."""
-    cand = 0
-    while pmask:
-        b = pmask & -pmask
-        pmask ^= b
-        cand ^= inc[b.bit_length() - 1]
-    return _checked_cut_edges(cand, cross_cap)
-
-
-def _cut_edge_tables(inc: list[int]) -> list[list[int]]:
-    """Per 8-vertex chunk, the xor of inc over the vertices of each byte value."""
     tables = []
-    for lo in range(0, len(inc), 8):
-        tab = [0] * (1 << min(8, len(inc) - lo))
+    for lo in range(0, g.n, 8):
+        tab = [0] * (1 << min(8, g.n - lo))
         for byte in range(1, len(tab)):
             b = byte & -byte
             tab[byte] = tab[byte ^ b] ^ inc[lo + b.bit_length() - 1]
@@ -220,28 +199,34 @@ def _cut_edge_tables(inc: list[int]) -> list[list[int]]:
 
 
 def _table_cross_edges(tables: list[list[int]], pmask: int, cross_cap: int) -> int:
-    """_cross_edges by one table lookup per 8-vertex chunk of the prefix."""
+    """Edges with exactly one end in the prefix pmask, one table lookup per chunk.
+
+    An edge with both ends in the prefix is xor-ed in twice and drops out.
+    """
     cand = 0
     for tab in tables:
         cand ^= tab[pmask & 255]
         pmask >>= 8
-    return _checked_cut_edges(cand, cross_cap)
+    if cand.bit_count() > cross_cap:
+        raise ValueError(
+            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
+    return cand
 
 
-_DistantTables = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[int]]
+_DistantTables = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[list[int]]]
 
 
 def _distant_tables(g: Graph) -> _DistantTables:
-    """Edge order, compatibility masks and incident-edge masks; O(edges^2), build once."""
+    """Edge order, compatibility masks and cut-edge tables; O(edges^2), build once."""
     edge_order, compat = _compat_masks(g)
-    return edge_order, compat, _incident_edge_masks(g, edge_order)
+    return edge_order, compat, _cut_edge_tables(g, edge_order)
 
 
 def _distant_matching_of_mask(tables: _DistantTables, pmask: int,
                               cross_cap: int = CROSS_EDGE_CAP) -> Matching:
     """Maximum distant matching across the cut of prefix mask pmask."""
-    edge_order, compat, inc = tables
-    _, chosen = _max_compatible_subset(_cross_edges(inc, pmask, cross_cap), compat)
+    edge_order, compat, cuts = tables
+    _, chosen = _max_compatible_subset(_table_cross_edges(cuts, pmask, cross_cap), compat)
     return Matching(tuple(e for i, e in enumerate(edge_order) if chosen >> i & 1))
 
 
@@ -377,8 +362,7 @@ def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
 def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
               cross_cap: int = CROSS_EDGE_CAP) -> WidthResult:
     """Exact distant matching width with a witness order and its per-prefix cuts."""
-    edge_order, compat = _compat_masks(g)
-    tables = _cut_edge_tables(_incident_edge_masks(g, edge_order))
+    _, compat, tables = _distant_tables(g)
 
     def cut(s: int, k: int) -> int:
         return _max_compatible_subset(_table_cross_edges(tables, s, cross_cap), compat, k)[0]

@@ -178,16 +178,21 @@ def mw_by_full_subset_dp(g):
     return width_by_full_subset_dp(g, lambda s: len(_cross_matching_pairs(g, s)))
 
 
+def cut_edges_by_scan(edge_order, s):
+    """Edges of edge_order (as bits of their indices) with one end in the prefix mask s."""
+    cand = 0
+    for i, (u, v) in enumerate(edge_order):
+        if (s >> u & 1) != (s >> v & 1):
+            cand |= 1 << i
+    return cand
+
+
 def dmw_by_full_subset_dp(g):
     """Distant matching width over all subsets; cut edges found by scanning every edge."""
     edge_order, compat = _compat_masks(g)
 
     def cut(s):
-        cand = 0
-        for i, (u, v) in enumerate(edge_order):
-            if (s >> u & 1) != (s >> v & 1):
-                cand |= 1 << i
-        return max_compatible_subset_by_recursion(cand, compat)[0]
+        return max_compatible_subset_by_recursion(cut_edges_by_scan(edge_order, s), compat)[0]
 
     return width_by_full_subset_dp(g, cut)
 
@@ -354,6 +359,25 @@ def random_connected_graph(n, seed, max_degree=5):
         deg[u] += 1
         deg[v] += 1
     return Graph(n, sorted(edges))
+
+
+def context_by_first_in_edges(y, g, a):
+    """(vert, free) at node a from the root path found by following first in-edges back.
+
+    vert holds the vertices the path leaves unread; free drops from vert
+    every neighbour of a vertex the path reads negatively.
+    """
+    labels = []
+    v = a
+    while v != y.root:
+        v, _, lab = y.edges[y.in_edges[v][0]]
+        labels.append(lab)
+    vert = set(range(g.n)) - {abs(lab) - 1 for lab in labels}
+    blocked = set()
+    for lab in labels:
+        if lab < 0:
+            blocked.update(g.adj[-lab - 1])
+    return frozenset(vert), frozenset(vert - blocked)
 
 
 def deepcover_by_dis_tables(y, g, max_dis_size=3, tol=1e-9, exact=False):

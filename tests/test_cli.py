@@ -156,6 +156,16 @@ def test_uniformize_command(tmp_path, capsys):
     assert bp_satisfying_set(u) == bp_satisfying_set(z)
 
 
+def test_uniformize_rejects_an_invalid_program(tmp_path, capsys):
+    src = tmp_path / "twice.bp"
+    src.write_text(write_bp(Nrobp(3, [(0, 1, 1), (1, 2, -1)], 0, 2, 1)))
+    rc, out, err = run(capsys, "uniformize", "--bp", str(src))
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: program is not a valid NROBP: variable 0 is read twice "
+                   "along the path through nodes [0, 1, 2]\n")
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_suites(suite, capsys):
     rc, out, err = run(capsys, "verify", "--suite", suite)
@@ -215,6 +225,18 @@ def test_certify_reports_uncoverable_node(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: neither endpoint of (0, 1) covers all paths through node 1\n"
+
+
+def test_certify_rejects_a_non_uniform_program(tmp_path, capsys):
+    # both edges read variable 0 only, so the leaf misses variable 1
+    bp_path = tmp_path / "half.bp"
+    bp_path.write_text(write_bp(Nrobp(2, [(0, 1, 1), (0, 1, -1)], 0, 1, 2)))
+    graph_path = tmp_path / "k2.graph"
+    graph_path.write_text(write_graph(complete_graph(2)))
+    rc, out, err = run(capsys, "certify", "--bp", str(bp_path), "--graph", str(graph_path))
+    assert rc == 2
+    assert out == ""
+    assert err == "error: program must be uniform\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+import bplab.bp
 import bplab.covers
 import bplab.widths
-from bplab.bp import Nfbdd, Nrobp, nfbdd_compile, uniformize
+from bplab.bp import Nfbdd, Nrobp, _uniform_masks, nfbdd_compile, uniformize
 from bplab.covers import (
     composed_bound_constants,
     constants,
@@ -37,6 +38,7 @@ from bplab.widths import PrefixPartition, dmw_exact, max_distant_cross_matching
 
 from oracles import (
     atlas_connected,
+    context_by_first_in_edges,
     cut_cover_by_paths,
     deepcover_by_dis_tables,
     path_weight_oracle,
@@ -446,22 +448,63 @@ def test_extract_cut_cover_builds_the_distant_tables_once(monkeypatch):
     assert extract_cut_cover(y, g, d=2) == cert
 
 
-def test_verify_deepcover_matches_per_dis_tables_with_shuffled_ids():
-    # node ids out of topological order: pairs and violations still come by node id
+def _shuffled_id_diagrams():
+    """(g, diagram) for a chain and the compiled diagram of P6 and C6, ids shuffled."""
     rng = random.Random(5)
     n = 6
     chain = [(i, i + 1, i + 1) for i in range(n)]
-    violations = 0
     for g in [path_graph(n), cycle_graph(n)]:
         for y in [Nfbdd(n + 1, chain, 0, n, n), _compiled(g)]:
             p = list(range(y.num_nodes))
             rng.shuffle(p)
-            z = Nfbdd(y.num_nodes, [(p[t], p[h], lab) for t, h, lab in y.edges],
-                      p[y.root], p[y.leaf], y.num_vars)
-            for size in (1, 2, 3, 4):
-                for exact in (False, True):
-                    got = verify_deepcover(z, g, max_dis_size=size, exact=exact)
-                    assert got == deepcover_by_dis_tables(z, g, max_dis_size=size,
-                                                          exact=exact)
-                    violations += len(got.violations)
+            yield g, Nfbdd(y.num_nodes, [(p[t], p[h], lab) for t, h, lab in y.edges],
+                           p[y.root], p[y.leaf], y.num_vars)
+
+
+def test_verify_deepcover_matches_per_dis_tables_with_shuffled_ids():
+    # node ids out of topological order: pairs and violations still come by node id
+    violations = 0
+    for g, z in _shuffled_id_diagrams():
+        for size in (1, 2, 3, 4):
+            for exact in (False, True):
+                got = verify_deepcover(z, g, max_dis_size=size, exact=exact)
+                assert got == deepcover_by_dis_tables(z, g, max_dis_size=size,
+                                                      exact=exact)
+                violations += len(got.violations)
     assert violations > 0
+
+
+def test_node_masks_are_walked_once_per_diagram(monkeypatch):
+    walks = []
+    walk = bplab.bp._mask_walk
+
+    def counting(y):
+        walks.append(y.num_nodes)
+        return walk(y)
+
+    monkeypatch.setattr(bplab.bp, "_mask_walk", counting)
+    g = cycle_graph(8)
+    y = _compiled(g)
+    assert walks == []  # never in the constructor
+    for a in range(y.num_nodes):
+        node_context(y, g, a)
+    covered_weight(y, y.root, [0, 4])
+    verify_deepcover(y, g)
+    extract_cut_cover(y, g)
+    assert walks == [y.num_nodes]
+    z = _compiled(path_graph(3))
+    node_context(z, path_graph(3), z.leaf)
+    assert walks == [y.num_nodes, z.num_nodes]
+
+
+def test_node_masks_match_the_uniform_walk_and_first_in_edge_paths():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family, _ = hard_family_instance(6, 3, allow_small_r=True)
+    cases = [(g, _compiled(g)) for g in FIXTURES + [family]]
+    cases += _shuffled_id_diagrams()
+    for g, y in cases:
+        assert y.node_masks()[0] == _uniform_masks(y, y.order)
+        for a in range(y.num_nodes):
+            ctx = node_context(y, g, a)
+            assert (ctx.vert, ctx.free) == context_by_first_in_edges(y, g, a)

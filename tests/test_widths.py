@@ -26,6 +26,7 @@ from bplab import (
 )
 from oracles import (
     atlas_connected,
+    cut_edges_by_scan,
     cut_matching_size_oracle,
     dmw_by_full_subset_dp,
     dmw_by_permutations,
@@ -128,11 +129,10 @@ def test_width_witnesses_are_consistent():
 def test_capped_cuts_are_the_cut_or_the_cap():
     for g in atlas_connected(2, 6):
         edge_order, compat = widths._compat_masks(g)
-        inc = widths._incident_edge_masks(g, edge_order)
         for mask in range(1, 1 << g.n):
             prefix = [v for v in range(g.n) if mask >> v & 1]
             mw_cut = cut_matching_size_oracle(g, prefix)
-            cand = widths._cross_edges(inc, mask, widths.CROSS_EDGE_CAP)
+            cand = cut_edges_by_scan(edge_order, mask)
             dmw_cut = max_distant_cross_oracle(g, prefix)
             for k in range(4):
                 assert widths._cut_size_mask(g, mask, k) == min(mw_cut, k)
@@ -148,9 +148,8 @@ def test_compatible_subsets_equal_the_recursive_search():
                           [rng.getrandbits(n) for _ in range(200)]))
     for g, masks in cases:
         edge_order, compat = widths._compat_masks(g)
-        inc = widths._incident_edge_masks(g, edge_order)
         for mask in masks:
-            cand = widths._cross_edges(inc, mask, widths.CROSS_EDGE_CAP)
+            cand = cut_edges_by_scan(edge_order, mask)
             for limit in (None, 0, 1, 2, 3, 4):
                 assert (widths._max_compatible_subset(cand, compat, limit)
                         == max_compatible_subset_by_recursion(cand, compat, limit)), g.edges
@@ -163,13 +162,12 @@ def test_table_cut_edges_at_chunk_boundaries():
     rng = random.Random(8)
     for g in graphs:
         edge_order, _ = widths._compat_masks(g)
-        inc = widths._incident_edge_masks(g, edge_order)
-        tables = widths._cut_edge_tables(inc)
+        tables = widths._cut_edge_tables(g, edge_order)
         assert len(tables) == (g.n + 7) // 8
         masks = range(1 << g.n) if g.n <= 9 else [rng.getrandbits(g.n) for _ in range(500)]
         for mask in masks:
             assert (widths._table_cross_edges(tables, mask, len(g.edges))
-                    == widths._cross_edges(inc, mask, len(g.edges)))
+                    == cut_edges_by_scan(edge_order, mask))
 
 
 def test_distant_cross_edge_cap_past_the_first_chunk():
