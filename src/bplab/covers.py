@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import gt, mul
+from typing import Iterable, Iterator, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _uniform_masks, _valid_order, _var_of
 from .graphs import Graph, Matching, cnf_from_graph, is_dis
-from .widths import _cut_size_mask, _distant_matching_of_mask, _distant_tables, dmw_exact
+from .widths import _cut_size_mask, _distant_matching_of_mask, _distant_tables, _dmw_of_tables
 
 Weight = Union[float, Fraction]
+_BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int(..., 2) reads
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
 _Step = tuple[int, int, Weight, int, int]
 
 
-def _column(y: Nfbdd, bmask: int, steps: list[_Step], sub: dict[int, list[Weight]],
+def _column(y: Nfbdd, bmask: int, steps: list[_Step], sub: dict[int, Sequence[Weight]],
             exact: bool) -> list[Weight]:
     """col[v]: weight of v-to-leaf paths reading every vertex of bmask positively.
 
@@ -138,8 +141,8 @@ def _column(y: Nfbdd, bmask: int, steps: list[_Step], sub: dict[int, list[Weight
 _Columns = dict[int, tuple[list[Weight], list[_Step]]]
 
 
-def _base_columns(y: Nfbdd, exact: bool) -> _Columns:
-    """{0: (path totals, all steps)}; the totals are built once per diagram and flag.
+def _base_columns(y: Nfbdd, exact: bool) -> tuple[list[Weight], list[_Step]]:
+    """(path totals, all steps); the totals are built once per diagram and flag.
 
     A step (v, x, w, positive head, negative head) is kept per non-leaf
     node in reverse topological order: x is the variable v reads, w its
@@ -161,7 +164,7 @@ def _base_columns(y: Nfbdd, exact: bool) -> _Columns:
     col = y.path_totals.get(exact)
     if col is None:
         col = y.path_totals[exact] = _column(y, 0, steps, {}, exact)
-    return {0: (col, steps)}
+    return col, steps
 
 
 def _extend(y: Nfbdd, b: tuple[int, ...], cols: _Columns, read: list[int],
@@ -195,7 +198,7 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
     read = y.node_masks()[0]
-    cols = _base_columns(y, exact)
+    cols: _Columns = {0: _base_columns(y, exact)}
     members = sorted(sset)
     for size in range(1, len(members) + 1):
         for b in itertools.combinations(members, size):
@@ -232,13 +235,41 @@ class DeepcoverReport:
         return not self.violations
 
 
-def _all_dis(g: Graph, max_size: int) -> list[tuple[int, ...]]:
-    out = []
+def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
+    """DISes of g with at most max_size vertices: the empty set, then by size
+    and lexicographically within a size.
+
+    Every subset of a DIS is a DIS, so each DIS of size s extends one of
+    size s - 1 by a vertex above its maximum and outside the closed
+    2-neighbourhoods of its members. Only the sizes still to be extended
+    are kept.
+    """
+    near = []  # near[v]: v, its neighbours and theirs
+    for v, nbr in enumerate(g.nbr_mask):
+        m = nbr | 1 << v
+        t = nbr
+        while t:
+            b = t & -t
+            t ^= b
+            m |= g.nbr_mask[b.bit_length() - 1]
+        near.append(m)
+    full = (1 << g.n) - 1
+    yield ()
+    level: list[tuple[int, ...]] = [()]
     for size in range(1, max_size + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            if is_dis(g, combo):
-                out.append(combo)
-    return out
+        nxt = []
+        for combo in level:
+            cand = full >> (combo[-1] + 1) << (combo[-1] + 1) if combo else full
+            for v in combo:
+                cand &= ~near[v]
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                c = combo + (b.bit_length() - 1,)
+                if size < max_size:
+                    nxt.append(c)
+                yield c
+        level = nxt
 
 
 def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-9,
@@ -249,72 +280,139 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     the positive out-edges land on nodes whose free set still contains
     B minus v. DISes are walked smallest first, and every subset of a DIS
     is a DIS, so each DIS costs one column built from its subsets' columns.
+
+    The bound at a node depends only on its read mask, so nodes are grouped
+    into read-mask classes and each B's bound is built once per class. All
+    of B's nodes are checked in one pass; only a B with some failing check
+    walks its nodes again, in id order, to word the violations.
     """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
     read, negs = y.node_masks()
-    full_v = (1 << g.n) - 1
     free = [_free_mask(g, read[v], negs[v]) for v in range(y.num_nodes)]
-    one: Weight = Fraction(1) if exact else 1.0
-    # factors[a][v]: v's factor of the bound at node a, from its unread degree;
-    # nodes with equal read masks share one list
     by_degree = [(1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
                  for d in range(g.n)]
-    by_read: dict[int, list[Weight]] = {}
-    factors = []
-    for r in read:
-        if r not in by_read:
-            vert = full_v & ~r
-            by_read[r] = [by_degree[(m & vert).bit_count()] for m in g.nbr_mask]
-        factors.append(by_read[r])
+    classes: dict[int, int] = {}  # read mask -> class number, in order of first node
+    cls = [classes.setdefault(r, len(classes)) for r in read]
+    # fcol[v][c]: v's factor of the bound in class c, from its unread degree there
+    fcol = [[by_degree[(m & ~r).bit_count()] for r in classes] for m in g.nbr_mask]
+    # side[x]: (free set of the tail, free set of the head) of each positive edge on x
+    side: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for t, h, lab in y.edges:
+        if lab > 0:
+            side[lab - 1].append((free[t], free[h]))
 
     violations: list[str] = []
     pairs = 0
     side_checks = 0
-    dis_list = _all_dis(g, max_dis_size)
-    cols = _base_columns(y, exact)
-    # nodes whose free set holds B, by B's mask; each list filters B minus its last vertex's
-    holders: dict[int, list[int]] = {0: list(range(y.num_nodes))}
-    for combo in dis_list:
+    dis_count = 0
+    dis = _dis_iter(g, max_dis_size)
+    next(dis)  # the empty set
+    base, all_steps = _base_columns(y, exact)
+    # columns of the DISes one size below those being checked, by mask; in float
+    # mode kept as doubles, about a quarter of the memory of a list of floats
+    cols: dict[int, Sequence[Weight]] = {0: base}
+    size = 1
+    # (prefix, the steps at which it is unread, the nodes whose free set holds it)
+    # for each prefix of the DIS being checked; each one filters the one before
+    chain = [((), all_steps, list(range(y.num_nodes)))]
+    for combo in dis:
+        dis_count += 1
+        if len(combo) > size:
+            size += 1
+            cols = {m: c for m, c in cols.items() if m.bit_count() == size - 1}
+        prefix = combo[:-1]
+        if prefix != chain[-1][0]:
+            while prefix[:len(chain[-1][0])] != chain[-1][0]:
+                chain.pop()
+            for v in prefix[len(chain[-1][0]):]:
+                p, st, nd = chain[-1]
+                chain.append((p + (v,), [s for s in st if not read[s[0]] >> v & 1],
+                              [a for a in nd if free[a] >> v & 1]))
+        _, prefix_steps, prefix_nodes = chain[-1]
         bmask = sum(1 << v for v in combo)
-        cov_at, steps = _extend(y, combo, cols, read, exact)
         last = combo[-1]
-        nodes = [a for a in holders[bmask ^ 1 << last] if free[a] >> last & 1]
-        if len(combo) < max_dis_size:
-            cols[bmask] = (cov_at, steps)
-            holders[bmask] = nodes
-        for a in nodes:
-            pairs += 1
-            cov = cov_at[a]
-            rw = one
-            fa = factors[a]
-            for v in combo:
-                rw *= fa[v]
-            bad = cov > rw if exact else cov > rw + tol
-            if bad:
-                violations.append(
-                    f"node {a}, B={list(combo)}: covered weight {cov} exceeds bound {rw}")
-            av = y.var_of[a]
-            if av is not None and bmask >> av & 1:
-                for i in y.out_edges[a]:
-                    _, h, lab = y.edges[i]
-                    if lab > 0:
-                        side_checks += 1
-                        rest = bmask & ~(1 << av)
-                        if rest & ~free[h]:
-                            violations.append(
-                                f"node {a} -> {h}: B minus {av} leaves the free set")
+        steps = [s for s in prefix_steps if not read[s[0]] >> last & 1]
+        cov_at = _column(y, bmask, steps, {x: cols[bmask ^ 1 << x] for x in combo}, exact)
+        nodes = [a for a in prefix_nodes if free[a] >> last & 1]
+        if size < max_dis_size:
+            cols[bmask] = cov_at if exact else array("d", cov_at)
+        pairs += len(nodes)
+        lim = fcol[combo[0]]
+        for v in combo[1:]:
+            lim = list(map(mul, lim, fcol[v]))
+        if not exact:
+            lim = [rw + tol for rw in lim]
+        bad = any(map(gt, map(cov_at.__getitem__, nodes),
+                      map(lim.__getitem__, map(cls.__getitem__, nodes))))
+        for v in combo:
+            rest = bmask ^ 1 << v
+            for free_t, free_h in side[v]:
+                if free_t & bmask == bmask:
+                    side_checks += 1
+                    bad = bad or free_h & rest != rest
+        if bad:
+            violations += _deepcover_violations(y, combo, nodes, cov_at, fcol, cls, free,
+                                                tol, exact)
     return DeepcoverReport(
         nodes=y.num_nodes,
-        dis_count=len(dis_list),
+        dis_count=dis_count,
         pairs_checked=pairs,
         side_checks=side_checks,
         violations=violations,
     )
 
 
+def _deepcover_violations(y: Nfbdd, combo: tuple[int, ...], nodes: list[int],
+                          cov_at: list[Weight], fcol: list[list[Weight]], cls: list[int],
+                          free: list[int], tol: float, exact: bool) -> list[str]:
+    """verify_deepcover's violations for one DIS, node by node in id order."""
+    bmask = sum(1 << v for v in combo)
+    out = []
+    for a in nodes:
+        cov = cov_at[a]
+        rw: Weight = Fraction(1) if exact else 1.0
+        for v in combo:
+            rw *= fcol[v][cls[a]]
+        if cov > rw if exact else cov > rw + tol:
+            out.append(f"node {a}, B={list(combo)}: covered weight {cov} exceeds bound {rw}")
+        av = y.var_of[a]
+        if av is not None and bmask >> av & 1:
+            rest = bmask & ~(1 << av)
+            for i in y.out_edges[a]:
+                _, h, lab = y.edges[i]
+                if lab > 0 and rest & ~free[h]:
+                    out.append(f"node {a} -> {h}: B minus {av} leaves the free set")
+    return out
+
+
 def _min_set_cover(universe: int, masks: list[int]) -> list[int]:
-    """Smallest subfamily covering universe; indices, deterministic."""
+    """Smallest subfamily covering universe; indices, deterministic.
+
+    Branches on the uncovered element with the fewest covering sets, the
+    lowest such element first. That ranking is static, so it is made once:
+    the per-element counts are summed as carry-save bit planes, and the
+    elements grouped into one mask per count, fewest first.
+    """
+    planes: list[int] = []  # bit e of planes[j]: bit j of the number of sets holding e
+    for m in masks:
+        carry = m
+        for j, p in enumerate(planes):
+            planes[j] = p ^ carry
+            carry &= p
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    groups = []
+    for count in range(1, 1 << len(planes)):
+        grp = universe
+        for j, p in enumerate(planes):
+            grp &= p if count >> j & 1 else ~p
+        if grp:
+            groups.append(grp)
+    sets_of: dict[int, list[int]] = {}  # covering sets of each element branched on
     best: list[int] | None = None
 
     def bnb(uncovered: int, chosen: list[int]) -> None:
@@ -328,17 +426,14 @@ def _min_set_cover(universe: int, masks: list[int]) -> list[int]:
         need = -((-uncovered.bit_count()) // maxcov)
         if len(chosen) + need >= limit:
             return
-        # branch on the uncovered element with the fewest covering sets
-        elem = -1
-        elem_sets: list[int] = []
-        u = uncovered
-        while u:
-            bit = u & -u
-            u ^= bit
-            sets_here = [i for i, m in enumerate(masks) if m & bit]
-            if elem < 0 or len(sets_here) < len(elem_sets):
-                elem = bit.bit_length() - 1
-                elem_sets = sets_here
+        for grp in groups:
+            u = uncovered & grp
+            if u:
+                break
+        elem = (u & -u).bit_length() - 1
+        elem_sets = sets_of.get(elem)
+        if elem_sets is None:
+            elem_sets = sets_of[elem] = [i for i, m in enumerate(masks) if m >> elem & 1]
         for i in elem_sets:
             chosen.append(i)
             bnb(uncovered & ~masks[i], chosen)
@@ -363,14 +458,20 @@ def min_dis_cover(g: Graph, t: int, cap: int = 20) -> tuple[int, tuple[frozenset
         indep += [s | 1 << v for s in indep if not nbr & s]
     full = (1 << n) - 1
     sats = sorted(full ^ s for s in indep)
-    dis_sets = [combo for combo in itertools.combinations(range(n), t) if is_dis(g, combo)]
+    del indep
+    dis_sets = [combo for combo in _dis_iter(g, t) if len(combo) == t]
     if not dis_sets:
         raise ValueError(f"no DIS of size {t} exists")
+    universe = (1 << len(sats)) - 1
+    # holds[v]: bit i set when satisfying mask i reads v positively
+    holds = [int(bytes(sat >> v & 1 for sat in reversed(sats)).translate(_BITS), 2)
+             for v in range(n)]
     cover_masks = []
     for combo in dis_sets:
-        bm = sum(1 << v for v in combo)
-        cover_masks.append(sum(1 << i for i, sat in enumerate(sats) if sat & bm == bm))
-    universe = (1 << len(sats)) - 1
+        m = universe
+        for v in combo:
+            m &= holds[v]
+        cover_masks.append(m)
     reachable = 0
     for m in cover_masks:
         reachable |= m
@@ -421,14 +522,15 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
     read = z.node_masks()[0] if isinstance(z, Nfbdd) else _uniform_masks(z, order)
     if read is None:
         raise ValueError("program must be uniform")
+    tables = None  # distant-matching tables of g, built at most once
     if d is None:
-        d = dmw_exact(g).value
+        tables = _distant_tables(g)
+        d = _dmw_of_tables(g, tables).value
     if d == 0:
         raise ValueError("graph has no edges, nothing to certify")
 
     neg = [1 << _var_of(lab) if lab is not None and lab < 0 else 0 for _, _, lab in z.edges]
     qual: dict[int, Matching | None] = {0: None}
-    tables = None  # distant-matching tables of g, built at the first candidate split
     reached = [False] * z.num_nodes
     reached[z.root] = True
     negf = [0] * z.num_nodes  # variables read negatively on some path ending at v

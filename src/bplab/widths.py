@@ -198,16 +198,17 @@ def _cut_edge_tables(g: Graph, edge_order: tuple[tuple[int, int], ...]) -> list[
     return tables
 
 
-def _table_cross_edges(tables: list[list[int]], pmask: int, cross_cap: int) -> int:
+def _table_cross_edges(tables: list[list[int]], pmask: int, cross_cap: int | None) -> int:
     """Edges with exactly one end in the prefix pmask, one table lookup per chunk.
 
     An edge with both ends in the prefix is xor-ed in twice and drops out.
+    More than cross_cap such edges raise, unless cross_cap is None.
     """
     cand = 0
     for tab in tables:
         cand ^= tab[pmask & 255]
         pmask >>= 8
-    if cand.bit_count() > cross_cap:
+    if cross_cap is not None and cand.bit_count() > cross_cap:
         raise ValueError(
             f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
     return cand
@@ -361,11 +362,23 @@ def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
 
 def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
               cross_cap: int = CROSS_EDGE_CAP) -> WidthResult:
-    """Exact distant matching width with a witness order and its per-prefix cuts."""
-    _, compat, tables = _distant_tables(g)
+    """Exact distant matching width with a witness order and its per-prefix cuts.
+
+    cross_cap bounds the cut edges of the evaluations that run the
+    exhaustive branch and bound, those asked for more than 3 edges; the
+    direct loops for 1 to 3 edges take any number.
+    """
+    return _dmw_of_tables(g, _distant_tables(g), cap, cross_cap)
+
+
+def _dmw_of_tables(g: Graph, tables: _DistantTables, cap: int = SUBSET_DP_CAP,
+                   cross_cap: int = CROSS_EDGE_CAP) -> WidthResult:
+    """dmw_exact on g's distant tables, for callers that keep the tables."""
+    _, compat, cuts = tables
 
     def cut(s: int, k: int) -> int:
-        return _max_compatible_subset(_table_cross_edges(tables, s, cross_cap), compat, k)[0]
+        edges = _table_cross_edges(cuts, s, cross_cap if k > 3 else None)
+        return _max_compatible_subset(edges, compat, k)[0]
 
     return _subset_dp(g, cut, cap)
 

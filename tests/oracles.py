@@ -15,7 +15,7 @@ import networkx as nx
 
 from bplab.bp import BpReport, Nrobp, _find_cycle, _var_of, _witness_double_read, is_uniform
 from bplab.covers import CutCoverCertificate, DeepcoverReport, constants
-from bplab.graphs import Graph, Matching, is_dis
+from bplab.graphs import Graph, Matching, cnf_from_graph, is_dis
 from bplab.widths import (
     PrefixPartition,
     WidthResult,
@@ -107,15 +107,20 @@ def edges_distant_oracle(g, e, f):
 
 
 def max_distant_cross_oracle(g, prefix):
-    """Largest pairwise-distant set of partition-crossing edges, by enumeration."""
+    """Largest pairwise-distant set of partition-crossing edges, by enumeration.
+
+    Sizes are tried upwards: every subset of a pairwise-distant set is one,
+    so the first size with no such set bounds all larger ones.
+    """
     prefix = set(prefix)
     cross = [e for e in g.edges if (e[0] in prefix) != (e[1] in prefix)]
-    for k in range(len(cross), 0, -1):
-        for combo in itertools.combinations(cross, k):
-            if all(edges_distant_oracle(g, e, f)
-                   for e, f in itertools.combinations(combo, 2)):
-                return k
-    return 0
+    best = 0
+    for k in range(1, len(cross) + 1):
+        if not any(all(edges_distant_oracle(g, e, f) for e, f in itertools.combinations(combo, 2))
+                   for combo in itertools.combinations(cross, k)):
+            break
+        best = k
+    return best
 
 
 def dmw_by_permutations(g):
@@ -467,6 +472,76 @@ def deepcover_by_dis_tables(y, g, max_dis_size=3, tol=1e-9, exact=False):
                                 f"node {a} -> {h}: B minus {av} leaves the free set")
     return DeepcoverReport(nodes=y.num_nodes, dis_count=len(dis_list), pairs_checked=pairs,
                            side_checks=side_checks, violations=violations)
+
+
+def min_set_cover_by_rescan(universe, masks):
+    """Smallest subfamily covering universe; indices, deterministic.
+
+    Reference branch and bound: at every node it rescans the uncovered
+    elements and lists every set covering each, then branches on the
+    element with the fewest covering sets, the lowest such element first.
+    """
+    best = None
+
+    def bnb(uncovered, chosen):
+        nonlocal best
+        if not uncovered:
+            if best is None or len(chosen) < len(best):
+                best = list(chosen)
+            return
+        limit = len(masks) + 1 if best is None else len(best)
+        maxcov = max((m & uncovered).bit_count() for m in masks)
+        need = -((-uncovered.bit_count()) // maxcov)
+        if len(chosen) + need >= limit:
+            return
+        elem = -1
+        elem_sets = []
+        u = uncovered
+        while u:
+            bit = u & -u
+            u ^= bit
+            sets_here = [i for i, m in enumerate(masks) if m & bit]
+            if elem < 0 or len(sets_here) < len(elem_sets):
+                elem = bit.bit_length() - 1
+                elem_sets = sets_here
+        for i in elem_sets:
+            chosen.append(i)
+            bnb(uncovered & ~masks[i], chosen)
+            chosen.pop()
+
+    bnb(universe, [])
+    assert best is not None
+    return best
+
+
+def min_dis_cover_by_filter(g, t, cap=20):
+    """Reference min_dis_cover: DISes by the is_dis filter over all t-subsets, each
+    cover mask by a scan of the satisfying masks, and the rescanning set cover."""
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    cnf_from_graph(g)
+    n = g.n
+    if n > cap:
+        raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
+    sats = sorted(vertex_cover_masks(g))
+    dis_sets = [combo for combo in itertools.combinations(range(n), t) if is_dis(g, combo)]
+    if not dis_sets:
+        raise ValueError(f"no DIS of size {t} exists")
+    cover_masks = []
+    for combo in dis_sets:
+        bm = sum(1 << v for v in combo)
+        cover_masks.append(sum(1 << i for i, sat in enumerate(sats) if sat & bm == bm))
+    universe = (1 << len(sats)) - 1
+    reachable = 0
+    for m in cover_masks:
+        reachable |= m
+    if reachable != universe:
+        i = (universe & ~reachable).bit_length() - 1
+        positives = [v for v in range(n) if sats[i] >> v & 1]
+        raise ValueError(
+            f"satisfying assignment with positives {positives} is covered by no size-{t} DIS")
+    chosen = min_set_cover_by_rescan(universe, cover_masks)
+    return len(chosen), tuple(frozenset(dis_sets[i]) for i in chosen)
 
 
 def root_leaf_paths(z: Nrobp, cap: int = 100000) -> list[tuple[int, ...]]:

@@ -274,13 +274,18 @@ def test_experiment_frozen_csv(tmp_path, capsys):
 def test_experiment_computes_dmw_once_per_row(monkeypatch, capsys):
     sizes = []
     exact = bplab.cli.dmw_exact
+    of_tables = bplab.covers._dmw_of_tables
 
     def counted(g, **kwargs):
         sizes.append(g.n)
         return exact(g, **kwargs)
 
+    def counted_of_tables(g, tables):
+        sizes.append(g.n)
+        return of_tables(g, tables)
+
     monkeypatch.setattr(bplab.cli, "dmw_exact", counted)
-    monkeypatch.setattr(bplab.covers, "dmw_exact", counted)
+    monkeypatch.setattr(bplab.covers, "_dmw_of_tables", counted_of_tables)
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "3")
     assert rc == 0
     assert out == "".join(EXPECTED_CSV.splitlines(keepends=True)[:4])

@@ -1,5 +1,6 @@
 """Tests for weighted path counting, cover extraction, and the constant stack."""
 
+import itertools
 import math
 import random
 import time
@@ -41,7 +42,9 @@ from oracles import (
     context_by_first_in_edges,
     cut_cover_by_paths,
     deepcover_by_dis_tables,
+    min_dis_cover_by_filter,
     path_weight_oracle,
+    random_connected_graph,
     root_leaf_paths,
     vertex_cover_masks,
 )
@@ -271,9 +274,9 @@ def test_extract_cut_cover_takes_the_callers_dmw(monkeypatch):
     certs = [extract_cut_cover(_compiled(g), g) for g in graphs]
 
     def no_dmw(*args, **kwargs):
-        raise AssertionError("dmw_exact called although d was given")
+        raise AssertionError("dmw computed although d was given")
 
-    monkeypatch.setattr(bplab.covers, "dmw_exact", no_dmw)
+    monkeypatch.setattr(bplab.covers, "_dmw_of_tables", no_dmw)
     for g, cert in zip(graphs, certs):
         assert extract_cut_cover(_compiled(g), g, d=cert.dmw) == cert
 
@@ -446,6 +449,13 @@ def test_extract_cut_cover_builds_the_distant_tables_once(monkeypatch):
     assert len(set(masks)) == len(masks) > 1
     monkeypatch.setattr(bplab.covers, "_distant_matching_of_mask", per_mask)
     assert extract_cut_cover(y, g, d=2) == cert
+    # without d, the tables that compute dmw also serve the candidate splits
+    monkeypatch.setattr(bplab.covers, "_distant_matching_of_mask", matched)
+    c8 = cycle_graph(8)
+    built.clear()
+    cert = extract_cut_cover(_compiled(c8), c8)
+    assert built == [c8.n]
+    assert cert == extract_cut_cover(_compiled(c8), c8, d=cert.dmw)
 
 
 def _shuffled_id_diagrams():
@@ -508,3 +518,57 @@ def test_node_masks_match_the_uniform_walk_and_first_in_edge_paths():
         for a in range(y.num_nodes):
             ctx = node_context(y, g, a)
             assert (ctx.vert, ctx.free) == context_by_first_in_edges(y, g, a)
+
+
+def test_dis_by_extension_equals_the_is_dis_filter():
+    graphs = atlas_connected(1, 7) + [path_graph(9), cycle_graph(9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        graphs += [hard_family_instance(6, r, allow_small_r=True)[0] for r in (3, 4)]
+    for g in graphs:
+        want = [combo for size in range(4)
+                for combo in itertools.combinations(range(g.n), size) if is_dis(g, combo)]
+        assert list(bplab.covers._dis_iter(g, 3)) == want, g.edges
+        for size in range(3):
+            assert list(bplab.covers._dis_iter(g, size)) == [b for b in want if len(b) <= size]
+
+
+def test_verify_deepcover_words_a_partly_failing_dis_like_the_reference():
+    # P5 read in the order 1, 4, 3, 0, 2. Of the holders of B = {4}, only
+    # node 2, reached by reading 1 positively, breaks the bound; and node 3's
+    # first in-edge comes through 1 read negatively, which blocks 0, so
+    # node 2 -> 3 takes B = {0, 4} out of the free set.
+    g = path_graph(5)
+    y = Nfbdd(7, [(0, 2, 2), (0, 1, -2), (1, 3, -5), (2, 3, 5), (3, 4, 4), (4, 5, -1),
+                  (5, 6, -3)], 0, 6, 5)
+    holders = [a for a in range(y.num_nodes) if 4 in node_context(y, g, a).free]
+    assert holders == [0, 1, 2]
+    for exact in (False, True):
+        got = verify_deepcover(y, g, max_dis_size=2, exact=exact)
+        assert got == deepcover_by_dis_tables(y, g, max_dis_size=2, exact=exact)
+        assert [m for m in got.violations if "B=[4]:" in m] == [
+            f"node 2, B=[4]: covered weight 1{'' if exact else '.0'} exceeds bound "
+            + ("3/4" if exact else "0.75")]
+        assert [m for m in got.violations if "leaves" in m] == [
+            "node 2 -> 3: B minus 4 leaves the free set"]
+        assert got.side_checks > 1
+
+
+def test_min_dis_cover_equals_the_rescanning_reference():
+    graphs = [random_connected_graph(n, seed, d) for n in (8, 10, 12)
+              for seed in range(4) for d in (3, 5)]
+    graphs += [complete_graph(4), path_graph(4), cycle_graph(8), cycle_graph(21)]
+    outcomes = set()
+    for g in graphs:
+        for t in (0, 1, 2, 3):
+            try:
+                want = min_dis_cover_by_filter(g, t)
+            except ValueError as err:
+                with pytest.raises(ValueError) as got:
+                    min_dis_cover(g, t)
+                assert str(got.value) == str(err)
+                outcomes.add(str(err).split(" ")[0])
+            else:
+                assert min_dis_cover(g, t) == want, (g.edges, t)
+                outcomes.add("cover")
+    assert outcomes == {"cover", "no", "satisfying", "refusing"}

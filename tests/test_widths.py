@@ -174,7 +174,9 @@ def test_distant_cross_edge_cap_past_the_first_chunk():
     # the hub, vertex 21, is in the third 8-vertex chunk; the prefix {21} cuts every edge
     star = Graph(22, [(v, 21) for v in range(21)])
     with pytest.raises(ValueError, match="21 cut edges exceed the exhaustive cap 20"):
-        dmw_exact(star, cross_cap=20)
+        max_distant_cross_matching(star, PrefixPartition.split(star, [21]), cross_cap=20)
+    # dmw_exact asks the star's cuts for at most 2 edges, which direct loops answer
+    assert dmw_exact(star, cross_cap=20).value == 1
 
 
 def _family(k, r):
@@ -310,8 +312,23 @@ def test_subset_dp_cap_above_the_table_limit(monkeypatch):
 
 
 def test_distant_cross_edge_cap():
-    with pytest.raises(ValueError, match="exceed the exhaustive cap"):
-        dmw_exact(complete_graph(12))
+    k12 = complete_graph(12)
+    with pytest.raises(ValueError, match="36 cut edges exceed the exhaustive cap 32"):
+        cut_distant_matching_size(k12, PrefixPartition.split(k12, range(6)))
+    assert dmw_exact(k12).value == 1
+
+
+def test_cross_edge_cap_applies_only_to_the_exhaustive_search():
+    # K_{8,8}: up to 64 cut edges, but dmw 1 only asks for limits 1 and 2
+    g = Graph(16, [(a, 8 + b) for a in range(8) for b in range(8)])
+    res = dmw_exact(g)
+    assert res == dmw_exact(g, cross_cap=64)
+    assert res.value == 1
+    assert sorted(res.witness_order) == list(range(16))
+    assert res.witness_cuts == tuple(max_distant_cross_oracle(g, res.witness_order[:i])
+                                     for i in range(1, 16))
+    with pytest.raises(ValueError, match="64 cut edges exceed the exhaustive cap 32"):
+        max_distant_cross_matching(g, PrefixPartition.split(g, range(8)))
 
 
 def test_greedy_distant_extraction():
