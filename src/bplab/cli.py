@@ -11,15 +11,16 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .bp import best_order_size, compiled_size, nfbdd_compile, uniformize
 from .covers import constants, coverlb_bound, extract_cut_cover, min_dis_cover
 from .fileio import (
+    bp_lines,
     fmt_num,
     parse_bp,
     parse_cnf,
     parse_graph,
-    write_bp,
     write_certificate,
     write_instance_bundle,
 )
@@ -46,15 +47,17 @@ def _read(path: str) -> str:
         raise SystemExit(f"cannot read {path}: {exc.strerror}")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to path one after another, never joined in memory."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(chunks)
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc.strerror}")
 
 
-def _write_out(path: str, text: str) -> None:
-    _write(path, text)
+def _write_out(path: str, chunks: Iterable[str]) -> None:
+    _write(path, chunks)
     print(f"wrote {path}")
 
 
@@ -96,7 +99,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     print("order=" + ",".join(str(v) for v in used))
     print(f"nodes={nodes} edges={edges}")
     if args.out:
-        _write_out(args.out, write_bp(y))
+        _write_out(args.out, bp_lines(y))
     return 0
 
 
@@ -123,7 +126,7 @@ def cmd_uniformize(args: argparse.Namespace) -> int:
     print(f"nodes={z.size_nodes}->{u.size_nodes} "
           f"edges={z.size_edges}->{u.size_edges}")
     if args.out:
-        _write_out(args.out, write_bp(u))
+        _write_out(args.out, bp_lines(u))
     return 0
 
 
@@ -165,7 +168,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         return 2
     print(f"q={cert.q} dmw={cert.dmw} bound={fmt_num(cert.bound)}")
     if args.out:
-        _write_out(args.out, write_certificate(cert))
+        _write_out(args.out, [write_certificate(cert)])
     return 0 if cert.q >= cert.bound - 1e-9 else 1
 
 
@@ -228,11 +231,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     csv_text = "k,r,n,edges,nodes,best_edges,dmw,q,lb\n"
     csv_text += "".join(",".join(row) + "\n" for row in rows)
     if args.out:
-        _write_out(args.out, csv_text)
+        _write_out(args.out, [csv_text])
     else:
         sys.stdout.write(csv_text)
     if args.stats:
-        _write(args.stats, json.dumps({"rows": stats}, indent=1) + "\n")
+        _write(args.stats, [json.dumps({"rows": stats}, indent=1) + "\n"])
     for msg in failures:
         print(f"ASSERT FAIL {msg}", file=sys.stderr)
     return 1 if failures else 0

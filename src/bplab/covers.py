@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import gt, mul
+from operator import gt, itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _uniform_masks, _valid_order, _var_of
@@ -109,49 +109,24 @@ def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
 
 
 _Step = tuple[int, int, Weight, int, int]
+# A kept column: (flat, stride, lane); its value at node v is flat[v * stride + lane].
+# The lanes of one batch share one flat, node-major.
+_Col = tuple[Sequence[Weight], int, int]
 
 
-def _column(y: Nfbdd, bmask: int, steps: list[_Step], sub: dict[int, Sequence[Weight]],
-            exact: bool) -> list[Weight]:
-    """col[v]: weight of v-to-leaf paths reading every vertex of bmask positively.
+def _steps(y: Nfbdd, exact: bool) -> tuple[list[_Step], list[int]]:
+    """(steps, lastp): one step (v, x, w, positive head, negative head) per
+    non-leaf node, in reverse topological order, and each node's last parent.
 
-    The one path-weight recurrence. An edge on x outside B adds w*col[head];
-    a positive edge on x in B adds w*sub[x][head], sub[x] being the column
-    of B minus x; a negative edge on x in B adds nothing. steps must hold
-    every node at which all of B is unread; at every other node some vertex
-    of B is already read, so no path from it reads B and col stays 0.
-    """
-    zero: Weight = Fraction(0) if exact else 0.0
-    col = [zero] * y.num_nodes
-    if not bmask:
-        col[y.leaf] = Fraction(1) if exact else 1.0
-    for v, x, w, hp, hn in steps:
-        if bmask >> x & 1:
-            if hp >= 0:
-                col[v] = w * sub[x][hp]
-        elif hn < 0:
-            col[v] = w * col[hp]
-        elif hp < 0:
-            col[v] = w * col[hn]
-        else:
-            col[v] = w * col[hp] + w * col[hn]
-    return col
-
-
-_Columns = dict[int, tuple[list[Weight], list[_Step]]]
-
-
-def _base_columns(y: Nfbdd, exact: bool) -> tuple[list[Weight], list[_Step]]:
-    """(path totals, all steps); the totals are built once per diagram and flag.
-
-    A step (v, x, w, positive head, negative head) is kept per non-leaf
-    node in reverse topological order: x is the variable v reads, w its
-    edge weight (1/2 out of a two-way node, 1 out of a one-way node), and
-    a missing edge's head is -1.
+    x is the variable v reads and w its edge weight (1/2 out of a two-way
+    node, 1 out of a one-way node); a missing edge's head is -1. lastp[h] is
+    h's parent that comes last in steps, after which no step reads h's row;
+    lastp[-1] is -1, which no node equals.
     """
     half: Weight = Fraction(1, 2) if exact else 0.5
     one: Weight = Fraction(1) if exact else 1.0
     steps = []
+    lastp = [-1] * (y.num_nodes + 1)
     for v in reversed(y.order):
         if v == y.leaf:
             continue
@@ -160,21 +135,98 @@ def _base_columns(y: Nfbdd, exact: bool) -> tuple[list[Weight], list[_Step]]:
         for i in outs:
             _, h, lab = y.edges[i]
             heads[lab < 0] = h
+            lastp[h] = v
         steps.append((v, y.var_of[v], half if len(outs) == 2 else one, heads[0], heads[1]))
+    return steps, lastp
+
+
+def _rows(y: Nfbdd, steps: list[_Step], lastp: list[int], pmask: int, lane_of: dict[int, int],
+          sub: dict[int, tuple[Sequence[Weight], int, list[int]]], head: _Col | None,
+          zrow: list[Weight], leaf: list[Weight]) -> Iterator[tuple[int, list[Weight]]]:
+    """(v, row) for each step v, in steps' order.
+
+    The one path-weight recurrence. Lane j of v's row is the weight of the
+    v-to-leaf paths that read positively every vertex of P (the set pmask)
+    and the vertex l with lane_of[l] == j; a lane no vertex maps to reads P
+    only. An edge on x outside P and off the lanes adds w*row[head]. A
+    positive edge on x in P adds w times the columns of P minus x plus each
+    lane's vertex at the head, taken from sub[x] = (flat, stride, lanes). An
+    edge on lane j's vertex sets that lane alone to w*column(P)[head] (head
+    is that column) when positive, to 0 when negative. steps must hold every
+    node at which P and some lane's vertex are unread; at every other node
+    each lane is 0, and so is a lane at a node where its vertex is read.
+    zrow is the zero row and leaf the leaf's row. A row is dropped after its
+    last reader; a one-way node shares its head's row.
+    """
+    rows = [zrow] * (y.num_nodes + 1)  # rows[-1], a missing head's, stays zero
+    rows[y.leaf] = leaf
+    for v, x, w, hp, hn in steps:
+        if pmask >> x & 1:
+            if hp < 0:
+                row = zrow
+            else:
+                flat, stride, lanes = sub[x]
+                base = hp * stride
+                row = [w * flat[base + i] for i in lanes]
+        else:
+            j = lane_of.get(x)
+            if hn < 0 or hp < 0:  # a one-way node: w = 1
+                row = rows[hp] if hn < 0 else rows[hn]
+                if j is not None:
+                    row = row.copy()
+            else:
+                row = [w * a + w * b for a, b in zip(rows[hp], rows[hn])]
+            if j is not None:
+                if hp < 0:
+                    row[j] = zrow[0]
+                else:
+                    flat, stride, lane = head  # type: ignore[misc]
+                    row[j] = w * flat[hp * stride + lane]
+        rows[v] = row
+        if lastp[hp] == v:
+            rows[hp] = zrow
+        if lastp[hn] == v:
+            rows[hn] = zrow
+        yield v, row
+
+
+def _batch(prefix: tuple[int, ...], lasts: list[int], cols: dict[int, _Col]
+           ) -> tuple[int, dict[int, int], dict[int, tuple[Sequence[Weight], int, list[int]]],
+                      _Col]:
+    """_rows' pmask, lane_of, sub and head for the sets prefix + (u,), u in lasts.
+
+    cols must hold prefix and each set prefix minus x plus u. Every vertex
+    of lasts is above prefix's maximum, so each of those sets is a lane of
+    the batch of prefix minus x, which holds lasts among its own lanes.
+    """
+    pmask = sum(1 << v for v in prefix)
+    sub = {}
+    for x in prefix:
+        rest = pmask ^ 1 << x
+        flat, stride, _ = cols[rest | 1 << lasts[0]]
+        sub[x] = (flat, stride, [cols[rest | 1 << u][2] for u in lasts])
+    return pmask, {u: j for j, u in enumerate(lasts)}, sub, cols[pmask]
+
+
+def _flat(num_nodes: int, width: int, exact: bool) -> Sequence[Weight]:
+    """A zero node-major table of num_nodes rows of width lanes; doubles in float mode."""
+    size = num_nodes * width
+    return [Fraction(0)] * size if exact else array("d", [0.0]) * size
+
+
+def _totals(y: Nfbdd, steps: list[_Step], lastp: list[int], exact: bool) -> list[Weight]:
+    """Path totals of every node, built once per diagram and flag: one lane
+    reading the empty set, 1 at the leaf."""
     col = y.path_totals.get(exact)
     if col is None:
-        col = y.path_totals[exact] = _column(y, 0, steps, {}, exact)
-    return col, steps
-
-
-def _extend(y: Nfbdd, b: tuple[int, ...], cols: _Columns, read: list[int],
-            exact: bool) -> tuple[list[Weight], list[_Step]]:
-    """Column and steps of B = b, given cols holding B minus each of its vertices."""
-    bmask = sum(1 << v for v in b)
-    last = b[-1]
-    steps = [s for s in cols[bmask ^ 1 << last][1] if not read[s[0]] >> last & 1]
-    sub = {x: cols[bmask ^ 1 << x][0] for x in b}
-    return _column(y, bmask, steps, sub, exact), steps
+        zero: Weight = Fraction(0) if exact else 0.0
+        one: Weight = Fraction(1) if exact else 1.0
+        col = [zero] * y.num_nodes
+        col[y.leaf] = one
+        for v, row in _rows(y, steps, lastp, 0, {}, {}, None, [zero], [one]):
+            col[v] = row[0]
+        y.path_totals[exact] = col
+    return col
 
 
 def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
@@ -182,7 +234,7 @@ def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
     if exact not in y.path_totals:
-        _base_columns(y, exact)
+        _totals(y, *_steps(y, exact), exact)
     return y.path_totals[exact][a]
 
 
@@ -198,12 +250,29 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
     read = y.node_masks()[0]
-    cols: _Columns = {0: _base_columns(y, exact)}
+    steps, lastp = _steps(y, exact)
+    cols: dict[int, _Col] = {0: (_totals(y, steps, lastp, exact), 1, 0)}
     members = sorted(sset)
     for size in range(1, len(members) + 1):
-        for b in itertools.combinations(members, size):
-            cols[sum(1 << v for v in b)] = _extend(y, b, cols, read, exact)
-    return cols[sum(1 << v for v in members)][0][a]
+        nxt: dict[int, _Col] = {}
+        for prefix in itertools.combinations(members, size - 1):
+            lasts = [v for v in members if not prefix or v > prefix[-1]]
+            if not lasts:
+                continue
+            pmask, lane_of, sub, head = _batch(prefix, lasts, cols)
+            lmask = sum(1 << v for v in lasts)
+            width = len(lasts)
+            flat = _flat(y.num_nodes, width, exact)
+            zrow = [Fraction(0) if exact else 0.0] * width
+            swept = [st for st in steps
+                     if not read[st[0]] & pmask and read[st[0]] & lmask != lmask]
+            for v, row in _rows(y, swept, lastp, pmask, lane_of, sub, head, zrow, zrow):
+                flat[v * width:(v + 1) * width] = row if exact else array("d", row)
+            for j, v in enumerate(lasts):
+                nxt[pmask | 1 << v] = (flat, width, j)
+        cols = nxt
+    flat, stride, lane = cols[sum(1 << v for v in members)]
+    return flat[a * stride + lane]
 
 
 def relative_weight(ctx: NodeContext, b: Iterable[int], exact: bool = False) -> Weight:
@@ -279,12 +348,16 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     Also checks, for each node a whose variable's vertex v lies in B, that
     the positive out-edges land on nodes whose free set still contains
     B minus v. DISes are walked smallest first, and every subset of a DIS
-    is a DIS, so each DIS costs one column built from its subsets' columns.
+    is a DIS, so each DIS's column is built from its subsets' columns.
 
-    The bound at a node depends only on its read mask, so nodes are grouped
-    into read-mask classes and each B's bound is built once per class. All
-    of B's nodes are checked in one pass; only a B with some failing check
-    walks its nodes again, in id order, to word the violations.
+    The DISes that share every vertex but the last form a batch, swept in
+    one pass over the nodes at which their shared prefix P is unread: each
+    node's row holds one lane per batch member (see _rows). At each node
+    whose free set holds P the row is checked in one C-level pass against
+    the bound row of the node's read-mask class, built once per batch, with
+    +inf in the lanes whose vertex is unread but blocked there. Only a batch
+    with some failing check is swept again, keeping its rows, to word its
+    violations per DIS in node-id order.
     """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
@@ -301,6 +374,9 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     for t, h, lab in y.edges:
         if lab > 0:
             side[lab - 1].append((free[t], free[h]))
+    zero: Weight = Fraction(0) if exact else 0.0
+    one: Weight = Fraction(1) if exact else 1.0
+    pad: Weight = zero if exact else tol  # added to each bound
 
     violations: list[str] = []
     pairs = 0
@@ -308,52 +384,78 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     dis_count = 0
     dis = _dis_iter(g, max_dis_size)
     next(dis)  # the empty set
-    base, all_steps = _base_columns(y, exact)
-    # columns of the DISes one size below those being checked, by mask; in float
-    # mode kept as doubles, about a quarter of the memory of a list of floats
-    cols: dict[int, Sequence[Weight]] = {0: base}
+    steps, lastp = _steps(y, exact)
+    # columns of the DISes one size below those being checked (cols) and of
+    # those being checked, when a larger size follows (nxt), by mask
+    cols: dict[int, _Col] = {0: (_totals(y, steps, lastp, exact), 1, 0)}
+    nxt: dict[int, _Col] = {}
     size = 1
-    # (prefix, the steps at which it is unread, the nodes whose free set holds it)
-    # for each prefix of the DIS being checked; each one filters the one before
-    chain = [((), all_steps, list(range(y.num_nodes)))]
-    for combo in dis:
-        dis_count += 1
-        if len(combo) > size:
+    # (prefix, the steps at which it is unread, the nodes whose free set holds
+    # it, its bound factor per class) for each prefix of the batch being
+    # checked; each one is made from the one before
+    chain = [((), steps, list(range(y.num_nodes)), [one] * len(classes))]
+    for prefix, batch in itertools.groupby(dis, itemgetter(slice(-1))):
+        lasts = [combo[-1] for combo in batch]
+        dis_count += len(lasts)
+        if len(prefix) == size:
             size += 1
-            cols = {m: c for m, c in cols.items() if m.bit_count() == size - 1}
-        prefix = combo[:-1]
+            cols, nxt = nxt, {}
         if prefix != chain[-1][0]:
             while prefix[:len(chain[-1][0])] != chain[-1][0]:
                 chain.pop()
             for v in prefix[len(chain[-1][0]):]:
-                p, st, nd = chain[-1]
+                p, st, nd, lim = chain[-1]
                 chain.append((p + (v,), [s for s in st if not read[s[0]] >> v & 1],
-                              [a for a in nd if free[a] >> v & 1]))
-        _, prefix_steps, prefix_nodes = chain[-1]
-        bmask = sum(1 << v for v in combo)
-        last = combo[-1]
-        steps = [s for s in prefix_steps if not read[s[0]] >> last & 1]
-        cov_at = _column(y, bmask, steps, {x: cols[bmask ^ 1 << x] for x in combo}, exact)
-        nodes = [a for a in prefix_nodes if free[a] >> last & 1]
-        if size < max_dis_size:
-            cols[bmask] = cov_at if exact else array("d", cov_at)
-        pairs += len(nodes)
-        lim = fcol[combo[0]]
-        for v in combo[1:]:
-            lim = list(map(mul, lim, fcol[v]))
-        if not exact:
-            lim = [rw + tol for rw in lim]
-        bad = any(map(gt, map(cov_at.__getitem__, nodes),
-                      map(lim.__getitem__, map(cls.__getitem__, nodes))))
-        for v in combo:
-            rest = bmask ^ 1 << v
-            for free_t, free_h in side[v]:
-                if free_t & bmask == bmask:
-                    side_checks += 1
-                    bad = bad or free_h & rest != rest
+                              [a for a in nd if free[a] >> v & 1],
+                              list(map(mul, lim, fcol[v]))))
+        _, prefix_steps, holders, lim = chain[-1]
+        pmask, lane_of, sub, head = _batch(prefix, lasts, cols)
+        lmask = sum(1 << v for v in lasts)
+        width = len(lasts)
+        zrow = [zero] * width
+        swept = [s for s in prefix_steps if read[s[0]] & lmask != lmask]
+        flat = _flat(y.num_nodes, width, exact) if size < max_dis_size else None
+        bounds: dict[int, list[Weight]] = {}  # by class
+        bad = False
+        for v, row in _rows(y, swept, lastp, pmask, lane_of, sub, head, zrow, zrow):
+            if flat is not None:
+                flat[v * width:(v + 1) * width] = row if exact else array("d", row)
+            fv = free[v]
+            fm = fv & lmask
+            if fm and fv & pmask == pmask:
+                pairs += fm.bit_count()
+                c = cls[v]
+                bound = bounds.get(c)
+                if bound is None:
+                    bound = [lim[c] * fcol[u][c] + pad for u in lasts]
+                    bounds[c] = bound = bound if exact else array("d", bound)
+                blocked = lmask & ~read[v] & ~fv
+                if blocked:
+                    bound = bound[:]
+                    while blocked:
+                        b = blocked & -blocked
+                        blocked ^= b
+                        bound[lane_of[b.bit_length() - 1]] = math.inf
+                bad = bad or any(map(gt, row, bound))
+        for last in lasts:
+            bmask = pmask | 1 << last
+            for v in prefix + (last,):
+                rest = bmask ^ 1 << v
+                for free_t, free_h in side[v]:
+                    if free_t & bmask == bmask:
+                        side_checks += 1
+                        bad = bad or free_h & rest != rest
         if bad:
-            violations += _deepcover_violations(y, combo, nodes, cov_at, fcol, cls, free,
-                                                tol, exact)
+            kept = [zrow] * y.num_nodes
+            for v, row in _rows(y, swept, lastp, pmask, lane_of, sub, head, zrow, zrow):
+                kept[v] = row
+            for j, last in enumerate(lasts):
+                violations += _deepcover_violations(
+                    y, prefix + (last,), [a for a in holders if free[a] >> last & 1],
+                    [row[j] for row in kept], fcol, cls, free, tol, exact)
+        if flat is not None:
+            for j, last in enumerate(lasts):
+                nxt[pmask | 1 << last] = (flat, width, j)
     return DeepcoverReport(
         nodes=y.num_nodes,
         dis_count=dis_count,

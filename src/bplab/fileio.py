@@ -10,8 +10,9 @@ always serializes to the same bytes.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
-from .bp import Nrobp, _find_cycle, _topological_order
+from .bp import Nfbdd, Nrobp, _find_cycle, _topological_order
 from .covers import CutCoverCertificate
 from .graphs import Graph, MonotoneCnf
 from .instances import FamilyParams, LabeledTree, TreeDecomposition
@@ -177,34 +178,45 @@ def parse_td(text: str) -> tuple[TreeDecomposition, dict[str, int] | None]:
 
 # -------------------------------------------------------------- programs
 
-def _label_str(lab: int | None) -> str:
-    if lab is None:
-        return "."
-    return f"+{lab - 1}" if lab > 0 else f"-{-lab - 1}"
+_CHUNK_NODES = 4096  # tails per chunk of bp_lines
 
 
-def write_bp(z: Nrobp) -> str:
-    """Header 'bp <nodes> <edges> <vars> <root> <leaf>', then edge lines.
+def bp_lines(z: Nrobp) -> Iterator[str]:
+    """write_bp's text in chunks of whole lines, each line ending in a newline.
 
     Nodes are renumbered into topological order, so the root is always 0
-    and the leaf num_nodes - 1. Labels are '+v', '-v' (0-based variable
-    ids) or '.' for unlabeled edges. A cyclic program has no such order
-    and is rejected.
+    and the leaf num_nodes - 1. The header is 'bp <nodes> <edges> <vars>
+    <root> <leaf>'; then come edge lines '<tail> <head> <label>', sorted by
+    tail, head and label. Labels are '+v', '-v' (0-based variable ids) or
+    '.' for unlabeled edges. A cyclic program has no such order and is
+    rejected at the first chunk.
     """
-    order = _topological_order(z)
+    order = z.order if isinstance(z, Nfbdd) else _topological_order(z)  # an Nfbdd keeps its own
     if order is None:
         raise ValueError(
             f"cannot write a cyclic program: cycle through nodes {_find_cycle(z)}")
     newid = [0] * z.num_nodes
     for idx, v in enumerate(order):
         newid[v] = idx
-    rows = sorted(
-        (newid[t], newid[h], lab is None, lab or 0, _label_str(lab))
-        for t, h, lab in z.edges)
-    lines = [f"bp {z.num_nodes} {len(z.edges)} {z.num_vars} "
-             f"{newid[z.root]} {newid[z.leaf]}"]
-    lines.extend(f"{t} {h} {s}" for t, h, _, _, s in rows)
-    return "\n".join(lines) + "\n"
+    edges = z.edges
+    out_edges = z.out_edges
+    yield f"bp {z.num_nodes} {len(edges)} {z.num_vars} {newid[z.root]} {newid[z.leaf]}\n"
+    # an edge sorts by tail, head and rank: its label, or for None one more than any label
+    none = z.num_vars + 1
+    text = {none: "."}
+    for v in range(z.num_vars):
+        text[v + 1] = f"+{v}"
+        text[-v - 1] = f"-{v}"
+    for start in range(0, z.num_nodes, _CHUNK_NODES):
+        rows = sorted((t, newid[h], none if lab is None else lab)
+                      for t in range(start, min(start + _CHUNK_NODES, z.num_nodes))
+                      for _, h, lab in map(edges.__getitem__, out_edges[order[t]]))
+        yield "".join([f"{t} {h} {text[rank]}\n" for t, h, rank in rows])
+
+
+def write_bp(z: Nrobp) -> str:
+    """The program as text; see bp_lines for the format."""
+    return "".join(bp_lines(z))
 
 
 def _parse_label(tok: str, ln: int, num_vars: int) -> int | None:

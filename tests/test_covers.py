@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -403,13 +404,15 @@ def test_verify_deepcover_violations_on_all_positive_chain():
 
 def test_path_weight_total_builds_the_totals_once(monkeypatch):
     built = []
-    column = bplab.covers._column
+    rows = bplab.covers._rows
 
-    def counting(y, bmask, steps, sub, exact):
-        built.append((bmask, exact))
-        return column(y, bmask, steps, sub, exact)
+    def counting(y, steps, lastp, pmask, lane_of, sub, head, zrow, leaf):
+        # the sets one sweep builds: pmask plus each lane's vertex, or pmask alone
+        sets = [pmask | 1 << v for v in lane_of] or [pmask]
+        built.extend((b, isinstance(zrow[0], Fraction)) for b in sets)
+        return rows(y, steps, lastp, pmask, lane_of, sub, head, zrow, leaf)
 
-    monkeypatch.setattr(bplab.covers, "_column", counting)
+    monkeypatch.setattr(bplab.covers, "_rows", counting)
     y = _compiled(cycle_graph(8))
     for _ in range(2):
         for exact in (False, True):
@@ -471,6 +474,29 @@ def _shuffled_id_diagrams():
                            p[y.root], p[y.leaf], y.num_vars)
 
 
+def _shuffled_order_diagrams():
+    """(g, diagram) for random graphs with 8 to 10 vertices compiled under
+    shuffled variable orders: as compiled, with node ids shuffled, and with
+    the labels of a quarter of the two-way nodes swapped, which keeps the
+    diagram uniform but breaks the bound or a side check at some nodes."""
+    rng = random.Random(8)
+    for n in (8, 9, 10):
+        for seed in range(2):
+            g = random_connected_graph(n, 1000 * n + seed, 3 + seed)
+            order = list(range(n))
+            rng.shuffle(order)
+            y = nfbdd_compile(cnf_from_graph(g), order)
+            yield g, y
+            p = list(range(y.num_nodes))
+            rng.shuffle(p)
+            yield g, Nfbdd(y.num_nodes, [(p[t], p[h], lab) for t, h, lab in y.edges],
+                           p[y.root], p[y.leaf], y.num_vars)
+            flip = {v for v in range(y.num_nodes)
+                    if len(y.out_edges[v]) == 2 and rng.random() < 0.25}
+            yield g, Nfbdd(y.num_nodes, [(t, h, -lab if t in flip else lab)
+                                         for t, h, lab in y.edges], y.root, y.leaf, y.num_vars)
+
+
 def test_verify_deepcover_matches_per_dis_tables_with_shuffled_ids():
     # node ids out of topological order: pairs and violations still come by node id
     violations = 0
@@ -482,6 +508,22 @@ def test_verify_deepcover_matches_per_dis_tables_with_shuffled_ids():
                                                       exact=exact)
                 violations += len(got.violations)
     assert violations > 0
+    # vertices read in shuffled orders, so a DIS's last vertex is often read
+    # before the others; and DISes sharing all but their last vertex of
+    # which some fail and some pass
+    partly = 0
+    for g, z in _shuffled_order_diagrams():
+        for size in (1, 2, 3):
+            for exact in (False, True):
+                got = verify_deepcover(z, g, max_dis_size=size, exact=exact)
+                assert got == deepcover_by_dis_tables(z, g, max_dis_size=size,
+                                                      exact=exact), (g.edges, size, exact)
+        failing = {tuple(map(int, re.findall(r"\d+", m.split("B=")[1].split("]")[0])))
+                   for m in got.violations if "B=" in m}
+        prefixes = {b[:-1] for b in failing}
+        partly += any(b[:-1] in prefixes and b not in failing
+                      for b in bplab.covers._dis_iter(g, 3))
+    assert partly > 0
 
 
 def test_node_masks_are_walked_once_per_diagram(monkeypatch):
