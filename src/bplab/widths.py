@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable
 
 from .graphs import Graph, Matching, _closed_edge_mask
@@ -99,7 +100,61 @@ def _cross_matching_pairs(g: Graph, pmask: int, limit: int | None = None) -> dic
 
 
 def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None) -> int:
-    return len(_cross_matching_pairs(g, pmask, limit))
+    """Size of a maximum matching over cut edges, or limit once it has that many.
+
+    A greedy pass matches each prefix vertex, lowest first, to its lowest
+    free suffix neighbour. Augmenting searches then start only from the
+    prefix vertices it left unmatched; a failed search keeps its visited
+    suffix vertices, as no augmenting path runs through them until the
+    matching changes. Only the size is kept, so no pairs are returned.
+    """
+    if limit == 0:
+        return 0
+    smask = ((1 << g.n) - 1) & ~pmask
+    nbr = g.nbr_mask
+    free = smask
+    mate: dict[int, int] = {}  # suffix vertex bit -> prefix vertex
+    left = []
+    size = 0
+    t = pmask
+    while t:
+        b = t & -t
+        t ^= b
+        u = b.bit_length() - 1
+        cand = nbr[u] & free
+        if cand:
+            vb = cand & -cand
+            free ^= vb
+            mate[vb] = u
+            size += 1
+            if size == limit:
+                return size
+        elif nbr[u] & smask:
+            left.append(u)
+    visited = 0
+    for u in left:
+        cand = nbr[u] & smask & ~visited
+        path: list[tuple[int, int]] = []  # (prefix, suffix bit) hops of the search
+        while cand:
+            vb = cand & -cand
+            visited |= vb
+            if vb & free:
+                free ^= vb
+                mate[vb] = u
+                for pu, pb in path:
+                    mate[pb] = pu
+                size += 1
+                if size == limit:
+                    return size
+                visited = 0
+                break
+            path.append((u, vb))
+            u = mate[vb]
+            cand = nbr[u] & smask & ~visited
+            while not cand and path:
+                u = path.pop()[0]
+                cand = nbr[u] & smask & ~visited
+    return size
 
 
 def max_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
@@ -109,7 +164,7 @@ def max_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
 
 
 def cut_matching_size(g: Graph, part: PrefixPartition) -> int:
-    return len(max_cross_matching(g, part))
+    return _cut_size_mask(g, _check_partition(g, part))
 
 
 def _compat_masks(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -357,7 +412,7 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
 
 def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
     """Exact matching width with a witness order and its per-prefix cuts."""
-    return _subset_dp(g, lambda s, k: _cut_size_mask(g, s, k), cap)
+    return _subset_dp(g, partial(_cut_size_mask, g), cap)
 
 
 def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,

@@ -21,7 +21,6 @@ from bplab.widths import (
     WidthResult,
     _compat_masks,
     _cross_matching_pairs,
-    _cut_size_mask,
     dmw_exact,
     max_distant_cross_matching,
 )
@@ -636,7 +635,7 @@ def cut_cover_by_paths(z: Nrobp, g: Graph, path_cap: int = 20000,
             res = qual.get(mask, missing)
             if res is missing:
                 res = None
-                if _cut_size_mask(g, mask, d) >= d:
+                if len(_cross_matching_pairs(g, mask, d)) >= d:
                     prefix = [v for v in range(g.n) if mask >> v & 1]
                     m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
                     if len(m) >= d:

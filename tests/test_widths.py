@@ -85,6 +85,13 @@ def test_cut_matching_on_deep_augmenting_searches():
     # matched so far, up to 1500 hops deep, before its right neighbour
     g = path_graph(3000)
     part = PrefixPartition.split(g, range(0, 3000, 2))
+    assert len(max_cross_matching(g, part)) == 1500
+    # the same path relabelled: prefix vertex 2999 - i sits between
+    # suffix vertices i - 1 and i, so the greedy pass leaves only vertex
+    # 2999 unmatched and its one augmenting path runs through all 1500
+    g = Graph(3000, [e for i in range(1500) for e in ((i, 2999 - i), (i - 1, 2999 - i))
+                     if e[0] >= 0])
+    part = PrefixPartition.split(g, range(1500, 3000))
     assert cut_matching_size(g, part) == 1500
 
 
@@ -129,14 +136,41 @@ def test_width_witnesses_are_consistent():
 def test_capped_cuts_are_the_cut_or_the_cap():
     for g in atlas_connected(2, 6):
         edge_order, compat = widths._compat_masks(g)
-        for mask in range(1, 1 << g.n):
+        for mask in range(1 << g.n):
             prefix = [v for v in range(g.n) if mask >> v & 1]
             mw_cut = cut_matching_size_oracle(g, prefix)
             cand = cut_edges_by_scan(edge_order, mask)
             dmw_cut = max_distant_cross_oracle(g, prefix)
             for k in range(4):
-                assert widths._cut_size_mask(g, mask, k) == min(mw_cut, k)
                 assert widths._max_compatible_subset(cand, compat, k)[0] == min(dmw_cut, k)
+            assert widths._cut_size_mask(g, mask) == mw_cut
+            for k in range(6):
+                assert widths._cut_size_mask(g, mask, k) == min(mw_cut, k)
+
+
+def test_cut_sizes_on_random_prefixes_up_to_the_cap():
+    graphs = [random_connected_graph(n, 50 * n + d, d) for n in (8, 12, 16, 19, 22)
+              for d in (3, 5)]
+    graphs += [Graph(2 * a, [(i, a + j) for i in range(a) for j in range(a)])
+               for a in (3, 7, 11)]
+    graphs += [Graph(2 * a, [(2 * i, 2 * j + 1) for i in range(a) for j in range(a)])
+               for a in (4, 11)]
+    rng = random.Random(15)
+    for g in graphs:
+        for _ in range(150):
+            mask = rng.getrandbits(g.n)
+            cut = cut_matching_size_oracle(g, [v for v in range(g.n) if mask >> v & 1])
+            assert widths._cut_size_mask(g, mask) == cut, (g.edges, mask)
+            for k in range(6):
+                assert widths._cut_size_mask(g, mask, k) == min(cut, k), (g.edges, mask, k)
+
+
+def test_cut_size_augments_past_the_greedy_pass():
+    # the greedy pass matches 0 to 2 and leaves 1 unmatched; only the
+    # augmenting path 1 -> 2 -> 0 -> 3 reaches a matching of size 2
+    g = Graph(4, [(0, 2), (0, 3), (1, 2)])
+    assert [widths._cut_size_mask(g, 0b0011, k) for k in (None, 0, 1, 2, 3)] == [2, 0, 1, 2, 2]
+    assert cut_matching_size_oracle(g, [0, 1]) == 2
 
 
 def test_compatible_subsets_equal_the_recursive_search():
@@ -207,20 +241,20 @@ def test_search_evaluates_few_cuts_on_the_family_graph(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(widths, "_cross_matching_pairs",
-                        counted("mw", widths._cross_matching_pairs))
+    monkeypatch.setattr(widths, "_cut_size_mask", counted("mw", widths._cut_size_mask))
     monkeypatch.setattr(widths, "_max_compatible_subset",
                         counted("dmw", widths._max_compatible_subset))
     assert mw_exact(g).value == 3
     assert dmw_exact(g).value == 1
     assert 0 < calls["mw"] < 2 ** 18 // 10
     assert 0 < calls["dmw"] < 2 ** 18 // 10
+    assert calls["mw"] == 1462
 
 
 def _counted_cuts(monkeypatch):
     """Count mw and dmw cut evaluations by wrapping the two cut searches."""
     calls = {"mw": 0, "dmw": 0}
-    for name, attr in (("mw", "_cross_matching_pairs"), ("dmw", "_max_compatible_subset")):
+    for name, attr in (("mw", "_cut_size_mask"), ("dmw", "_max_compatible_subset")):
         def wrapper(*args, name=name, fn=getattr(widths, attr)):
             calls[name] += 1
             return fn(*args)
