@@ -628,6 +628,8 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
     if d is None:
         tables = _distant_tables(g)
         d = _dmw_of_tables(g, tables).value
+    elif d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
     if d == 0:
         raise ValueError("graph has no edges, nothing to certify")
 

@@ -62,58 +62,24 @@ def _check_partition(g: Graph, part: PrefixPartition) -> int:
     return mask
 
 
-def _cross_matching_pairs(g: Graph, pmask: int, limit: int | None = None) -> dict[int, int]:
-    """Maximum matching over cut edges by augmenting paths; suffix vertex -> prefix vertex.
-
-    Prefix vertices are matched lowest first, each by a depth-first search
-    that tries the lowest unvisited suffix neighbour first. With a limit,
-    the search stops once the matching has `limit` edges.
-    """
-    smask = ((1 << g.n) - 1) & ~pmask
-    nbr = g.nbr_mask
-    match_to: dict[int, int] = {}
-    t = pmask
-    while t and len(match_to) != limit:
-        b = t & -t
-        t ^= b
-        u = b.bit_length() - 1
-        cand = nbr[u] & smask
-        visited = 0
-        path: list[tuple[int, int]] = []  # (prefix, suffix) hops of the search
-        while cand:
-            vb = cand & -cand
-            visited |= vb
-            v = vb.bit_length() - 1
-            w = match_to.get(v)
-            if w is None:
-                match_to[v] = u
-                for pu, pv in path:
-                    match_to[pv] = pu
-                break
-            path.append((u, v))
-            u = w
-            cand = nbr[u] & smask & ~visited
-            while not cand and path:
-                u = path.pop()[0]
-                cand = nbr[u] & smask & ~visited
-    return match_to
-
-
-def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None) -> int:
+def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None,
+                   mate: dict[int, int] | None = None) -> int:
     """Size of a maximum matching over cut edges, or limit once it has that many.
 
     A greedy pass matches each prefix vertex, lowest first, to its lowest
     free suffix neighbour. Augmenting searches then start only from the
     prefix vertices it left unmatched; a failed search keeps its visited
     suffix vertices, as no augmenting path runs through them until the
-    matching changes. Only the size is kept, so no pairs are returned.
+    matching changes. The matching is kept as suffix vertex bit -> prefix
+    vertex, in mate when the caller passes a dict to fill.
     """
     if limit == 0:
         return 0
     smask = ((1 << g.n) - 1) & ~pmask
     nbr = g.nbr_mask
     free = smask
-    mate: dict[int, int] = {}  # suffix vertex bit -> prefix vertex
+    if mate is None:
+        mate = {}
     left = []
     size = 0
     t = pmask
@@ -158,27 +124,40 @@ def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None) -> int:
 
 
 def max_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
-    pmask = _check_partition(g, part)
-    pairs = _cross_matching_pairs(g, pmask)
-    return Matching(tuple((u, v) for v, u in sorted(pairs.items())))
+    mate: dict[int, int] = {}
+    _cut_size_mask(g, _check_partition(g, part), mate=mate)
+    return Matching(tuple((u, vb.bit_length() - 1) for vb, u in mate.items()))
 
 
 def cut_matching_size(g: Graph, part: PrefixPartition) -> int:
     return _cut_size_mask(g, _check_partition(g, part))
 
 
-def _compat_masks(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Edges reordered by (degree sum, lexicographic), plus pairwise-distant masks."""
+def _compat_masks(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[int]]:
+    """Edges reordered by (degree sum, lexicographic), their pairwise-distant
+    masks, and per vertex the edges (as bits of that order) that touch it.
+
+    Edge f is distant from e = (u, v) exactly when f touches no N[z] for z
+    in N[u] or N[v]. With near[x] the edges touching N[x], e's mask is every
+    edge but the OR of near[z] over those z: O((n + E) * degree) mask ORs.
+    """
     order = sorted(g.edges, key=lambda e: (g.degree(e[0]) + g.degree(e[1]), e))
-    closed = [_closed_edge_mask(g, e) for e in order]
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(order):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    near = inc[:]
+    for x, nbrs in enumerate(g.adj):
+        for y in nbrs:
+            near[x] |= inc[y]
+    full = (1 << len(order)) - 1
     compat = []
-    for i in range(len(order)):
+    for u, v in order:
         m = 0
-        for j in range(len(order)):
-            if i != j and not closed[i] & closed[j]:
-                m |= 1 << j
-        compat.append(m)
-    return tuple(order), tuple(compat)
+        for z in (u, v, *g.adj[u], *g.adj[v]):
+            m |= near[z]
+        compat.append(full ^ m)
+    return tuple(order), tuple(compat), inc
 
 
 def _max_compatible_subset(cand: int, compat: tuple[int, ...],
@@ -236,16 +215,13 @@ def _max_compatible_subset(cand: int, compat: tuple[int, ...],
     return best, best_set
 
 
-def _cut_edge_tables(g: Graph, edge_order: tuple[tuple[int, int], ...]) -> list[list[int]]:
-    """Per 8-vertex chunk and byte value, the edges (as bits of edge_order) with
-    one end among the chunk's vertices in that byte and the other outside them."""
-    inc = [0] * g.n  # per vertex, the edges that touch it
-    for i, (u, v) in enumerate(edge_order):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
+def _cut_edge_tables(inc: list[int]) -> list[list[int]]:
+    """Per 8-vertex chunk and byte value, the edges with one end among the
+    chunk's vertices in that byte and the other outside them; inc holds,
+    per vertex, the edges that touch it."""
     tables = []
-    for lo in range(0, g.n, 8):
-        tab = [0] * (1 << min(8, g.n - lo))
+    for lo in range(0, len(inc), 8):
+        tab = [0] * (1 << min(8, len(inc) - lo))
         for byte in range(1, len(tab)):
             b = byte & -byte
             tab[byte] = tab[byte ^ b] ^ inc[lo + b.bit_length() - 1]
@@ -273,9 +249,9 @@ _DistantTables = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[list[i
 
 
 def _distant_tables(g: Graph) -> _DistantTables:
-    """Edge order, compatibility masks and cut-edge tables; O(edges^2), build once."""
-    edge_order, compat = _compat_masks(g)
-    return edge_order, compat, _cut_edge_tables(g, edge_order)
+    """Edge order, compatibility masks and cut-edge tables; build once."""
+    edge_order, compat, inc = _compat_masks(g)
+    return edge_order, compat, _cut_edge_tables(inc)
 
 
 def _distant_matching_of_mask(tables: _DistantTables, pmask: int,

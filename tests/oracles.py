@@ -19,8 +19,7 @@ from bplab.graphs import Graph, Matching, cnf_from_graph, is_dis
 from bplab.widths import (
     PrefixPartition,
     WidthResult,
-    _compat_masks,
-    _cross_matching_pairs,
+    _cut_size_mask,
     dmw_exact,
     max_distant_cross_matching,
 )
@@ -179,7 +178,7 @@ def width_by_full_subset_dp(g, cut_of_mask, cap=22):
 
 def mw_by_full_subset_dp(g):
     """Matching width over all subsets, with the package's uncapped cut matching."""
-    return width_by_full_subset_dp(g, lambda s: len(_cross_matching_pairs(g, s)))
+    return width_by_full_subset_dp(g, lambda s: _cut_size_mask(g, s))
 
 
 def cut_edges_by_scan(edge_order, s):
@@ -191,9 +190,25 @@ def cut_edges_by_scan(edge_order, s):
     return cand
 
 
+def compat_masks_by_pairs(g):
+    """Edges by (degree sum, lexicographic) and, per edge, the edges distant
+    from it (as bits of that order), by comparing every pair of closed
+    neighbourhoods."""
+    order = sorted(g.edges, key=lambda e: (g.degree(e[0]) + g.degree(e[1]), e))
+    closed = [{u, v, *g.neighbors(u), *g.neighbors(v)} for u, v in order]
+    compat = []
+    for i in range(len(order)):
+        m = 0
+        for j in range(len(order)):
+            if i != j and not closed[i] & closed[j]:
+                m |= 1 << j
+        compat.append(m)
+    return tuple(order), tuple(compat)
+
+
 def dmw_by_full_subset_dp(g):
     """Distant matching width over all subsets; cut edges found by scanning every edge."""
-    edge_order, compat = _compat_masks(g)
+    edge_order, compat = compat_masks_by_pairs(g)
 
     def cut(s):
         return max_compatible_subset_by_recursion(cut_edges_by_scan(edge_order, s), compat)[0]
@@ -635,7 +650,7 @@ def cut_cover_by_paths(z: Nrobp, g: Graph, path_cap: int = 20000,
             res = qual.get(mask, missing)
             if res is missing:
                 res = None
-                if len(_cross_matching_pairs(g, mask, d)) >= d:
+                if _cut_size_mask(g, mask, d) >= d:
                     prefix = [v for v in range(g.n) if mask >> v & 1]
                     m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
                     if len(m) >= d:

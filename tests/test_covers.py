@@ -292,6 +292,11 @@ def test_extract_cut_cover_rejections():
     trivial = Nrobp(2, [(0, 1, 1), (0, 1, -1)], 0, 1, 1)
     with pytest.raises(ValueError, match="graph has no edges, nothing to certify"):
         extract_cut_cover(trivial, Graph(1, []))
+    c8 = cycle_graph(8)
+    y = _compiled(c8)
+    for d in (0, -1):
+        with pytest.raises(ValueError, match=f"d must be at least 1, got {d}"):
+            extract_cut_cover(y, c8, d=d)
 
 
 def _outcome(f, *args, **kwargs):

@@ -26,6 +26,7 @@ from bplab import (
 )
 from oracles import (
     atlas_connected,
+    compat_masks_by_pairs,
     cut_edges_by_scan,
     cut_matching_size_oracle,
     dmw_by_full_subset_dp,
@@ -135,7 +136,7 @@ def test_width_witnesses_are_consistent():
 
 def test_capped_cuts_are_the_cut_or_the_cap():
     for g in atlas_connected(2, 6):
-        edge_order, compat = widths._compat_masks(g)
+        edge_order, compat, _ = widths._compat_masks(g)
         for mask in range(1 << g.n):
             prefix = [v for v in range(g.n) if mask >> v & 1]
             mw_cut = cut_matching_size_oracle(g, prefix)
@@ -171,6 +172,7 @@ def test_cut_size_augments_past_the_greedy_pass():
     g = Graph(4, [(0, 2), (0, 3), (1, 2)])
     assert [widths._cut_size_mask(g, 0b0011, k) for k in (None, 0, 1, 2, 3)] == [2, 0, 1, 2, 2]
     assert cut_matching_size_oracle(g, [0, 1]) == 2
+    assert max_cross_matching(g, PrefixPartition.split(g, [0, 1])) == Matching(((0, 3), (1, 2)))
 
 
 def test_compatible_subsets_equal_the_recursive_search():
@@ -181,12 +183,20 @@ def test_compatible_subsets_equal_the_recursive_search():
             cases.append((random_connected_graph(n, 100 * n + d, d),
                           [rng.getrandbits(n) for _ in range(200)]))
     for g, masks in cases:
-        edge_order, compat = widths._compat_masks(g)
+        edge_order, compat, _ = widths._compat_masks(g)
         for mask in masks:
             cand = cut_edges_by_scan(edge_order, mask)
             for limit in (None, 0, 1, 2, 3, 4):
                 assert (widths._max_compatible_subset(cand, compat, limit)
                         == max_compatible_subset_by_recursion(cand, compat, limit)), g.edges
+
+
+def test_compat_masks_equal_the_pair_loop():
+    graphs = atlas_connected(1, 7)
+    graphs += [random_connected_graph(n, 30 * n + d, d) for n in range(2, 41, 2) for d in (3, 5)]
+    graphs += [_family(k, r) for k, r in ((6, 4), (10, 3), (6, 7), (10, 4))]
+    for g in graphs:
+        assert widths._compat_masks(g)[:2] == compat_masks_by_pairs(g), g.edges
 
 
 def test_table_cut_edges_at_chunk_boundaries():
@@ -195,8 +205,8 @@ def test_table_cut_edges_at_chunk_boundaries():
     graphs.append(cycle_graph(22))
     rng = random.Random(8)
     for g in graphs:
-        edge_order, _ = widths._compat_masks(g)
-        tables = widths._cut_edge_tables(g, edge_order)
+        edge_order, _, inc = widths._compat_masks(g)
+        tables = widths._cut_edge_tables(inc)
         assert len(tables) == (g.n + 7) // 8
         masks = range(1 << g.n) if g.n <= 9 else [rng.getrandbits(g.n) for _ in range(500)]
         for mask in masks:
