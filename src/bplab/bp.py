@@ -655,23 +655,36 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
     DP over subsets: the forced masks at a level depend only on the set
     of variables read, so level costs add up along any order. Reading x
     costs one edge from a mask that forces x and two otherwise.
+
+    The forced masks after reading s are one 2^n-bit int, bit f set when
+    mask f is a state; hi[x] has bit f set when mask f has bit x. Reading
+    x keeps the states without x, moves those with x down by 2^x, and
+    forces the unread neighbours of x into the states without x, one
+    shift per neighbour. Every x in s leads to the same set, so it is
+    built from the lowest.
     """
     n = cnf.num_vars
     if n > cap:
         raise ValueError(f"{n} variables exceed the order-search cap {cap}")
     nbr = primal_graph(cnf).nbr_mask
     full = (1 << n) - 1
-    states = [[0]] * (full + 1)  # forced masks by read mask
+    width = 1 << n
+    ones = (1 << width) - 1
+    hi = []
+    for x in range(n):
+        span = 1 << x
+        pattern = ((1 << span) - 1) << span  # one period: 2^x clear, then 2^x set
+        period = 2 * span
+        while period < width:
+            pattern |= pattern << period
+            period *= 2
+        hi.append(pattern)
+    lo = [ones ^ h for h in hi]
+    states = [1] * (full + 1)  # forced-mask sets by read mask
+    base = [2] * (full + 1)  # cost plus two edges per state, by read mask
     cost = [0] * (full + 1)
     choice = [-1] * (full + 1)
     for s in range(1, full + 1):
-        low = s & -s
-        nxt = set()
-        for f in states[s ^ low]:
-            nxt.add(f & ~low)
-            if not f & low:
-                nxt.add((f | nbr[low.bit_length() - 1]) & ~s & full)
-        states[s] = list(nxt)
         best = -1
         bx = -1
         t = s
@@ -679,14 +692,25 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
             bit = t & -t
             t ^= bit
             x = bit.bit_length() - 1
-            prev = states[s ^ bit]
-            step = 2 * len(prev) - (sum(map(bit.__and__, prev)) >> x)
-            val = cost[s ^ bit] + step
+            val = base[s ^ bit] - (states[s ^ bit] & hi[x]).bit_count()
             if best < 0 or val < best:
                 best = val
                 bx = x
         cost[s] = best
         choice[s] = bx
+        low = s & -s
+        x = low.bit_length() - 1
+        prev = states[s ^ low]
+        keep = prev & lo[x]
+        neg = keep
+        t = nbr[x] & ~s
+        while t:
+            bit = t & -t
+            t ^= bit
+            y = bit.bit_length() - 1
+            neg = (neg & hi[y]) | (neg & lo[y]) << bit
+        states[s] = nxt = keep | (prev & hi[x]) >> low | neg
+        base[s] = best + 2 * nxt.bit_count()
     order: list[int] = []
     s = full
     while s:

@@ -175,6 +175,10 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     import warnings
 
+    if args.r_min > args.r_max:
+        print(f"error: --r-min {args.r_min} exceeds --r-max {args.r_max}; "
+              "the sweep has no rows", file=sys.stderr)
+        return 2
     rows: list[list[str]] = []
     stats: list[dict] = []
     a5 = constants(5).a_x
@@ -222,7 +226,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             "k": args.k, "r": r, "n": g.n, "nodes": nodes, "edges": edges,
             "widest_level": max(widths, default=1),
             "mean_level_width": round(nodes / (g.n + 1), 4),
-            "materialised": certified, "slope": slope,
+            "materialised": certified, "order": "natural" if order is None else "best",
+            "slope": slope,
         })
         prev_edges, prev_nodes, prev_n = edges, nodes, g.n
         rows.append([str(args.k), str(r), str(params.n), str(edges), str(nodes),

@@ -15,7 +15,7 @@ import networkx as nx
 
 from bplab.bp import BpReport, Nrobp, _find_cycle, _var_of, _witness_double_read, is_uniform
 from bplab.covers import CutCoverCertificate, DeepcoverReport, constants
-from bplab.graphs import Graph, Matching, cnf_from_graph, is_dis
+from bplab.graphs import Graph, Matching, cnf_from_graph, is_dis, primal_graph
 from bplab.widths import (
     PrefixPartition,
     WidthResult,
@@ -314,6 +314,54 @@ def compile_by_clause_sets(cnf, order=None):
                 edges.append((t, ids[li + 1][neg], -(x + 1)))
     assert levels[-1] == [frozenset()]
     return Nrobp(counter, edges, 0, counter - 1, n)
+
+
+def best_order_by_state_lists(cnf, cap=12):
+    """Reference best_order_size: one list of forced masks per read set.
+
+    DP over subsets: the forced masks at a level depend only on the set
+    of variables read, so level costs add up along any order. Reading x
+    costs one edge from a mask that forces x and two otherwise.
+    """
+    n = cnf.num_vars
+    if n > cap:
+        raise ValueError(f"{n} variables exceed the order-search cap {cap}")
+    nbr = primal_graph(cnf).nbr_mask
+    full = (1 << n) - 1
+    states = [[0]] * (full + 1)  # forced masks by read mask
+    cost = [0] * (full + 1)
+    choice = [-1] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        nxt = set()
+        for f in states[s ^ low]:
+            nxt.add(f & ~low)
+            if not f & low:
+                nxt.add((f | nbr[low.bit_length() - 1]) & ~s & full)
+        states[s] = list(nxt)
+        best = -1
+        bx = -1
+        t = s
+        while t:
+            bit = t & -t
+            t ^= bit
+            x = bit.bit_length() - 1
+            prev = states[s ^ bit]
+            step = 2 * len(prev) - (sum(map(bit.__and__, prev)) >> x)
+            val = cost[s ^ bit] + step
+            if best < 0 or val < best:
+                best = val
+                bx = x
+        cost[s] = best
+        choice[s] = bx
+    order: list[int] = []
+    s = full
+    while s:
+        x = choice[s]
+        order.append(x)
+        s ^= 1 << x
+    order.reverse()
+    return cost[full], tuple(order)
 
 
 def accepted_masks(z):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -38,10 +39,12 @@ from bplab.suites import random_read_once_program
 from oracles import (
     accepted_masks,
     atlas_connected,
+    best_order_by_state_lists,
     compile_by_clause_sets,
     level_key_by_units,
     nfbdd_error_by_sets,
     path_literals,
+    random_connected_graph,
     root_leaf_paths,
     topological_order_by_heap,
     validate_by_bfs,
@@ -310,6 +313,32 @@ def test_best_order_size_matches_permutation_minimum():
         )
         assert best == brute
         assert nfbdd_compile(cnf, order=order).size_edges == best
+
+
+def test_best_order_size_matches_state_lists():
+    """The bitset DP gives the list-of-states DP's cost and witness order."""
+    families = []
+    for k, r in ((6, 0), (6, 1), (10, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            families.append(hard_family_instance(k, r, allow_small_r=True)[0])
+    grid = [(4 * a + b, 4 * a + b + 1) for a in range(3) for b in range(3)]
+    grid += [(4 * a + b, 4 * a + b + 4) for a in range(2) for b in range(4)]
+    named = [
+        path_graph(12), cycle_graph(12), complete_graph(12),
+        Graph(12, [(2 * i, 2 * i + 1) for i in range(6)]),  # 6K2
+        Graph(12, [(0, v) for v in range(1, 12)]),  # the star K1,11
+        Graph(12, grid),  # the 3x4 grid
+        Graph(12, [(a, 6 + b) for a in range(6) for b in range(6)]),  # K6,6
+    ]
+    graphs = atlas_connected(2, 7) + families + named + [
+        random_connected_graph(n, seed, d)
+        for n in range(8, 13) for d in (2, 3, 5) for seed in range(6)]
+    for g in graphs:
+        cnf = cnf_from_graph(g)
+        best, order = best_order_size(cnf)
+        assert (best, order) == best_order_by_state_lists(cnf), g
+        assert compiled_size(cnf, order)[1] == best
 
 
 def test_bp_equivalence():

@@ -376,13 +376,13 @@ def test_experiment_stats_sidecar(tmp_path, capsys):
     rows = json.loads(stats.read_text())["rows"]
     assert rows == [
         {"k": 6, "r": 1, "n": 6, "nodes": 16, "edges": 24, "widest_level": 4,
-         "mean_level_width": 2.2857, "materialised": True, "slope": None},
+         "mean_level_width": 2.2857, "materialised": True, "order": "natural", "slope": None},
         {"k": 6, "r": 2, "n": 14, "nodes": 60, "edges": 93, "widest_level": 10,
-         "mean_level_width": 4.0, "materialised": True, "slope": 1.56},
+         "mean_level_width": 4.0, "materialised": True, "order": "natural", "slope": 1.56},
         {"k": 6, "r": 3, "n": 30, "nodes": 216, "edges": 338, "widest_level": 24,
-         "mean_level_width": 6.9677, "materialised": False, "slope": 1.6807},
+         "mean_level_width": 6.9677, "materialised": False, "order": "natural", "slope": 1.6807},
         {"k": 6, "r": 4, "n": 62, "nodes": 772, "edges": 1211, "widest_level": 58,
-         "mean_level_width": 12.254, "materialised": False, "slope": 1.7546},
+         "mean_level_width": 12.254, "materialised": False, "order": "natural", "slope": 1.7546},
     ]
     for prev, row in zip(rows, rows[1:]):
         growth = math.log(row["nodes"] / prev["nodes"]) / math.log(row["n"] / prev["n"])
@@ -393,3 +393,24 @@ def test_experiment_stats_sidecar(tmp_path, capsys):
     run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "4",
         "--stats", str(tmp_path / "again.json"))
     assert (tmp_path / "again.json").read_bytes() == stats.read_bytes()
+
+
+def test_experiment_best_order_row_and_sidecar(tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    rc, out, err = run(capsys, "experiment", "--k", "10", "--r-min", "1", "--r-max", "1",
+                       "--order", "best", "--stats", str(stats))
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["k,r,n,edges,nodes,best_edges,dmw,q,lb",
+                                "10,1,12,68,46,68,1,2,1.01587301587"]
+    assert [row["order"] for row in json.loads(stats.read_text())["rows"]] == ["best"]
+    # rows above the order-search cap fall back to the natural order, and say so
+    run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "3",
+        "--order", "best", "--stats", str(stats))
+    rows = json.loads(stats.read_text())["rows"]
+    assert [row["order"] for row in rows] == ["best", "natural", "natural"]
+
+
+def test_experiment_empty_height_range_exits_2(capsys):
+    rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "3", "--r-max", "1")
+    assert (rc, out) == (2, "")
+    assert "--r-min 3 exceeds --r-max 1" in err
