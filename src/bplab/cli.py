@@ -40,20 +40,10 @@ MATERIALIZE_LIMIT = 100_000
 BEST_ORDER_LIMIT = 12
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc.strerror}")
-
-
 def _write(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to path one after another, never joined in memory."""
-    try:
-        with open(path, "w") as f:
-            f.writelines(chunks)
-    except OSError as exc:
-        raise SystemExit(f"cannot write {path}: {exc.strerror}")
+    with open(path, "w") as f:
+        f.writelines(chunks)
 
 
 def _write_out(path: str, chunks: Iterable[str]) -> None:
@@ -79,7 +69,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    cnf = parse_cnf(_read(args.cnf))
+    cnf = parse_cnf(Path(args.cnf).read_text())
     order = None
     if args.best_order:
         if cnf.num_vars > min(BEST_ORDER_LIMIT, args.cap_subset):
@@ -104,7 +94,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_width(args: argparse.Namespace, which: str) -> int:
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(Path(args.graph).read_text())
     width = mw_exact if which == "mw" else dmw_exact
     res = width(g, cap=args.cap_subset)
     print(f"{which}={res.value}")
@@ -121,7 +111,7 @@ def cmd_dmw(args: argparse.Namespace) -> int:
 
 
 def cmd_uniformize(args: argparse.Namespace) -> int:
-    z = parse_bp(_read(args.bp))
+    z = parse_bp(Path(args.bp).read_text())
     u = uniformize(z)
     print(f"nodes={z.size_nodes}->{u.size_nodes} "
           f"edges={z.size_edges}->{u.size_edges}")
@@ -148,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_cover(args: argparse.Namespace) -> int:
-    g = parse_graph(_read(args.graph))
+    g = parse_graph(Path(args.graph).read_text())
     q, cover = min_dis_cover(g, args.t, cap=args.cap_vars)
     bound = coverlb_bound(g.max_degree(), args.t)
     print(f"q={q}")
@@ -159,8 +149,8 @@ def cmd_cover(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    z = parse_bp(_read(args.bp))
-    g = parse_graph(_read(args.graph))
+    z = parse_bp(Path(args.bp).read_text())
+    g = parse_graph(Path(args.graph).read_text())
     try:
         cert = extract_cut_cover(z, g)
     except RuntimeError as exc:
@@ -280,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compile", help="compile a monotone 2-CNF into a diagram")
     p.add_argument("--cnf", required=True, help="DIMACS CNF input file")
-    p.add_argument("--order", help="comma-separated variable order")
-    p.add_argument("--best-order", action="store_true",
-                   help="search all orders for the smallest diagram")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--order", help="comma-separated variable order")
+    which.add_argument("--best-order", action="store_true",
+                       help="search all orders for the smallest diagram")
     _add_flags(p, "cap-subset", "out")
     p.set_defaults(func=cmd_compile)
 
@@ -338,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an unreadable input or an unwritable output
+        print(f"error: {exc.filename or 'output'}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _uniform_masks, _valid_order, _var_of
 from .graphs import Graph, Matching, cnf_from_graph, is_dis
-from .widths import _cut_size_mask, _distant_matching_of_mask, _distant_tables, _dmw_of_tables
+from .widths import _compat_masks, _cut_size_mask, _distant_matching_of_mask, dmw_exact
 
 Weight = Union[float, Fraction]
 _BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int(..., 2) reads
@@ -624,16 +624,15 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
     read = z.node_masks()[0] if isinstance(z, Nfbdd) else _uniform_masks(z, order)
     if read is None:
         raise ValueError("program must be uniform")
-    tables = None  # distant-matching tables of g, built at most once
     if d is None:
-        tables = _distant_tables(g)
-        d = _dmw_of_tables(g, tables).value
+        d = dmw_exact(g).value
     elif d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
     if d == 0:
         raise ValueError("graph has no edges, nothing to certify")
 
     neg = [1 << _var_of(lab) if lab is not None and lab < 0 else 0 for _, _, lab in z.edges]
+    masks = None  # g's distant-compatibility masks, built at most once
     qual: dict[int, Matching | None] = {0: None}
     reached = [False] * z.num_nodes
     reached[z.root] = True
@@ -646,9 +645,9 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
             if mask not in qual:
                 qual[mask] = None
                 if _cut_size_mask(g, mask, d) >= d:
-                    if tables is None:
-                        tables = _distant_tables(g)
-                    m = _distant_matching_of_mask(tables, mask)
+                    if masks is None:
+                        masks = _compat_masks(g)
+                    m = _distant_matching_of_mask(masks, mask)
                     if len(m) >= d:
                         qual[mask] = Matching(m.edges[:d])
             if qual[mask] is not None:

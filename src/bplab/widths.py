@@ -133,7 +133,10 @@ def cut_matching_size(g: Graph, part: PrefixPartition) -> int:
     return _cut_size_mask(g, _check_partition(g, part))
 
 
-def _compat_masks(g: Graph) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[int]]:
+_CompatMasks = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[int]]
+
+
+def _compat_masks(g: Graph) -> _CompatMasks:
     """Edges reordered by (degree sum, lexicographic), their pairwise-distant
     masks, and per vertex the edges (as bits of that order) that touch it.
 
@@ -229,43 +232,49 @@ def _cut_edge_tables(inc: list[int]) -> list[list[int]]:
     return tables
 
 
-def _table_cross_edges(tables: list[list[int]], pmask: int, cross_cap: int | None) -> int:
-    """Edges with exactly one end in the prefix pmask, one table lookup per chunk.
+def _check_cross_cap(cand: int, cross_cap: int | None) -> None:
+    """Raise when the cut edges cand exceed cross_cap, unless it is None."""
+    if cross_cap is not None and cand.bit_count() > cross_cap:
+        raise ValueError(
+            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
 
-    An edge with both ends in the prefix is xor-ed in twice and drops out.
-    More than cross_cap such edges raise, unless cross_cap is None.
-    """
+
+def _table_cross_edges(tables: list[list[int]], pmask: int) -> int:
+    """Edges with exactly one end in the prefix pmask, one table lookup per chunk."""
     cand = 0
     for tab in tables:
         cand ^= tab[pmask & 255]
         pmask >>= 8
-    if cross_cap is not None and cand.bit_count() > cross_cap:
-        raise ValueError(
-            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
     return cand
 
 
-_DistantTables = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[list[int]]]
+def _xor_cross_edges(inc: list[int], pmask: int) -> int:
+    """Edges with exactly one end in the prefix pmask, one xor per prefix vertex.
+
+    An edge with both ends in the prefix is xor-ed in twice and drops out.
+    """
+    cand = 0
+    while pmask:
+        b = pmask & -pmask
+        pmask ^= b
+        cand ^= inc[b.bit_length() - 1]
+    return cand
 
 
-def _distant_tables(g: Graph) -> _DistantTables:
-    """Edge order, compatibility masks and cut-edge tables; build once."""
-    edge_order, compat, inc = _compat_masks(g)
-    return edge_order, compat, _cut_edge_tables(inc)
-
-
-def _distant_matching_of_mask(tables: _DistantTables, pmask: int,
+def _distant_matching_of_mask(masks: _CompatMasks, pmask: int,
                               cross_cap: int = CROSS_EDGE_CAP) -> Matching:
-    """Maximum distant matching across the cut of prefix mask pmask."""
-    edge_order, compat, cuts = tables
-    _, chosen = _max_compatible_subset(_table_cross_edges(cuts, pmask, cross_cap), compat)
+    """Maximum distant matching across the cut of prefix mask pmask, on g's _compat_masks."""
+    edge_order, compat, inc = masks
+    cand = _xor_cross_edges(inc, pmask)
+    _check_cross_cap(cand, cross_cap)
+    _, chosen = _max_compatible_subset(cand, compat)
     return Matching(tuple(e for i, e in enumerate(edge_order) if chosen >> i & 1))
 
 
 def max_distant_cross_matching(g: Graph, part: PrefixPartition,
                                cross_cap: int = CROSS_EDGE_CAP) -> Matching:
     pmask = _check_partition(g, part)
-    return _distant_matching_of_mask(_distant_tables(g), pmask, cross_cap)
+    return _distant_matching_of_mask(_compat_masks(g), pmask, cross_cap)
 
 
 def cut_distant_matching_size(g: Graph, part: PrefixPartition,
@@ -399,16 +408,13 @@ def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
     exhaustive branch and bound, those asked for more than 3 edges; the
     direct loops for 1 to 3 edges take any number.
     """
-    return _dmw_of_tables(g, _distant_tables(g), cap, cross_cap)
-
-
-def _dmw_of_tables(g: Graph, tables: _DistantTables, cap: int = SUBSET_DP_CAP,
-                   cross_cap: int = CROSS_EDGE_CAP) -> WidthResult:
-    """dmw_exact on g's distant tables, for callers that keep the tables."""
-    _, compat, cuts = tables
+    _, compat, inc = _compat_masks(g)
+    tables = _cut_edge_tables(inc)
 
     def cut(s: int, k: int) -> int:
-        edges = _table_cross_edges(cuts, s, cross_cap if k > 3 else None)
+        edges = _table_cross_edges(tables, s)
+        if k > 3:
+            _check_cross_cap(edges, cross_cap)
         return _max_compatible_subset(edges, compat, k)[0]
 
     return _subset_dp(g, cut, cap)

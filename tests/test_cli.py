@@ -254,6 +254,31 @@ def test_unread_flags_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.graph")
+    rc, out, err = run(capsys, "mw", "--graph", missing)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = str(blocker / "x")
+    rc, out, err = run(capsys, "gen", "--k", "6", "--r", "1", "--allow-small-r", "--out", out_dir)
+    assert rc == 2
+    assert err == f"error: {out_dir}: Not a directory\n"
+
+
+def test_compile_order_and_best_order_exclude_each_other(tmp_path, capsys):
+    cnf_path = tmp_path / "c4.cnf"
+    cnf_path.write_text(write_cnf(cnf_from_graph(cycle_graph(4))))
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--cnf", str(cnf_path), "--order", "3,2,1,0", "--best-order"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_experiment_frozen_csv(tmp_path, capsys):
     rc, out, err = run(capsys, "experiment", "--k", "6",
                        "--r-min", "1", "--r-max", "5")
@@ -274,18 +299,13 @@ def test_experiment_frozen_csv(tmp_path, capsys):
 def test_experiment_computes_dmw_once_per_row(monkeypatch, capsys):
     sizes = []
     exact = bplab.cli.dmw_exact
-    of_tables = bplab.covers._dmw_of_tables
 
     def counted(g, **kwargs):
         sizes.append(g.n)
         return exact(g, **kwargs)
 
-    def counted_of_tables(g, tables):
-        sizes.append(g.n)
-        return of_tables(g, tables)
-
     monkeypatch.setattr(bplab.cli, "dmw_exact", counted)
-    monkeypatch.setattr(bplab.covers, "_dmw_of_tables", counted_of_tables)
+    monkeypatch.setattr(bplab.covers, "dmw_exact", counted)
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", "3")
     assert rc == 0
     assert out == "".join(EXPECTED_CSV.splitlines(keepends=True)[:4])

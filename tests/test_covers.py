@@ -277,7 +277,7 @@ def test_extract_cut_cover_takes_the_callers_dmw(monkeypatch):
     def no_dmw(*args, **kwargs):
         raise AssertionError("dmw computed although d was given")
 
-    monkeypatch.setattr(bplab.covers, "_dmw_of_tables", no_dmw)
+    monkeypatch.setattr(bplab.covers, "dmw_exact", no_dmw)
     for g, cert in zip(graphs, certs):
         assert extract_cut_cover(_compiled(g), g, d=cert.dmw) == cert
 
@@ -428,7 +428,7 @@ def test_path_weight_total_builds_the_totals_once(monkeypatch):
     assert built[2:] == [(1, False), (16, False), (17, False)]
 
 
-def test_extract_cut_cover_builds_the_distant_tables_once(monkeypatch):
+def test_extract_cut_cover_builds_the_compat_masks_once(monkeypatch):
     compat = bplab.widths._compat_masks
     matched = bplab.covers._distant_matching_of_mask
     built = []
@@ -438,31 +438,38 @@ def test_extract_cut_cover_builds_the_distant_tables_once(monkeypatch):
         built.append(graph.n)
         return compat(graph)
 
-    def matching(tables, pmask):
+    def matching(compat_masks, pmask):
         masks.append(pmask)
-        return matched(tables, pmask)
+        return matched(compat_masks, pmask)
 
-    def per_mask(tables, pmask):  # a whole max_distant_cross_matching per read mask
+    def per_mask(compat_masks, pmask):  # a whole max_distant_cross_matching per read mask
         prefix = [u for u in range(g.n) if pmask >> u & 1]
         return max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+
+    def no_tables(inc):
+        raise AssertionError("cut-edge tables built for single cuts")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g, _ = hard_family_instance(6, 7, allow_small_r=True)
     y = _compiled(g)
     monkeypatch.setattr(bplab.widths, "_compat_masks", counting)
+    monkeypatch.setattr(bplab.covers, "_compat_masks", counting)
     monkeypatch.setattr(bplab.covers, "_distant_matching_of_mask", matching)
+    monkeypatch.setattr(bplab.widths, "_cut_edge_tables", no_tables)
     cert = extract_cut_cover(y, g, d=2)
     assert built == [g.n]
     assert len(set(masks)) == len(masks) > 1
     monkeypatch.setattr(bplab.covers, "_distant_matching_of_mask", per_mask)
     assert extract_cut_cover(y, g, d=2) == cert
-    # without d, the tables that compute dmw also serve the candidate splits
-    monkeypatch.setattr(bplab.covers, "_distant_matching_of_mask", matched)
+    # without d, dmw_exact builds the masks (and its tables) once, the splits once more
+    monkeypatch.undo()
+    monkeypatch.setattr(bplab.widths, "_compat_masks", counting)
+    monkeypatch.setattr(bplab.covers, "_compat_masks", counting)
     c8 = cycle_graph(8)
     built.clear()
     cert = extract_cut_cover(_compiled(c8), c8)
-    assert built == [c8.n]
+    assert built == [c8.n, c8.n]
     assert cert == extract_cut_cover(_compiled(c8), c8, d=cert.dmw)
 
 

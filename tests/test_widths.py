@@ -210,8 +210,9 @@ def test_table_cut_edges_at_chunk_boundaries():
         assert len(tables) == (g.n + 7) // 8
         masks = range(1 << g.n) if g.n <= 9 else [rng.getrandbits(g.n) for _ in range(500)]
         for mask in masks:
-            assert (widths._table_cross_edges(tables, mask, len(g.edges))
-                    == cut_edges_by_scan(edge_order, mask))
+            cut = cut_edges_by_scan(edge_order, mask)
+            assert widths._table_cross_edges(tables, mask) == cut
+            assert widths._xor_cross_edges(inc, mask) == cut
 
 
 def test_distant_cross_edge_cap_past_the_first_chunk():
