@@ -253,16 +253,25 @@ def _witness_double_read(z: Nrobp, edge_idx: int, var: int) -> list[int]:
 
 
 def _uniform_masks(z: Nrobp, order: list[int]) -> list[int] | None:
-    """Per-node read masks of an already validated program; None when not uniform."""
+    """Per-node read masks of a uniform read-once program; None when z is not one.
+
+    order is z's topological order. None also when the root does not reach
+    a node, or when a labeled edge reads a variable its tail's mask holds;
+    neither occurs in a validated program.
+    """
     edges = z.edges
     out_edges = z.out_edges
     masks: list[int | None] = [None] * z.num_nodes
     masks[z.root] = 0
-    for v in order:  # a valid program reaches every node from the root
+    for v in order:
         mv = masks[v]
+        if mv is None:
+            return None
         for i in out_edges[v]:
             _, h, lab = edges[i]
             m = mv | 1 << (abs(lab) - 1) if lab is not None else mv
+            if m == mv and lab is not None:
+                return None
             mh = masks[h]
             if mh is None:
                 masks[h] = m
@@ -337,6 +346,17 @@ def uniformize(z: Nrobp) -> Nrobp:
     return Nrobp(next_node, new_edges, z.root, z.leaf, z.num_vars)
 
 
+def _bit_planes(n: int) -> list[int]:
+    """Per variable x < n, the 2^n-bit int whose bit m is set when mask m has bit x."""
+    planes = []
+    for x in range(n):
+        bits = ((1 << (1 << x)) - 1) << (1 << x)  # 2^x clear bits, then 2^x set
+        while bits.bit_length() < 1 << n:
+            bits |= bits << bits.bit_length()
+        planes.append(bits)
+    return planes
+
+
 def _accepted(z: Nrobp, cap: int) -> int:
     """Bitset over the 2^n assignment masks: bit m is set when z accepts mask m.
 
@@ -349,12 +369,7 @@ def _accepted(z: Nrobp, cap: int) -> int:
     n = z.num_vars
     if n > cap:
         raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
-    pos = []  # pos[x]: masks with bit x set, as blocks of 2^x zeros then 2^x ones
-    for x in range(n):
-        bits = ((1 << (1 << x)) - 1) << (1 << x)
-        while bits.bit_length() < 1 << n:
-            bits |= bits << bits.bit_length()
-        pos.append(bits)
+    pos = _bit_planes(n)
     reach = [0] * z.num_nodes
     reach[z.root] = (1 << (1 << n)) - 1
     for v in order:
@@ -394,9 +409,13 @@ class Nfbdd(Nrobp):
                  root: int, leaf: int, num_vars: int) -> None:
         super().__init__(num_nodes, edges, root, leaf, num_vars)
         order = _topological_order(self)
-        var_of = _fbdd_reads(self, order)
-        if var_of is None:
-            raise ValueError(_nfbdd_defect(self, order))
+        uniform = order is not None and _uniform_masks(self, order) is not None
+        var_of = _fbdd_shape(self)
+        if not uniform or isinstance(var_of, str):
+            rep = _validate(self, order)  # only a rejected program pays for the wording
+            if not rep.ok:
+                raise ValueError(f"not a valid NROBP: {rep.violations[0]}")
+            raise ValueError(var_of if isinstance(var_of, str) else "program is not uniform")
         assert order is not None
         self.var_of: tuple[int | None, ...] = var_of
         self.order = order  # the topological order, lowest node id first
@@ -432,64 +451,17 @@ def _mask_walk(y: Nfbdd) -> tuple[list[int], list[int]]:
     return read, neg
 
 
-def _fbdd_reads(z: Nrobp, order: list[int] | None) -> tuple[int | None, ...] | None:
-    """Variable read at each node of a valid uniform NFBDD; None on any defect.
+def _fbdd_shape(z: Nrobp) -> tuple[int | None, ...] | str:
+    """Variable read at each node, or the shape defect of the first bad node by id.
 
-    One walk in topological order (None for a cyclic z) carries each
-    node's read mask to its heads. It checks the out-degree, the labels
-    and the read-once property at each node, that every in-edge brings the
-    same mask, and that the leaf's mask is full. Root and leaf must be the
-    only source and sink; with those, an acyclic program reaches every
-    node from the root.
+    Every node but the leaf needs one or two labeled out-edges on one
+    variable, two of them carrying opposite literals.
     """
-    in_edges = z.in_edges
-    out_edges = z.out_edges
-    if (order is None or in_edges.count(()) != 1 or in_edges[z.root]
-            or out_edges.count(()) != 1 or out_edges[z.leaf]):
-        return None
     edges = z.edges
+    leaf = z.leaf
     var_of: list[int | None] = [None] * z.num_nodes
-    masks: list[int | None] = [None] * z.num_nodes
-    masks[z.root] = 0
-    for v in order:
-        out = out_edges[v]
-        if not out:
-            continue  # the leaf
-        a = edges[out[0]][2]
-        if a is None or len(out) > 2 or len(out) == 2 and edges[out[1]][2] != -a:
-            return None
-        x = abs(a) - 1
-        m = masks[v]
-        if m >> x & 1:  # type: ignore[operator]
-            return None
-        m |= 1 << x  # type: ignore[operator]
-        var_of[v] = x
-        for i in out:
-            h = edges[i][1]
-            mh = masks[h]
-            if mh is None:
-                masks[h] = m
-            elif mh != m:
-                return None
-    if masks[z.leaf] != (1 << z.num_vars) - 1:
-        return None
-    del masks  # freed before var_of is copied
-    return tuple(var_of)
-
-
-def _nfbdd_defect(z: Nrobp, order: list[int] | None) -> str:
-    """The first defect that keeps z from being an NFBDD, by priority.
-
-    Validity first, then each node in id order (out-degree, unlabeled
-    out-edge, one variable, opposite literals), then uniformity. Called
-    only once _fbdd_reads has rejected z, so one of them fails.
-    """
-    rep = _validate(z, order)
-    if not rep.ok:
-        return f"not a valid NROBP: {rep.violations[0]}"
-    edges = z.edges
     for v, out in enumerate(z.out_edges):
-        if v == z.leaf:
+        if v == leaf:
             continue
         if len(out) == 1:
             a = b = edges[out[0]][2]
@@ -504,8 +476,8 @@ def _nfbdd_defect(z: Nrobp, order: list[int] | None) -> str:
             return f"node {v} reads two variables {sorted({abs(a) - 1, abs(b) - 1})}"
         if len(out) == 2 and a != -b:
             return f"node {v} does not carry opposite literals"
-    assert order is not None and _uniform_masks(z, order) is None
-    return "program is not uniform"
+        var_of[v] = abs(a) - 1
+    return tuple(var_of)
 
 
 def _level_key(forced: int, m: int) -> int:
@@ -668,17 +640,8 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
         raise ValueError(f"{n} variables exceed the order-search cap {cap}")
     nbr = primal_graph(cnf).nbr_mask
     full = (1 << n) - 1
-    width = 1 << n
-    ones = (1 << width) - 1
-    hi = []
-    for x in range(n):
-        span = 1 << x
-        pattern = ((1 << span) - 1) << span  # one period: 2^x clear, then 2^x set
-        period = 2 * span
-        while period < width:
-            pattern |= pattern << period
-            period *= 2
-        hi.append(pattern)
+    ones = (1 << (1 << n)) - 1
+    hi = _bit_planes(n)
     lo = [ones ^ h for h in hi]
     states = [1] * (full + 1)  # forced-mask sets by read mask
     base = [2] * (full + 1)  # cost plus two edges per state, by read mask

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -51,6 +52,16 @@ def _write_out(path: str, chunks: Iterable[str]) -> None:
     print(f"wrote {path}")
 
 
+def _check_writable(path: str | None) -> None:
+    """Open path for appending and close it again, so that an unwritable
+    output fails before any work; a file this creates is removed again."""
+    if path:
+        existed = os.path.lexists(path)
+        open(path, "a").close()
+        if not existed:
+            os.unlink(path)
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     params = family_params(args.k, args.r, allow_small_r=args.allow_small_r)
     edges = family_edge_count(params)
@@ -70,13 +81,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     cnf = parse_cnf(Path(args.cnf).read_text())
+    _check_writable(args.out)
     order = None
     if args.best_order:
-        if cnf.num_vars > min(BEST_ORDER_LIMIT, args.cap_subset):
-            print(f"error: best-order search capped at "
-                  f"{min(BEST_ORDER_LIMIT, args.cap_subset)} variables, "
-                  f"CNF has {cnf.num_vars}", file=sys.stderr)
-            return 2
         _, order = best_order_size(cnf, cap=min(BEST_ORDER_LIMIT, args.cap_subset))
     elif args.order:
         order = tuple(int(t) for t in args.order.split(","))
@@ -112,6 +119,7 @@ def cmd_dmw(args: argparse.Namespace) -> int:
 
 def cmd_uniformize(args: argparse.Namespace) -> int:
     z = parse_bp(Path(args.bp).read_text())
+    _check_writable(args.out)
     u = uniformize(z)
     print(f"nodes={z.size_nodes}->{u.size_nodes} "
           f"edges={z.size_edges}->{u.size_edges}")
@@ -222,7 +230,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         prev_edges, prev_nodes, prev_n = edges, nodes, g.n
         rows.append([str(args.k), str(r), str(params.n), str(edges), str(nodes),
                      best_edges, dmw_s, q_s, lb_s])
-    rows.sort(key=lambda row: (int(row[0]), int(row[1])))
     csv_text = "k,r,n,edges,nodes,best_edges,dmw,q,lb\n"
     csv_text += "".join(",".join(row) + "\n" for row in rows)
     if args.out:

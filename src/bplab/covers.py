@@ -647,9 +647,9 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
                 if _cut_size_mask(g, mask, d) >= d:
                     if masks is None:
                         masks = _compat_masks(g)
-                    m = _distant_matching_of_mask(masks, mask)
-                    if len(m) >= d:
-                        qual[mask] = Matching(m.edges[:d])
+                    m = _distant_matching_of_mask(masks, mask, d)
+                    if len(m) == d:
+                        qual[mask] = m
             if qual[mask] is not None:
                 cut.append(v)
                 onward = False

@@ -232,9 +232,10 @@ def _cut_edge_tables(inc: list[int]) -> list[list[int]]:
     return tables
 
 
-def _check_cross_cap(cand: int, cross_cap: int | None) -> None:
-    """Raise when the cut edges cand exceed cross_cap, unless it is None."""
-    if cross_cap is not None and cand.bit_count() > cross_cap:
+def _check_cross_cap(cand: int, cross_cap: int | None, limit: int | None) -> None:
+    """Raise when the cut edges cand exceed cross_cap and the search for limit
+    edges runs the exhaustive branch and bound (no limit, or one above 3)."""
+    if (limit is None or limit > 3) and cross_cap is not None and cand.bit_count() > cross_cap:
         raise ValueError(
             f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
 
@@ -261,20 +262,21 @@ def _xor_cross_edges(inc: list[int], pmask: int) -> int:
     return cand
 
 
-def _distant_matching_of_mask(masks: _CompatMasks, pmask: int,
+def _distant_matching_of_mask(masks: _CompatMasks, pmask: int, limit: int | None = None,
                               cross_cap: int = CROSS_EDGE_CAP) -> Matching:
-    """Maximum distant matching across the cut of prefix mask pmask, on g's _compat_masks."""
+    """Maximum distant matching across the cut of prefix mask pmask, on g's
+    _compat_masks, capped at limit edges."""
     edge_order, compat, inc = masks
     cand = _xor_cross_edges(inc, pmask)
-    _check_cross_cap(cand, cross_cap)
-    _, chosen = _max_compatible_subset(cand, compat)
+    _check_cross_cap(cand, cross_cap, limit)
+    _, chosen = _max_compatible_subset(cand, compat, limit)
     return Matching(tuple(e for i, e in enumerate(edge_order) if chosen >> i & 1))
 
 
 def max_distant_cross_matching(g: Graph, part: PrefixPartition,
                                cross_cap: int = CROSS_EDGE_CAP) -> Matching:
     pmask = _check_partition(g, part)
-    return _distant_matching_of_mask(_compat_masks(g), pmask, cross_cap)
+    return _distant_matching_of_mask(_compat_masks(g), pmask, cross_cap=cross_cap)
 
 
 def cut_distant_matching_size(g: Graph, part: PrefixPartition,
@@ -323,6 +325,12 @@ def _reaches_within(seen: bytearray, s: int, w: int,
             return False
 
 
+def _check_subset_cap(g: Graph, cap: int) -> None:
+    limit = min(cap, SUBSET_DP_CAP)
+    if g.n > limit:
+        raise ValueError(f"{g.n} vertices exceed the subset-DP cap {limit}")
+
+
 def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> WidthResult:
     """Width and witness order by a threshold search over prefixes.
 
@@ -343,9 +351,7 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
     searched.
     """
     n = g.n
-    limit = min(cap, SUBSET_DP_CAP)
-    if n > limit:
-        raise ValueError(f"{n} vertices exceed the subset-DP cap {limit}")
+    _check_subset_cap(g, cap)
     full = (1 << n) - 1
     seen = bytearray(full + 1)  # f + 1 once reached; _WAIT while queued or over the threshold
     seen[0] = _WAIT
@@ -408,13 +414,13 @@ def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
     exhaustive branch and bound, those asked for more than 3 edges; the
     direct loops for 1 to 3 edges take any number.
     """
+    _check_subset_cap(g, cap)
     _, compat, inc = _compat_masks(g)
     tables = _cut_edge_tables(inc)
 
     def cut(s: int, k: int) -> int:
         edges = _table_cross_edges(tables, s)
-        if k > 3:
-            _check_cross_cap(edges, cross_cap)
+        _check_cross_cap(edges, cross_cap, k)
         return _max_compatible_subset(edges, compat, k)[0]
 
     return _subset_dp(g, cut, cap)

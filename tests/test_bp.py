@@ -552,6 +552,25 @@ def test_nfbdd_errors_equal_the_per_node_set_checks():
                     for kind in kinds + (True, False)}, seen
 
 
+def test_a_valid_nfbdd_is_built_without_the_wording_checks(monkeypatch):
+    rng = random.Random(8)
+    g, _ = hard_family_instance(6, 3, allow_small_r=True)
+    compiled = [nfbdd_compile(cnf_from_graph(h)) for h in atlas_connected(2, 5) + [g]]
+    parsed = [parse_bp(write_bp(y)) for y in compiled]
+    shuffled = [_permuted(y, rng) for y in compiled]
+
+    def no_validate(z, order):
+        raise AssertionError("a valid program ran _validate")
+
+    monkeypatch.setattr(bplab.bp, "_validate", no_validate)
+    assert nfbdd_compile(cnf_from_graph(g)).num_nodes == compiled[-1].num_nodes
+    for z in parsed + shuffled:
+        y = Nfbdd(z.num_nodes, z.edges, z.root, z.leaf, z.num_vars)
+        assert y.order == topological_order_by_heap(z)
+    with pytest.raises(AssertionError, match="a valid program ran _validate"):
+        Nfbdd(2, [(0, 1, 1)], 0, 1, 2)  # only a rejected program words its defect
+
+
 EXPECTED_SWEEPS = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 

@@ -261,13 +261,28 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
     assert err == f"error: {missing}: No such file or directory\n"
 
 
-def test_unwritable_output_exits_2(tmp_path, capsys):
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
     out_dir = str(blocker / "x")
     rc, out, err = run(capsys, "gen", "--k", "6", "--r", "1", "--allow-small-r", "--out", out_dir)
     assert rc == 2
     assert err == f"error: {out_dir}: Not a directory\n"
+    # compile and uniformize open their output before doing any work
+    cnf = _family_cnf(tmp_path, capsys, 6, 2)
+    bp_path = tmp_path / "x.bp"
+    bp_path.write_text(write_bp(nfbdd_compile(parse_cnf(Path(cnf).read_text()))))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the output was opened")
+
+    for name in ("nfbdd_compile", "compiled_size", "best_order_size", "uniformize"):
+        monkeypatch.setattr(bplab.cli, name, no_work)
+    for argv in (["compile", "--cnf", cnf], ["compile", "--cnf", cnf, "--best-order"],
+                 ["uniformize", "--bp", str(bp_path)]):
+        rc, out, err = run(capsys, *argv, "--out", out_dir)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {out_dir}: Not a directory\n"
 
 
 def test_compile_order_and_best_order_exclude_each_other(tmp_path, capsys):
@@ -362,6 +377,10 @@ def test_compile_state_cap_exits_2(tmp_path, monkeypatch, capsys):
     assert (rc, out) == (2, "")
     assert err == "error: the compiled diagram holds 30 states after 5" + tail
     assert not bp_path.exists()
+    bp_path.write_text("kept\n")  # an existing output stays as it was
+    rc, out, err = run(capsys, "compile", "--cnf", cnf, "--out", str(bp_path))
+    assert (rc, out) == (2, "")
+    assert bp_path.read_text() == "kept\n"
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "4", "--r-max", "4")
     assert (rc, out) == (2, "")
     assert err == "error: row k=6 r=4: one level holds 29 states after 7" + tail
@@ -370,6 +389,17 @@ def test_compile_state_cap_exits_2(tmp_path, monkeypatch, capsys):
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "2", "--r-max", "2")
     assert (rc, out) == (2, "")
     assert err.startswith("error: row k=6 r=2: the compiled diagram holds ")
+
+
+def test_best_order_cap_exits_2_with_the_search_message(tmp_path, capsys):
+    cnf = _family_cnf(tmp_path, capsys, 6, 2)  # 14 variables
+    rc, out, err = run(capsys, "compile", "--cnf", cnf, "--best-order")
+    assert (rc, out) == (2, "")
+    assert err == "error: 14 variables exceed the order-search cap 12\n"
+    small = _family_cnf(tmp_path, capsys, 6, 1)  # 6 variables
+    rc, out, err = run(capsys, "compile", "--cnf", small, "--best-order", "--cap-subset", "5")
+    assert (rc, out) == (2, "")
+    assert err == "error: 6 variables exceed the order-search cap 5\n"
 
 
 def test_experiment_builds_only_certified_rows(monkeypatch, capsys):

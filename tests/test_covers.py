@@ -28,6 +28,7 @@ from bplab.covers import (
 )
 from bplab.graphs import (
     Graph,
+    Matching,
     cnf_from_graph,
     complete_graph,
     cycle_graph,
@@ -36,7 +37,12 @@ from bplab.graphs import (
 )
 from bplab.instances import hard_family_instance
 from bplab.suites import random_read_once_program
-from bplab.widths import PrefixPartition, dmw_exact, max_distant_cross_matching
+from bplab.widths import (
+    CROSS_EDGE_CAP,
+    PrefixPartition,
+    dmw_exact,
+    max_distant_cross_matching,
+)
 
 from oracles import (
     atlas_connected,
@@ -333,6 +339,32 @@ def test_extract_cut_cover_matches_the_path_oracle():
     assert kinds == {"certificate", "a", "neither", "program"}
 
 
+def test_extract_cut_cover_needs_only_d_cut_edges_past_the_cross_cap():
+    # K_{6,6} on 0..11 and C8 on 12..19: natural-order cuts inside the
+    # K_{6,6} cross up to 36 edges, more than the exhaustive cap of 32,
+    # but asking for d = 2 distant edges needs no exhaustive search
+    g = Graph(20, [(a, 6 + b) for a in range(6) for b in range(6)]
+              + [(12 + i, 12 + (i + 1) % 8) for i in range(8)])
+    y = _compiled(g)
+    assert max(_xor_cut_sizes(y, g)) > CROSS_EDGE_CAP
+    cert = extract_cut_cover(y, g)  # d from dmw_exact
+    assert (cert.dmw, cert.q) == (2, 4)
+    assert not _reaches_leaf_without(y, set(cert.cut_nodes))
+    for b, m in zip(cert.dis_sets, cert.matchings):
+        assert len(b) == len(m) == 2 and is_dis(g, b)
+    planes = bplab.bp._bit_planes(g.n)  # bit m of planes[x]: mask m holds x
+    covered = 0
+    for b in cert.dis_sets:
+        covered |= planes[min(b)] & planes[max(b)]
+    assert bplab.bp._accepted(y, g.n) & ~covered == 0
+
+
+def _xor_cut_sizes(y, g):
+    """Cut edge count of each node's read split."""
+    inc = bplab.widths._compat_masks(g)[2]
+    return [bplab.widths._xor_cross_edges(inc, m).bit_count() for m in y.node_masks()[0]]
+
+
 def test_extract_cut_cover_without_a_qualifying_split():
     for g, d in [(path_graph(3), 2), (cycle_graph(8), 3)]:
         with pytest.raises(RuntimeError, match="^a root-leaf path admits no qualifying split$"):
@@ -438,13 +470,14 @@ def test_extract_cut_cover_builds_the_compat_masks_once(monkeypatch):
         built.append(graph.n)
         return compat(graph)
 
-    def matching(compat_masks, pmask):
+    def matching(compat_masks, pmask, limit):
         masks.append(pmask)
-        return matched(compat_masks, pmask)
+        return matched(compat_masks, pmask, limit)
 
-    def per_mask(compat_masks, pmask):  # a whole max_distant_cross_matching per read mask
+    def per_mask(compat_masks, pmask, limit):  # a whole max_distant_cross_matching per read mask
         prefix = [u for u in range(g.n) if pmask >> u & 1]
-        return max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+        m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+        return Matching(m.edges[:limit])
 
     def no_tables(inc):
         raise AssertionError("cut-edge tables built for single cuts")

@@ -347,13 +347,17 @@ def test_subset_dp_cap():
 
 
 def test_subset_dp_cap_above_the_table_limit(monkeypatch):
-    def no_table(size):
-        raise AssertionError(f"a table of {size} bytes was allocated")
+    def no_table(*args):
+        raise AssertionError(f"a table was built for {args}")
 
     monkeypatch.setattr(widths, "bytearray", no_table, raising=False)
+    # dmw checks the cap before its distant-matching masks and tables too
+    monkeypatch.setattr(widths, "_compat_masks", no_table)
+    monkeypatch.setattr(widths, "_cut_edge_tables", no_table)
     for width in (mw_exact, dmw_exact):
-        with pytest.raises(ValueError, match="^23 vertices exceed the subset-DP cap 22$"):
-            width(path_graph(23), cap=40)
+        for cap in (22, 40):
+            with pytest.raises(ValueError, match="^23 vertices exceed the subset-DP cap 22$"):
+                width(path_graph(23), cap=cap)
 
 
 def test_distant_cross_edge_cap():
