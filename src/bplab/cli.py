@@ -159,6 +159,7 @@ def cmd_cover(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     z = parse_bp(Path(args.bp).read_text())
     g = parse_graph(Path(args.graph).read_text())
+    _check_writable(args.out)
     try:
         cert = extract_cut_cover(z, g)
     except RuntimeError as exc:
@@ -177,6 +178,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"error: --r-min {args.r_min} exceeds --r-max {args.r_max}; "
               "the sweep has no rows", file=sys.stderr)
         return 2
+    _check_writable(args.out)
+    _check_writable(args.stats)
     rows: list[list[str]] = []
     stats: list[dict] = []
     a5 = constants(5).a_x

@@ -156,7 +156,8 @@ def _rows(y: Nfbdd, steps: list[_Step], lastp: list[int], pmask: int, lane_of: d
     node at which P and some lane's vertex are unread; at every other node
     each lane is 0, and so is a lane at a node where its vertex is read.
     zrow is the zero row and leaf the leaf's row. A row is dropped after its
-    last reader; a one-way node shares its head's row.
+    last reader; a one-way node shares its head's row. _column sweeps P
+    alone, with sub[x] the column being built.
     """
     rows = [zrow] * (y.num_nodes + 1)  # rows[-1], a missing head's, stays zero
     rows[y.leaf] = leaf
@@ -214,18 +215,27 @@ def _flat(num_nodes: int, width: int, exact: bool) -> Sequence[Weight]:
     return [Fraction(0)] * size if exact else array("d", [0.0]) * size
 
 
-def _totals(y: Nfbdd, steps: list[_Step], lastp: list[int], exact: bool) -> list[Weight]:
-    """Path totals of every node, built once per diagram and flag: one lane
-    reading the empty set, 1 at the leaf."""
-    col = y.path_totals.get(exact)
+def _column(y: Nfbdd, smask: int, exact: bool) -> list[Weight]:
+    """Covered weight of the set smask at every node where it is unread.
+
+    One sweep over every step, with no lanes. Once x is read at a node, no
+    path from its heads reads x again, so the column of smask minus x at the
+    head is smask's own column there: sub maps each x of smask to the column
+    being built. Where smask is partly read, the entry weighs the paths that
+    read none of it negatively. The empty set's column, the path totals, is
+    built once per diagram and flag.
+    """
+    col = y.path_totals.get(exact) if not smask else None
     if col is None:
         zero: Weight = Fraction(0) if exact else 0.0
         one: Weight = Fraction(1) if exact else 1.0
         col = [zero] * y.num_nodes
         col[y.leaf] = one
-        for v, row in _rows(y, steps, lastp, 0, {}, {}, None, [zero], [one]):
+        sub = {x: (col, 1, [0]) for x in range(smask.bit_length()) if smask >> x & 1}
+        for v, row in _rows(y, *_steps(y, exact), smask, {}, sub, None, [zero], [one]):
             col[v] = row[0]
-        y.path_totals[exact] = col
+        if not smask:
+            y.path_totals[exact] = col
     return col
 
 
@@ -233,46 +243,21 @@ def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
     """Total weight of a-to-leaf paths; equals 1 at every node."""
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    if exact not in y.path_totals:
-        _totals(y, *_steps(y, exact), exact)
-    return y.path_totals[exact][a]
+    return _column(y, 0, exact)[a]
 
 
-def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False,
-                   cap: int = 10) -> Weight:
+def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False) -> Weight:
     """Weight of a-to-leaf paths reading every variable of s positively."""
-    sset = frozenset(s)
-    for v in sset:
+    smask = 0
+    for v in frozenset(s):
         if not 0 <= v < y.num_vars:
             raise ValueError(f"vertex {v} out of range")
-    if len(sset) > cap:
-        raise ValueError(f"{len(sset)} vertices exceed the subset cap {cap}")
+        smask |= 1 << v
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    read = y.node_masks()[0]
-    steps, lastp = _steps(y, exact)
-    cols: dict[int, _Col] = {0: (_totals(y, steps, lastp, exact), 1, 0)}
-    members = sorted(sset)
-    for size in range(1, len(members) + 1):
-        nxt: dict[int, _Col] = {}
-        for prefix in itertools.combinations(members, size - 1):
-            lasts = [v for v in members if not prefix or v > prefix[-1]]
-            if not lasts:
-                continue
-            pmask, lane_of, sub, head = _batch(prefix, lasts, cols)
-            lmask = sum(1 << v for v in lasts)
-            width = len(lasts)
-            flat = _flat(y.num_nodes, width, exact)
-            zrow = [Fraction(0) if exact else 0.0] * width
-            swept = [st for st in steps
-                     if not read[st[0]] & pmask and read[st[0]] & lmask != lmask]
-            for v, row in _rows(y, swept, lastp, pmask, lane_of, sub, head, zrow, zrow):
-                flat[v * width:(v + 1) * width] = row if exact else array("d", row)
-            for j, v in enumerate(lasts):
-                nxt[pmask | 1 << v] = (flat, width, j)
-        cols = nxt
-    flat, stride, lane = cols[sum(1 << v for v in members)]
-    return flat[a * stride + lane]
+    if y.node_masks()[0][a] & smask:
+        return Fraction(0) if exact else 0.0
+    return _column(y, smask, exact)[a]
 
 
 def relative_weight(ctx: NodeContext, b: Iterable[int], exact: bool = False) -> Weight:
@@ -355,9 +340,9 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     node's row holds one lane per batch member (see _rows). At each node
     whose free set holds P the row is checked in one C-level pass against
     the bound row of the node's read-mask class, built once per batch, with
-    +inf in the lanes whose vertex is unread but blocked there. Only a batch
-    with some failing check is swept again, keeping its rows, to word its
-    violations per DIS in node-id order.
+    +inf in the lanes whose vertex is unread but blocked there. A failed
+    check is worded where it is found, keyed by (lane, node); a stable sort
+    of the batch's keys puts its violations per DIS in node-id order.
     """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
@@ -369,11 +354,12 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     cls = [classes.setdefault(r, len(classes)) for r in read]
     # fcol[v][c]: v's factor of the bound in class c, from its unread degree there
     fcol = [[by_degree[(m & ~r).bit_count()] for r in classes] for m in g.nbr_mask]
-    # side[x]: (free set of the tail, free set of the head) of each positive edge on x
-    side: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for t, h, lab in y.edges:
+    # side[x]: (free set of the tail, free set of the head, edge index) of
+    # each positive edge on x
+    side: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for i, (t, h, lab) in enumerate(y.edges):
         if lab > 0:
-            side[lab - 1].append((free[t], free[h]))
+            side[lab - 1].append((free[t], free[h], i))
     zero: Weight = Fraction(0) if exact else 0.0
     one: Weight = Fraction(1) if exact else 1.0
     pad: Weight = zero if exact else tol  # added to each bound
@@ -387,13 +373,13 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     steps, lastp = _steps(y, exact)
     # columns of the DISes one size below those being checked (cols) and of
     # those being checked, when a larger size follows (nxt), by mask
-    cols: dict[int, _Col] = {0: (_totals(y, steps, lastp, exact), 1, 0)}
+    cols: dict[int, _Col] = {0: (_column(y, 0, exact), 1, 0)}
     nxt: dict[int, _Col] = {}
     size = 1
-    # (prefix, the steps at which it is unread, the nodes whose free set holds
-    # it, its bound factor per class) for each prefix of the batch being
-    # checked; each one is made from the one before
-    chain = [((), steps, list(range(y.num_nodes)), [one] * len(classes))]
+    # (prefix, the steps at which it is unread, its bound factor per class)
+    # for each prefix of the batch being checked; each one is made from the
+    # one before
+    chain = [((), steps, [one] * len(classes))]
     for prefix, batch in itertools.groupby(dis, itemgetter(slice(-1))):
         lasts = [combo[-1] for combo in batch]
         dis_count += len(lasts)
@@ -404,11 +390,10 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
             while prefix[:len(chain[-1][0])] != chain[-1][0]:
                 chain.pop()
             for v in prefix[len(chain[-1][0]):]:
-                p, st, nd, lim = chain[-1]
+                p, st, lim = chain[-1]
                 chain.append((p + (v,), [s for s in st if not read[s[0]] >> v & 1],
-                              [a for a in nd if free[a] >> v & 1],
                               list(map(mul, lim, fcol[v]))))
-        _, prefix_steps, holders, lim = chain[-1]
+        _, prefix_steps, lim = chain[-1]
         pmask, lane_of, sub, head = _batch(prefix, lasts, cols)
         lmask = sum(1 << v for v in lasts)
         width = len(lasts)
@@ -416,7 +401,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
         swept = [s for s in prefix_steps if read[s[0]] & lmask != lmask]
         flat = _flat(y.num_nodes, width, exact) if size < max_dis_size else None
         bounds: dict[int, list[Weight]] = {}  # by class
-        bad = False
+        found: list[tuple[int, int, str]] = []  # (lane, node, violation)
         for v, row in _rows(y, swept, lastp, pmask, lane_of, sub, head, zrow, zrow):
             if flat is not None:
                 flat[v * width:(v + 1) * width] = row if exact else array("d", row)
@@ -436,23 +421,26 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                         b = blocked & -blocked
                         blocked ^= b
                         bound[lane_of[b.bit_length() - 1]] = math.inf
-                bad = bad or any(map(gt, row, bound))
-        for last in lasts:
+                if any(map(gt, row, bound)):
+                    for j, last in enumerate(lasts):
+                        if row[j] > bound[j]:
+                            rw = lim[c] * fcol[last][c]
+                            found.append((j, v, f"node {v}, B={[*prefix, last]}: "
+                                                f"covered weight {row[j]} exceeds bound {rw}"))
+        for j, last in enumerate(lasts):
             bmask = pmask | 1 << last
             for v in prefix + (last,):
                 rest = bmask ^ 1 << v
-                for free_t, free_h in side[v]:
+                for free_t, free_h, i in side[v]:
                     if free_t & bmask == bmask:
                         side_checks += 1
-                        bad = bad or free_h & rest != rest
-        if bad:
-            kept = [zrow] * y.num_nodes
-            for v, row in _rows(y, swept, lastp, pmask, lane_of, sub, head, zrow, zrow):
-                kept[v] = row
-            for j, last in enumerate(lasts):
-                violations += _deepcover_violations(
-                    y, prefix + (last,), [a for a in holders if free[a] >> last & 1],
-                    [row[j] for row in kept], fcol, cls, free, tol, exact)
+                        if free_h & rest != rest:
+                            t, h, _ = y.edges[i]
+                            found.append((j, t, f"node {t} -> {h}: B minus {v} "
+                                                "leaves the free set"))
+        if found:
+            found.sort(key=itemgetter(0, 1))
+            violations += [msg for _, _, msg in found]
         if flat is not None:
             for j, last in enumerate(lasts):
                 nxt[pmask | 1 << last] = (flat, width, j)
@@ -463,29 +451,6 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
         side_checks=side_checks,
         violations=violations,
     )
-
-
-def _deepcover_violations(y: Nfbdd, combo: tuple[int, ...], nodes: list[int],
-                          cov_at: list[Weight], fcol: list[list[Weight]], cls: list[int],
-                          free: list[int], tol: float, exact: bool) -> list[str]:
-    """verify_deepcover's violations for one DIS, node by node in id order."""
-    bmask = sum(1 << v for v in combo)
-    out = []
-    for a in nodes:
-        cov = cov_at[a]
-        rw: Weight = Fraction(1) if exact else 1.0
-        for v in combo:
-            rw *= fcol[v][cls[a]]
-        if cov > rw if exact else cov > rw + tol:
-            out.append(f"node {a}, B={list(combo)}: covered weight {cov} exceeds bound {rw}")
-        av = y.var_of[a]
-        if av is not None and bmask >> av & 1:
-            rest = bmask & ~(1 << av)
-            for i in y.out_edges[a]:
-                _, h, lab = y.edges[i]
-                if lab > 0 and rest & ~free[h]:
-                    out.append(f"node {a} -> {h}: B minus {av} leaves the free set")
-    return out
 
 
 def _min_set_cover(universe: int, masks: list[int]) -> list[int]:

@@ -268,19 +268,28 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys):
     rc, out, err = run(capsys, "gen", "--k", "6", "--r", "1", "--allow-small-r", "--out", out_dir)
     assert rc == 2
     assert err == f"error: {out_dir}: Not a directory\n"
-    # compile and uniformize open their output before doing any work
+    # compile, uniformize, certify and experiment open their outputs before doing any work
     cnf = _family_cnf(tmp_path, capsys, 6, 2)
     bp_path = tmp_path / "x.bp"
     bp_path.write_text(write_bp(nfbdd_compile(parse_cnf(Path(cnf).read_text()))))
+    graph = tmp_path / "p3.graph"
+    graph.write_text(write_graph(path_graph(3)))
+    p3_bp = tmp_path / "p3.bp"
+    p3_bp.write_text(write_bp(nfbdd_compile(cnf_from_graph(path_graph(3)))))
 
     def no_work(*args, **kwargs):
         raise AssertionError("work done before the output was opened")
 
-    for name in ("nfbdd_compile", "compiled_size", "best_order_size", "uniformize"):
+    for name in ("nfbdd_compile", "compiled_size", "best_order_size", "uniformize",
+                 "dmw_exact", "extract_cut_cover"):
         monkeypatch.setattr(bplab.cli, name, no_work)
-    for argv in (["compile", "--cnf", cnf], ["compile", "--cnf", cnf, "--best-order"],
-                 ["uniformize", "--bp", str(bp_path)]):
-        rc, out, err = run(capsys, *argv, "--out", out_dir)
+    sweep = ["experiment", "--k", "6", "--r-min", "1", "--r-max", "2"]
+    for argv in (["compile", "--cnf", cnf, "--out"],
+                 ["compile", "--cnf", cnf, "--best-order", "--out"],
+                 ["uniformize", "--bp", str(bp_path), "--out"],
+                 ["certify", "--bp", str(p3_bp), "--graph", str(graph), "--out"],
+                 sweep + ["--out"], sweep + ["--stats"]):
+        rc, out, err = run(capsys, *argv, out_dir)
         assert (rc, out) == (2, "")
         assert err == f"error: {out_dir}: Not a directory\n"
 

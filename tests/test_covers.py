@@ -149,8 +149,12 @@ def test_covered_weight_matches_path_enumeration():
                 assert got == path_weight_oracle(y, a, s)
                 approx = covered_weight(y, a, s)
                 assert abs(approx - float(got)) <= 1e-12
-    with pytest.raises(ValueError, match="11 vertices exceed the subset cap 10"):
-        covered_weight(_compiled(path_graph(12)), 0, range(11))
+    # no subset cap: one sweep whatever the size of s
+    y = _compiled(path_graph(12))
+    for s in (range(11), range(12), range(0, 12, 2)):
+        got = covered_weight(y, 0, s, exact=True)
+        assert got == path_weight_oracle(y, 0, s) > 0
+        assert abs(covered_weight(y, 0, s) - float(got)) <= 1e-12
 
 
 def test_relative_weight():
@@ -457,7 +461,7 @@ def test_path_weight_total_builds_the_totals_once(monkeypatch):
                 path_weight_total(y, a, exact=exact)
     assert built == [(0, False), (0, True)]
     covered_weight(y, y.root, [0, 4])
-    assert built[2:] == [(1, False), (16, False), (17, False)]
+    assert built[2:] == [(17, False)]
 
 
 def test_extract_cut_cover_builds_the_compat_masks_once(monkeypatch):
@@ -639,6 +643,32 @@ def test_verify_deepcover_words_a_partly_failing_dis_like_the_reference():
         assert [m for m in got.violations if "leaves" in m] == [
             "node 2 -> 3: B minus 4 leaves the free set"]
         assert got.side_checks > 1
+
+
+def test_a_failing_batch_is_swept_once(monkeypatch):
+    # the all-positive chain fails every pair, P5 in the order 1, 4, 3, 0, 2
+    # fails some: either way each batch of DISes is one _rows sweep
+    n = 7
+    chain = (path_graph(n), Nfbdd(n + 1, [(i, i + 1, i + 1) for i in range(n)], 0, n, n), 3)
+    p5 = (path_graph(5), Nfbdd(7, [(0, 2, 2), (0, 1, -2), (1, 3, -5), (2, 3, 5), (3, 4, 4),
+                                   (4, 5, -1), (5, 6, -3)], 0, 6, 5), 2)
+    rows = bplab.covers._rows
+    sweeps = []
+
+    def counting(*args):
+        sweeps.append(args[3])  # the batch's prefix mask
+        return rows(*args)
+
+    monkeypatch.setattr(bplab.covers, "_rows", counting)
+    for g, y, size in (chain, p5):
+        dis = list(bplab.covers._dis_iter(g, size))[1:]
+        prefixes = [sum(1 << v for v in p) for p, _ in itertools.groupby(dis, lambda b: b[:-1])]
+        for exact in (False, True):
+            path_weight_total(y, y.root, exact=exact)  # the totals, built once
+            sweeps.clear()
+            got = verify_deepcover(y, g, max_dis_size=size, exact=exact)
+            assert got.violations
+            assert sweeps == prefixes, (g.edges, exact)
 
 
 def test_min_dis_cover_equals_the_rescanning_reference():
