@@ -25,9 +25,13 @@ class Nrobp:
     Edges are (tail, head, label) with label None or a DIMACS-style literal
     (variable v is v+1 / -(v+1)). Only range errors are rejected here so that
     validate_nrobp can report structural defects on constructed objects.
+    The first check that needs a valid program keeps its topological order
+    in _order, and the first that needs read masks keeps (reads, uniform)
+    in _reads_of.
     """
 
-    __slots__ = ("num_nodes", "edges", "root", "leaf", "num_vars", "out_edges", "in_edges")
+    __slots__ = ("num_nodes", "edges", "root", "leaf", "num_vars", "out_edges", "in_edges",
+                 "_order", "_reads_of")
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int | None]],
                  root: int, leaf: int, num_vars: int) -> None:
@@ -61,6 +65,8 @@ class Nrobp:
         self.edges: tuple[tuple[int, int, int | None], ...] = tuple(es)
         self.out_edges: tuple[tuple[int, ...], ...] = tuple(out)
         self.in_edges: tuple[tuple[int, ...], ...] = tuple(inc)
+        self._order: list[int] | None = None
+        self._reads_of: tuple[list[int], bool] | None = None
 
     @property
     def size_edges(self) -> int:
@@ -158,22 +164,7 @@ def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
             if v not in reach:
                 violations.append(f"node {v} is disconnected from the root")
     else:
-        # possible-read sets: vars readable on some root-to-node path
-        edges = z.edges
-        out_edges = z.out_edges
-        poss = [0] * z.num_nodes
-        offender = None
-        for v in order:
-            pv = poss[v]
-            for i in out_edges[v]:
-                _, h, lab = edges[i]
-                if lab is not None:
-                    vb = 1 << (abs(lab) - 1)
-                    if pv & vb and offender is None:
-                        offender = (i, abs(lab) - 1)
-                    poss[h] |= pv | vb
-                else:
-                    poss[h] |= pv
+        offender = _reads(z, order)[1]
         if offender is not None:
             i, var = offender
             path = _witness_double_read(z, i, var)
@@ -185,16 +176,66 @@ def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
 def _valid_order(z: Nrobp) -> list[int]:
     """Topological order of z; ValueError naming the first defect if z is invalid.
 
-    An Nfbdd was validated on construction and answers with the order it kept.
+    Validated on the first call only: the order is kept in z._order.
     """
-    if isinstance(z, Nfbdd):
-        return z.order
-    order = _topological_order(z)
-    rep = _validate(z, order)
-    if not rep.ok:
-        raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
-    assert order is not None
-    return order
+    if z._order is None:
+        order = _topological_order(z)
+        rep = _validate(z, order)
+        if not rep.ok:
+            raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
+        z._order = order
+    return z._order
+
+
+def _reads(z: Nrobp, order: list[int]) -> tuple[list[int], tuple[int, int] | None, bool]:
+    """(reads, offender, uniform) from one forward pass in topological order.
+
+    reads[v] holds the variables read on some root-to-v path. offender is
+    (edge, variable) for the first edge, by tail in order, whose variable
+    its tail's paths may already read, or None. uniform is cleared when two
+    in-edges of a node bring different reads, when the root does not reach
+    a node, and when the leaf's paths do not read every variable.
+    """
+    edges = z.edges
+    out_edges = z.out_edges
+    reads: list[int | None] = [None] * z.num_nodes
+    reads[z.root] = 0
+    offender = None
+    uniform = True
+    for v in order:
+        rv = reads[v]
+        if rv is None:
+            uniform = False
+            rv = reads[v] = 0
+        for i in out_edges[v]:
+            _, h, lab = edges[i]
+            if lab is None:
+                m = rv
+            else:
+                bit = 1 << (abs(lab) - 1)
+                if rv & bit and offender is None:
+                    offender = (i, abs(lab) - 1)
+                m = rv | bit
+            rh = reads[h]
+            if rh is None:
+                reads[h] = m
+            elif rh != m:
+                uniform = False
+                reads[h] = rh | m
+    if reads[z.leaf] != (1 << z.num_vars) - 1:
+        uniform = False
+    return reads, offender, uniform  # type: ignore[return-value]
+
+
+def _read_masks(z: Nrobp) -> tuple[list[int], bool]:
+    """(reads, uniform) of a valid program; ValueError if z is invalid.
+
+    One _reads pass on the first call, kept in z._reads_of for later ones.
+    """
+    if z._reads_of is None:
+        reads, _, uniform = _reads(z, _valid_order(z))
+        z._reads_of = (reads, uniform)
+    return z._reads_of
 
 
 def _find_cycle(z: Nrobp) -> list[int]:
@@ -252,39 +293,9 @@ def _witness_double_read(z: Nrobp, edge_idx: int, var: int) -> list[int]:
     return [z.root]
 
 
-def _uniform_masks(z: Nrobp, order: list[int]) -> list[int] | None:
-    """Per-node read masks of a uniform read-once program; None when z is not one.
-
-    order is z's topological order. None also when the root does not reach
-    a node, or when a labeled edge reads a variable its tail's mask holds;
-    neither occurs in a validated program.
-    """
-    edges = z.edges
-    out_edges = z.out_edges
-    masks: list[int | None] = [None] * z.num_nodes
-    masks[z.root] = 0
-    for v in order:
-        mv = masks[v]
-        if mv is None:
-            return None
-        for i in out_edges[v]:
-            _, h, lab = edges[i]
-            m = mv | 1 << (abs(lab) - 1) if lab is not None else mv
-            if m == mv and lab is not None:
-                return None
-            mh = masks[h]
-            if mh is None:
-                masks[h] = m
-            elif mh != m:
-                return None
-    if masks[z.leaf] != (1 << z.num_vars) - 1:
-        return None
-    return masks  # type: ignore[return-value]
-
-
 def is_uniform(z: Nrobp) -> bool:
     """All root-to-a paths read the same variables, and full paths read Var(F)."""
-    return _uniform_masks(z, _valid_order(z)) is not None
+    return _read_masks(z)[1]
 
 
 def uniformize(z: Nrobp) -> Nrobp:
@@ -310,23 +321,18 @@ def uniformize(z: Nrobp) -> Nrobp:
             edges.append((v, v + 1, -(v + 1)))
         return Nrobp(z.num_vars + 1, edges, 0, z.num_vars, z.num_vars)
 
-    av = [0] * z.num_nodes  # settled path-variable mask per original node
+    reads = _read_masks(z)[0]
     next_node = z.num_nodes
     new_edges: list[tuple[int, int, int | None]] = []
     for b in order:
         if b == z.root:
             continue
-        incoming = [(z.edges[i][0], z.edges[i][2]) for i in z.in_edges[b]]
-        contributions = []
-        for tail, lab in incoming:
-            m = av[tail] | (1 << _var_of(lab) if lab is not None else 0)
-            contributions.append(m)
-        target = full if b == z.leaf else 0
-        for m in contributions:
-            target |= m
-        av[b] = target
-        for (tail, lab), m in zip(incoming, contributions):
-            missing = target & ~m
+        target = full if b == z.leaf else reads[b]
+        for i in z.in_edges[b]:
+            tail, _, lab = z.edges[i]
+            missing = target & ~reads[tail]
+            if lab is not None:
+                missing &= ~(1 << _var_of(lab))
             if not missing:
                 new_edges.append((tail, b, lab))
                 continue
@@ -403,52 +409,54 @@ class Nfbdd(Nrobp):
     keeps the topological order that check computed.
     """
 
-    __slots__ = ("var_of", "order", "path_totals", "_masks")
+    __slots__ = ("var_of", "path_totals", "_neg")
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int | None]],
                  root: int, leaf: int, num_vars: int) -> None:
         super().__init__(num_nodes, edges, root, leaf, num_vars)
         order = _topological_order(self)
-        uniform = order is not None and _uniform_masks(self, order) is not None
+        # the pass's masks are dropped at once: at k=10 r=6 they are 1.1M 508-bit ints
+        ok = order is not None and _reads(self, order)[1:] == (None, True)
         var_of = _fbdd_shape(self)
-        if not uniform or isinstance(var_of, str):
+        if not ok or isinstance(var_of, str):
             rep = _validate(self, order)  # only a rejected program pays for the wording
             if not rep.ok:
                 raise ValueError(f"not a valid NROBP: {rep.violations[0]}")
             raise ValueError(var_of if isinstance(var_of, str) else "program is not uniform")
-        assert order is not None
         self.var_of: tuple[int | None, ...] = var_of
-        self.order = order  # the topological order, lowest node id first
+        self._order = order
         # path-weight column per exact flag, filled on first use by covers
         self.path_totals: dict[bool, list] = {}
-        self._masks: tuple[list[int], list[int]] | None = None
+        self._neg: list[int] | None = None
+
+    @property
+    def order(self) -> list[int]:
+        """The topological order the constructor validated, lowest node id first."""
+        return self._order  # type: ignore[return-value]
 
     def node_masks(self) -> tuple[list[int], list[int]]:
         """(read, neg): per node, the variables its root paths read, and those
         that one of them, found by following first in-edges, reads negatively.
 
-        One walk on the first call, kept for later ones, and never in the
-        constructor: at k=10 r=6 that is 1.1M pairs of 508-bit ints.
+        Each is computed on the first call and kept for later ones, never in
+        the constructor: at k=10 r=6 that is 1.1M pairs of 508-bit ints.
         """
-        if self._masks is None:
-            self._masks = _mask_walk(self)
-        return self._masks
+        if self._neg is None:
+            self._neg = _mask_walk(self)
+        return _read_masks(self)[0], self._neg
 
 
-def _mask_walk(y: Nfbdd) -> tuple[list[int], list[int]]:
-    """Nfbdd.node_masks: each node adds its first in-edge's literal to its tail's masks."""
+def _mask_walk(y: Nfbdd) -> list[int]:
+    """Nfbdd.node_masks' neg: each node adds its first in-edge's literal,
+    when negative, to its tail's mask."""
     edges = y.edges
     in_edges = y.in_edges
-    read = [0] * y.num_nodes
     neg = [0] * y.num_nodes
     for v in y.order:
-        if v == y.root:
-            continue
-        t, _, lab = edges[in_edges[v][0]]
-        bit = 1 << (abs(lab) - 1)
-        read[v] = read[t] | bit
-        neg[v] = neg[t] | bit if lab < 0 else neg[t]
-    return read, neg
+        if v != y.root:
+            t, _, lab = edges[in_edges[v][0]]
+            neg[v] = neg[t] | 1 << (-lab - 1) if lab < 0 else neg[t]
+    return neg
 
 
 def _fbdd_shape(z: Nrobp) -> tuple[int | None, ...] | str:

@@ -100,21 +100,13 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_width(args: argparse.Namespace, which: str) -> int:
+def _cmd_width(args: argparse.Namespace) -> int:
+    """mw and dmw: args.width is the subcommand's exact width function."""
     g = parse_graph(Path(args.graph).read_text())
-    width = mw_exact if which == "mw" else dmw_exact
-    res = width(g, cap=args.cap_subset)
-    print(f"{which}={res.value}")
+    res = args.width(g, cap=args.cap_subset)
+    print(f"{args.command}={res.value}")
     print("order=" + ",".join(str(v) for v in res.witness_order))
     return 0
-
-
-def cmd_mw(args: argparse.Namespace) -> int:
-    return _cmd_width(args, "mw")
-
-
-def cmd_dmw(args: argparse.Namespace) -> int:
-    return _cmd_width(args, "dmw")
 
 
 def cmd_uniformize(args: argparse.Namespace) -> int:
@@ -287,15 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "cap-subset", "out")
     p.set_defaults(func=cmd_compile)
 
-    p = subs.add_parser("mw", help="exact matching width of a graph")
-    p.add_argument("--graph", required=True, help="DIMACS graph input file")
-    _add_flags(p, "cap-subset")
-    p.set_defaults(func=cmd_mw)
-
-    p = subs.add_parser("dmw", help="exact distant matching width of a graph")
-    p.add_argument("--graph", required=True, help="DIMACS graph input file")
-    _add_flags(p, "cap-subset")
-    p.set_defaults(func=cmd_dmw)
+    for name, width, what in (("mw", mw_exact, "matching width"),
+                              ("dmw", dmw_exact, "distant matching width")):
+        p = subs.add_parser(name, help=f"exact {what} of a graph")
+        p.add_argument("--graph", required=True, help="DIMACS graph input file")
+        _add_flags(p, "cap-subset")
+        p.set_defaults(func=_cmd_width, width=width)
 
     p = subs.add_parser("uniformize", help="make a program uniform")
     p.add_argument("--bp", required=True, help="program input file")

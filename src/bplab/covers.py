@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import gt, itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
-from .bp import Nfbdd, Nrobp, _uniform_masks, _valid_order, _var_of
+from .bp import Nfbdd, Nrobp, _read_masks, _valid_order, _var_of
 from .graphs import Graph, Matching, cnf_from_graph, is_dis
 from .widths import _compat_masks, _cut_size_mask, _distant_matching_of_mask, dmw_exact
 
@@ -585,10 +585,10 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
     """
     if z.num_vars != g.n:
         raise ValueError(f"program reads {z.num_vars} variables but g has {g.n} vertices")
-    order = _valid_order(z)
-    read = z.node_masks()[0] if isinstance(z, Nfbdd) else _uniform_masks(z, order)
-    if read is None:
+    read, uniform = _read_masks(z)
+    if not uniform:
         raise ValueError("program must be uniform")
+    order = _valid_order(z)
     if d is None:
         d = dmw_exact(g).value
     elif d < 1:

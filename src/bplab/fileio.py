@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from .bp import Nfbdd, Nrobp, _find_cycle, _topological_order
+from .bp import Nrobp, _find_cycle, _topological_order
 from .covers import CutCoverCertificate
 from .graphs import Graph, MonotoneCnf
 from .instances import FamilyParams, LabeledTree, TreeDecomposition
@@ -191,7 +191,7 @@ def bp_lines(z: Nrobp) -> Iterator[str]:
     '.' for unlabeled edges. A cyclic program has no such order and is
     rejected at the first chunk.
     """
-    order = z.order if isinstance(z, Nfbdd) else _topological_order(z)  # an Nfbdd keeps its own
+    order = z._order or _topological_order(z)  # a validated program keeps its own
     if order is None:
         raise ValueError(
             f"cannot write a cyclic program: cycle through nodes {_find_cycle(z)}")

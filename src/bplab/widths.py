@@ -232,12 +232,12 @@ def _cut_edge_tables(inc: list[int]) -> list[list[int]]:
     return tables
 
 
-def _check_cross_cap(cand: int, cross_cap: int | None, limit: int | None) -> None:
-    """Raise when the cut edges cand exceed cross_cap and the search for limit
-    edges runs the exhaustive branch and bound (no limit, or one above 3)."""
-    if (limit is None or limit > 3) and cross_cap is not None and cand.bit_count() > cross_cap:
+def _check_cross_cap(cand: int, limit: int | None) -> None:
+    """Raise when the cut edges cand exceed CROSS_EDGE_CAP and the search for
+    limit edges runs the exhaustive branch and bound (no limit, or one above 3)."""
+    if (limit is None or limit > 3) and cand.bit_count() > CROSS_EDGE_CAP:
         raise ValueError(
-            f"{cand.bit_count()} cut edges exceed the exhaustive cap {cross_cap}")
+            f"{cand.bit_count()} cut edges exceed the exhaustive cap {CROSS_EDGE_CAP}")
 
 
 def _table_cross_edges(tables: list[list[int]], pmask: int) -> int:
@@ -262,26 +262,24 @@ def _xor_cross_edges(inc: list[int], pmask: int) -> int:
     return cand
 
 
-def _distant_matching_of_mask(masks: _CompatMasks, pmask: int, limit: int | None = None,
-                              cross_cap: int = CROSS_EDGE_CAP) -> Matching:
+def _distant_matching_of_mask(masks: _CompatMasks, pmask: int,
+                              limit: int | None = None) -> Matching:
     """Maximum distant matching across the cut of prefix mask pmask, on g's
     _compat_masks, capped at limit edges."""
     edge_order, compat, inc = masks
     cand = _xor_cross_edges(inc, pmask)
-    _check_cross_cap(cand, cross_cap, limit)
+    _check_cross_cap(cand, limit)
     _, chosen = _max_compatible_subset(cand, compat, limit)
     return Matching(tuple(e for i, e in enumerate(edge_order) if chosen >> i & 1))
 
 
-def max_distant_cross_matching(g: Graph, part: PrefixPartition,
-                               cross_cap: int = CROSS_EDGE_CAP) -> Matching:
+def max_distant_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
     pmask = _check_partition(g, part)
-    return _distant_matching_of_mask(_compat_masks(g), pmask, cross_cap=cross_cap)
+    return _distant_matching_of_mask(_compat_masks(g), pmask)
 
 
-def cut_distant_matching_size(g: Graph, part: PrefixPartition,
-                              cross_cap: int = CROSS_EDGE_CAP) -> int:
-    return len(max_distant_cross_matching(g, part, cross_cap))
+def cut_distant_matching_size(g: Graph, part: PrefixPartition) -> int:
+    return len(max_distant_cross_matching(g, part))
 
 
 def _reaches_within(seen: bytearray, s: int, w: int,
@@ -406,11 +404,10 @@ def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
     return _subset_dp(g, partial(_cut_size_mask, g), cap)
 
 
-def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
-              cross_cap: int = CROSS_EDGE_CAP) -> WidthResult:
+def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
     """Exact distant matching width with a witness order and its per-prefix cuts.
 
-    cross_cap bounds the cut edges of the evaluations that run the
+    CROSS_EDGE_CAP bounds the cut edges of the evaluations that run the
     exhaustive branch and bound, those asked for more than 3 edges; the
     direct loops for 1 to 3 edges take any number.
     """
@@ -420,7 +417,7 @@ def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP,
 
     def cut(s: int, k: int) -> int:
         edges = _table_cross_edges(tables, s)
-        _check_cross_cap(edges, cross_cap, k)
+        _check_cross_cap(edges, k)
         return _max_compatible_subset(edges, compat, k)[0]
 
     return _subset_dp(g, cut, cap)

@@ -833,6 +833,36 @@ def validate_by_bfs(z, order):
     return BpReport(violations=violations)
 
 
+def reads_by_paths(z, order):
+    """(reads, offender, uniform) of an acyclic program, from its root-to-node paths.
+
+    Each node collects the variable sets of the root paths ending at it,
+    by a depth-first search over (node, variable set) pairs that extends
+    each pair once. reads[v] is the union of v's sets as a mask. offender
+    is (edge, variable) for the first edge, by tail in order and then in
+    out-edge order, whose variable some path to its tail reads, or None.
+    uniform holds when every node has exactly one set and the leaf's set
+    is every variable.
+    """
+    sets = [set() for _ in range(z.num_nodes)]
+    stack = [(z.root, frozenset())]
+    while stack:
+        v, read = stack.pop()
+        if read in sets[v]:
+            continue
+        sets[v].add(read)
+        for i in z.out_edges[v]:
+            _, h, lab = z.edges[i]
+            stack.append((h, read if lab is None else read | {_var_of(lab)}))
+    union = [frozenset().union(*s) for s in sets]
+    reads = [sum(1 << x for x in u) for u in union]
+    offender = next(((i, _var_of(z.edges[i][2])) for v in order for i in z.out_edges[v]
+                     if z.edges[i][2] is not None and _var_of(z.edges[i][2]) in union[v]), None)
+    uniform = (all(len(s) == 1 for s in sets)
+               and sets[z.leaf] == {frozenset(range(z.num_vars))})
+    return reads, offender, uniform
+
+
 def nfbdd_error_by_sets(num_nodes, edges, root, leaf, num_vars):
     """The message Nfbdd(...) raises for these arguments, or None when it accepts them.
 

@@ -45,6 +45,7 @@ from oracles import (
     nfbdd_error_by_sets,
     path_literals,
     random_connected_graph,
+    reads_by_paths,
     root_leaf_paths,
     topological_order_by_heap,
     validate_by_bfs,
@@ -500,6 +501,41 @@ def test_order_and_violations_equal_the_heap_and_bfs_references():
             for kind in kinds:
                 kinds[kind] += kind in v
     assert min(kinds.values()) > 5, kinds
+
+
+def test_reads_match_the_path_oracle():
+    rng = random.Random(5)
+    programs = []
+    for seed in range(60):
+        z = random_read_once_program(2 + seed % 5, seed=seed)
+        u = uniformize(z)
+        programs += [z, u, _permuted(z, rng), _permuted(u, rng)]
+    compiled = [nfbdd_compile(cnf_from_graph(g)) for g in atlas_connected(2, 5)]
+    programs += compiled + [_permuted(y, rng) for y in compiled]
+    # one edge relabeled at random, which often reads a variable twice
+    for z in programs[:200]:
+        edges = list(z.edges)
+        i = rng.randrange(len(edges))
+        t, h, _ = edges[i]
+        edges[i] = (t, h, rng.choice([1, -1]) * rng.randint(1, z.num_vars))
+        programs.append(Nrobp(z.num_nodes, edges, z.root, z.leaf, z.num_vars))
+    seen = set()
+    for z in programs:
+        order = _topological_order(z)
+        got = bplab.bp._reads(z, order)
+        assert got == reads_by_paths(z, order)
+        seen.add((got[1] is None, got[2]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}, seen
+    # other acyclic programs: stray sources, unreached nodes, several sinks
+    stray = Nrobp(3, [(0, 1, 1), (2, 1, 1)], 0, 1, 1)  # node 2 brings the root's reads
+    kinds = collections.Counter()
+    for z in [stray] + [_random_digraph(rng) for _ in range(600)]:
+        order = _topological_order(z)
+        if order is not None:
+            uniform = bplab.bp._reads(z, order)[2]
+            assert uniform == reads_by_paths(z, order)[2]
+            kinds[validate_nrobp(z).ok, uniform] += 1
+    assert len(kinds) == 4, kinds
 
 
 def test_compiled_and_parsed_programs_skip_the_heap(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 import bplab.bp
 import bplab.covers
 import bplab.widths
-from bplab.bp import Nfbdd, Nrobp, _uniform_masks, nfbdd_compile, uniformize
+from bplab.bp import Nfbdd, Nrobp, bp_equivalence, is_uniform, nfbdd_compile, uniformize
 from bplab.covers import (
     composed_bound_constants,
     constants,
@@ -26,6 +26,7 @@ from bplab.covers import (
     relative_weight,
     verify_deepcover,
 )
+from bplab.fileio import parse_bp, write_bp
 from bplab.graphs import (
     Graph,
     Matching,
@@ -52,6 +53,7 @@ from oracles import (
     min_dis_cover_by_filter,
     path_weight_oracle,
     random_connected_graph,
+    reads_by_paths,
     root_leaf_paths,
     vertex_cover_masks,
 )
@@ -598,6 +600,23 @@ def test_node_masks_are_walked_once_per_diagram(monkeypatch):
     assert walks == [y.num_nodes, z.num_nodes]
 
 
+def test_a_parsed_program_is_validated_once(monkeypatch):
+    g = cycle_graph(6)
+    y = _compiled(g)
+    assert y._reads_of is None  # the constructor does not keep its masks
+    z = parse_bp(write_bp(y))
+    calls = {"_validate": 0, "_reads": 0}
+    for name in calls:
+        def counting(x, *args, name=name, fn=getattr(bplab.bp, name)):
+            calls[name] += x is z
+            return fn(x, *args)
+        monkeypatch.setattr(bplab.bp, name, counting)
+    assert is_uniform(z)
+    assert extract_cut_cover(z, g).q == extract_cut_cover(y, g).q
+    assert bp_equivalence(z, uniformize(z))
+    assert calls["_validate"] == 1 and 1 <= calls["_reads"] <= 2, calls
+
+
 def test_node_masks_match_the_uniform_walk_and_first_in_edge_paths():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -605,7 +624,7 @@ def test_node_masks_match_the_uniform_walk_and_first_in_edge_paths():
     cases = [(g, _compiled(g)) for g in FIXTURES + [family]]
     cases += _shuffled_id_diagrams()
     for g, y in cases:
-        assert y.node_masks()[0] == _uniform_masks(y, y.order)
+        assert y.node_masks()[0] == reads_by_paths(y, y.order)[0]
         for a in range(y.num_nodes):
             ctx = node_context(y, g, a)
             assert (ctx.vert, ctx.free) == context_by_first_in_edges(y, g, a)

@@ -216,12 +216,10 @@ def test_table_cut_edges_at_chunk_boundaries():
 
 
 def test_distant_cross_edge_cap_past_the_first_chunk():
-    # the hub, vertex 21, is in the third 8-vertex chunk; the prefix {21} cuts every edge
-    star = Graph(22, [(v, 21) for v in range(21)])
-    with pytest.raises(ValueError, match="21 cut edges exceed the exhaustive cap 20"):
-        max_distant_cross_matching(star, PrefixPartition.split(star, [21]), cross_cap=20)
-    # dmw_exact asks the star's cuts for at most 2 edges, which direct loops answer
-    assert dmw_exact(star, cross_cap=20).value == 1
+    # the hub, vertex 33, is in the fifth 8-vertex chunk; the prefix {33} cuts every edge
+    star = Graph(34, [(v, 33) for v in range(33)])
+    with pytest.raises(ValueError, match="33 cut edges exceed the exhaustive cap 32"):
+        max_distant_cross_matching(star, PrefixPartition.split(star, [33]))
 
 
 def _family(k, r):
@@ -279,7 +277,7 @@ def test_star_at_the_cap_stops_at_the_full_set(monkeypatch):
     star = Graph(22, [(0, v) for v in range(1, 22)])
     calls = _counted_cuts(monkeypatch)
     mw = mw_exact(star)
-    dmw = dmw_exact(star, cross_cap=21)
+    dmw = dmw_exact(star)
     assert mw.value == dmw.value == 1
     for res, oracle in ((mw, cut_matching_size_oracle), (dmw, max_distant_cross_oracle)):
         assert sorted(res.witness_order) == list(range(22))
@@ -371,7 +369,6 @@ def test_cross_edge_cap_applies_only_to_the_exhaustive_search():
     # K_{8,8}: up to 64 cut edges, but dmw 1 only asks for limits 1 and 2
     g = Graph(16, [(a, 8 + b) for a in range(8) for b in range(8)])
     res = dmw_exact(g)
-    assert res == dmw_exact(g, cross_cap=64)
     assert res.value == 1
     assert sorted(res.witness_order) == list(range(16))
     assert res.witness_cuts == tuple(max_distant_cross_oracle(g, res.witness_order[:i])
