@@ -11,11 +11,11 @@ drives the cover-size lower bound 2^(dmw/a_x).
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from operator import gt, itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -109,25 +109,41 @@ def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
 
 
 _Step = tuple[int, int, Weight, int, int]
-# A kept column: (flat, stride, lane); its value at node v is flat[v * stride + lane].
-# The lanes of one batch share one flat, node-major.
-_Col = tuple[Sequence[Weight], int, int]
+# A _sweep step: (v, w, positive head, negative head, xidx, perm)
+_SweepStep = tuple[int, Weight, int, int, list[int] | None, list[int] | None]
 
 
 def _steps(y: Nfbdd, exact: bool) -> tuple[list[_Step], list[int]]:
     """(steps, lastp): one step (v, x, w, positive head, negative head) per
-    non-leaf node, in reverse topological order, and each node's last parent.
+    non-leaf node, children first, and each node's last parent.
 
     x is the variable v reads and w its edge weight (1/2 out of a two-way
     node, 1 out of a one-way node); a missing edge's head is -1. lastp[h] is
     h's parent that comes last in steps, after which no step reads h's row;
-    lastp[-1] is -1, which no node equals.
+    lastp[-1] is -1, which no node equals. The steps come in the postorder
+    of a depth-first walk from the root, which keeps far fewer rows alive
+    at once than a level-by-level order: at DIS size 3 on the (10,3)
+    family diagram, 135k lanes against 3.1M.
     """
+    order = []  # the nodes in postorder
+    seen = [False] * y.num_nodes
+    seen[y.root] = True
+    stack = [y.root]
+    while stack:
+        v = stack[-1]
+        for i in y.out_edges[v]:
+            h = y.edges[i][1]
+            if not seen[h]:
+                seen[h] = True
+                stack.append(h)
+                break
+        else:
+            order.append(stack.pop())
     half: Weight = Fraction(1, 2) if exact else 0.5
     one: Weight = Fraction(1) if exact else 1.0
     steps = []
     lastp = [-1] * (y.num_nodes + 1)
-    for v in reversed(y.order):
+    for v in order:
         if v == y.leaf:
             continue
         outs = y.out_edges[v]
@@ -140,99 +156,66 @@ def _steps(y: Nfbdd, exact: bool) -> tuple[list[_Step], list[int]]:
     return steps, lastp
 
 
-def _rows(y: Nfbdd, steps: list[_Step], lastp: list[int], pmask: int, lane_of: dict[int, int],
-          sub: dict[int, tuple[Sequence[Weight], int, list[int]]], head: _Col | None,
-          zrow: list[Weight], leaf: list[Weight]) -> Iterator[tuple[int, list[Weight]]]:
-    """(v, row) for each step v, in steps' order.
+def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[list[Weight]],
+           src: Sequence[Sequence[Weight]]) -> Iterator[tuple[int, list[Weight]]]:
+    """(v, row) for each step (v, w, hp, hn, xidx, perm), in steps' order.
 
-    The one path-weight recurrence. Lane j of v's row is the weight of the
-    v-to-leaf paths that read positively every vertex of P (the set pmask)
-    and the vertex l with lane_of[l] == j; a lane no vertex maps to reads P
-    only. An edge on x outside P and off the lanes adds w*row[head]. A
-    positive edge on x in P adds w times the columns of P minus x plus each
-    lane's vertex at the head, taken from sub[x] = (flat, stride, lanes). An
-    edge on lane j's vertex sets that lane alone to w*column(P)[head] (head
-    is that column) when positive, to 0 when negative. steps must hold every
-    node at which P and some lane's vertex are unread; at every other node
-    each lane is 0, and so is a lane at a node where its vertex is read.
-    zrow is the zero row and leaf the leaf's row. A row is dropped after its
-    last reader; a one-way node shares its head's row. _column sweeps P
-    alone, with sub[x] the column being built.
+    The one path-weight recurrence. Each lane of a row is a vertex set, and
+    its value at v the weight of the v-to-leaf paths that read the whole set
+    positively. v reads x with edge weight w; hp and hn are its positive and
+    negative heads, -1 when missing. The heads' rows hold v's lanes that
+    miss x, in v's order: v adds them elementwise, w*a + w*b, and a one-way
+    node shares its head's row. The sets holding x, its x-lanes, come
+    first: x-lane j is w times lane xidx[j] of src[hp], the set minus x at
+    the positive head (src[-1] is zeros). perm, when given, picks v's lanes
+    from that concatenation. rows holds the leaf's row and gets each
+    step's; a row is dropped after its last reader, lastp[h] (see _steps).
     """
-    rows = [zrow] * (y.num_nodes + 1)  # rows[-1], a missing head's, stays zero
-    rows[y.leaf] = leaf
-    for v, x, w, hp, hn in steps:
-        if pmask >> x & 1:
-            if hp < 0:
-                row = zrow
-            else:
-                flat, stride, lanes = sub[x]
-                base = hp * stride
-                row = [w * flat[base + i] for i in lanes]
+    empty: list[Weight] = []
+    for v, w, hp, hn, xidx, perm in steps:
+        if hn < 0:  # a one-way node: w = 1
+            row = rows[hp]
+        elif hp < 0:
+            row = rows[hn]
         else:
-            j = lane_of.get(x)
-            if hn < 0 or hp < 0:  # a one-way node: w = 1
-                row = rows[hp] if hn < 0 else rows[hn]
-                if j is not None:
-                    row = row.copy()
-            else:
-                row = [w * a + w * b for a, b in zip(rows[hp], rows[hn])]
-            if j is not None:
-                if hp < 0:
-                    row[j] = zrow[0]
-                else:
-                    flat, stride, lane = head  # type: ignore[misc]
-                    row[j] = w * flat[hp * stride + lane]
+            row = [w * a + w * b for a, b in zip(rows[hp], rows[hn])]
+        if xidx:
+            s = src[hp]
+            row = [w * s[j] for j in xidx] + row
+            if perm:
+                row = list(map(row.__getitem__, perm))
         rows[v] = row
         if lastp[hp] == v:
-            rows[hp] = zrow
+            rows[hp] = empty
         if lastp[hn] == v:
-            rows[hn] = zrow
+            rows[hn] = empty
         yield v, row
-
-
-def _batch(prefix: tuple[int, ...], lasts: list[int], cols: dict[int, _Col]
-           ) -> tuple[int, dict[int, int], dict[int, tuple[Sequence[Weight], int, list[int]]],
-                      _Col]:
-    """_rows' pmask, lane_of, sub and head for the sets prefix + (u,), u in lasts.
-
-    cols must hold prefix and each set prefix minus x plus u. Every vertex
-    of lasts is above prefix's maximum, so each of those sets is a lane of
-    the batch of prefix minus x, which holds lasts among its own lanes.
-    """
-    pmask = sum(1 << v for v in prefix)
-    sub = {}
-    for x in prefix:
-        rest = pmask ^ 1 << x
-        flat, stride, _ = cols[rest | 1 << lasts[0]]
-        sub[x] = (flat, stride, [cols[rest | 1 << u][2] for u in lasts])
-    return pmask, {u: j for j, u in enumerate(lasts)}, sub, cols[pmask]
-
-
-def _flat(num_nodes: int, width: int, exact: bool) -> Sequence[Weight]:
-    """A zero node-major table of num_nodes rows of width lanes; doubles in float mode."""
-    size = num_nodes * width
-    return [Fraction(0)] * size if exact else array("d", [0.0]) * size
 
 
 def _column(y: Nfbdd, smask: int, exact: bool) -> list[Weight]:
     """Covered weight of the set smask at every node where it is unread.
 
-    One sweep over every step, with no lanes. Once x is read at a node, no
-    path from its heads reads x again, so the column of smask minus x at the
-    head is smask's own column there: sub maps each x of smask to the column
-    being built. Where smask is partly read, the entry weighs the paths that
-    read none of it negatively. The empty set's column, the path totals, is
-    built once per diagram and flag.
+    The one-lane _sweep over every step. Once x is read at a node, no path
+    from its heads reads x again, so the set minus x at a head is the set's
+    own lane there: a node reading x of smask takes its x-lane from the
+    rows being built, and its perm drops the head sum. Where smask is
+    partly read, the entry weighs the paths that read none of it
+    negatively. The empty set's column, the path totals, is built once per
+    diagram and flag.
     """
     col = y.path_totals.get(exact) if not smask else None
     if col is None:
         zero: Weight = Fraction(0) if exact else 0.0
         one: Weight = Fraction(1) if exact else 1.0
+        steps, lastp = _steps(y, exact)
+        own = [0]
+        plan = [(v, w, hp, hn, own, own) if smask >> x & 1 else (v, w, hp, hn, None, None)
+                for v, x, w, hp, hn in steps]
+        rows = [[]] * y.num_nodes + [[zero]]
+        rows[y.leaf] = [one]
         col = [zero] * y.num_nodes
         col[y.leaf] = one
-        sub = {x: (col, 1, [0]) for x in range(smask.bit_length()) if smask >> x & 1}
-        for v, row in _rows(y, *_steps(y, exact), smask, {}, sub, None, [zero], [one]):
+        for v, row in _sweep(plan, lastp, rows, rows):
             col[v] = row[0]
         if not smask:
             y.path_totals[exact] = col
@@ -289,6 +272,16 @@ class DeepcoverReport:
         return not self.violations
 
 
+def _transpose(masks: list[int], width: int) -> list[int]:
+    """cols[u]: the int whose bit i is bit u of masks[i], for u < width.
+
+    One string holds every mask's digits, so each column is one strided
+    slice of it; that is len(masks) * width characters at once.
+    """
+    digits = "".join(format(m, f"0{width}b") for m in reversed(masks))
+    return [int(digits[width - 1 - u::width], 2) for u in range(width)]
+
+
 def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
     """DISes of g with at most max_size vertices: the empty set, then by size
     and lexicographically within a size.
@@ -326,124 +319,171 @@ def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
         level = nxt
 
 
+# Most DISes of one size that a deepcover sweep carries as lanes; every
+# class keeps a lane list and a bound row for them while the sweep runs.
+_SWEEP_LANES = 4096
+
+
 def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-9,
                      exact: bool = False) -> DeepcoverReport:
     """Sweep every node and DIS B inside its free set: covered <= relative weight.
 
     Also checks, for each node a whose variable's vertex v lies in B, that
     the positive out-edges land on nodes whose free set still contains
-    B minus v. DISes are walked smallest first, and every subset of a DIS
-    is a DIS, so each DIS's column is built from its subsets' columns.
+    B minus v.
 
-    The DISes that share every vertex but the last form a batch, swept in
-    one pass over the nodes at which their shared prefix P is unread: each
-    node's row holds one lane per batch member (see _rows). At each node
-    whose free set holds P the row is checked in one C-level pass against
-    the bound row of the node's read-mask class, built once per batch, with
-    +inf in the lanes whose vertex is unread but blocked there. A failed
-    check is worded where it is found, keyed by (lane, node); a stable sort
-    of the batch's keys puts its violations per DIS in node-id order.
+    One _sweep per DIS size, smallest first; a size with more than
+    _SWEEP_LANES DISes is swept in rank ranges of that many. The nodes
+    that share a read mask form a class, and a node's row holds one lane
+    per DIS of the size that its class leaves unread. The first node of a
+    class that the sweep meets, reading x, sets the class's lane order: the
+    DISes holding x, then its heads' class's lanes. Each x-lane is a lane
+    of the heads' class one size down plus x, so one pass over those lanes
+    gives both the x-lanes and the lanes their values come from. A node of
+    the class that reads another variable gets an index map, built once
+    per class and variable.
+
+    Each class builds its bound row once, from its unread degrees, and each
+    node's row is compared with it in one C-level pass. A lane over its
+    bound is a violation unless its DIS holds a vertex that is unread but
+    blocked at the node. The pairs and side checks are counted per DIS, on
+    per-vertex bitsets over the nodes: where the vertex is free, where it
+    is read on a positive edge, and where that edge's head leaves it free.
+    A failed check is worded where it is found and keyed by (DIS rank,
+    node, sweep before side check), so one sort per size puts the
+    violations per DIS, DISes lexicographically, in node-id order.
     """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
     read, negs = y.node_masks()
+    full = (1 << g.n) - 1
     free = [_free_mask(g, read[v], negs[v]) for v in range(y.num_nodes)]
+    blocked = [full & ~r & ~f for r, f in zip(read, free)]  # unread but not free
+    holds = _transpose(free, g.n)  # bit v of holds[u]: u is free at node v
     by_degree = [(1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
                  for d in range(g.n)]
     classes: dict[int, int] = {}  # read mask -> class number, in order of first node
     cls = [classes.setdefault(r, len(classes)) for r in read]
-    # fcol[v][c]: v's factor of the bound in class c, from its unread degree there
-    fcol = [[by_degree[(m & ~r).bit_count()] for r in classes] for m in g.nbr_mask]
-    # side[x]: (free set of the tail, free set of the head, edge index) of
-    # each positive edge on x
-    side: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for i, (t, h, lab) in enumerate(y.edges):
+    # fac[c][u]: u's factor of the bound in class c, from its unread degree there
+    fac = [[by_degree[(m & ~r).bit_count()] for m in g.nbr_mask] for r in classes]
+    onto = [-1] * y.num_nodes  # the head of each node's positive edge
+    for t, h, lab in y.edges:
         if lab > 0:
-            side[lab - 1].append((free[t], free[h], i))
+            onto[t] = h
+    # bit t of reading[x]: node t reads x on a positive edge; of onward[u]: u
+    # is free at that edge's head
+    reading = _transpose([1 << y.var_of[t] if h >= 0 else 0 for t, h in enumerate(onto)], g.n)
+    onward = _transpose([free[h] if h >= 0 else 0 for h in onto], g.n)
     zero: Weight = Fraction(0) if exact else 0.0
-    one: Weight = Fraction(1) if exact else 1.0
     pad: Weight = zero if exact else tol  # added to each bound
+    steps, lastp = _steps(y, exact)
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(max(max_dis_size, 0) + 2)]
+    for b in _dis_iter(g, max_dis_size):
+        by_size[len(b)].append(b)
 
     violations: list[str] = []
     pairs = 0
     side_checks = 0
     dis_count = 0
-    dis = _dis_iter(g, max_dis_size)
-    next(dis)  # the empty set
-    steps, lastp = _steps(y, exact)
-    # columns of the DISes one size below those being checked (cols) and of
-    # those being checked, when a larger size follows (nxt), by mask
-    cols: dict[int, _Col] = {0: (_column(y, 0, exact), 1, 0)}
-    nxt: dict[int, _Col] = {}
-    size = 1
-    # (prefix, the steps at which it is unread, its bound factor per class)
-    # for each prefix of the batch being checked; each one is made from the
-    # one before
-    chain = [((), steps, [one] * len(classes))]
-    for prefix, batch in itertools.groupby(dis, itemgetter(slice(-1))):
-        lasts = [combo[-1] for combo in batch]
-        dis_count += len(lasts)
-        if len(prefix) == size:
-            size += 1
-            cols, nxt = nxt, {}
-        if prefix != chain[-1][0]:
-            while prefix[:len(chain[-1][0])] != chain[-1][0]:
-                chain.pop()
-            for v in prefix[len(chain[-1][0]):]:
-                p, st, lim = chain[-1]
-                chain.append((p + (v,), [s for s in st if not read[s[0]] >> v & 1],
-                              list(map(mul, lim, fcol[v]))))
-        _, prefix_steps, lim = chain[-1]
-        pmask, lane_of, sub, head = _batch(prefix, lasts, cols)
-        lmask = sum(1 << v for v in lasts)
-        width = len(lasts)
-        zrow = [zero] * width
-        swept = [s for s in prefix_steps if read[s[0]] & lmask != lmask]
-        flat = _flat(y.num_nodes, width, exact) if size < max_dis_size else None
-        bounds: dict[int, list[Weight]] = {}  # by class
-        found: list[tuple[int, int, str]] = []  # (lane, node, violation)
-        for v, row in _rows(y, swept, lastp, pmask, lane_of, sub, head, zrow, zrow):
-            if flat is not None:
-                flat[v * width:(v + 1) * width] = row if exact else array("d", row)
-            fv = free[v]
-            fm = fv & lmask
-            if fm and fv & pmask == pmask:
-                pairs += fm.bit_count()
+    # each class's lanes one size down, and the rows of that size (src[-1]: zeros)
+    prev: dict[int, list[int]] = dict.fromkeys(range(len(classes)), [0])  # the empty set
+    masks = [0]
+    src: list = [[t] for t in _column(y, 0, exact)] + [[zero]]
+    for size in range(1, max_dis_size + 1):
+        dis = by_size[size]
+        if not dis:
+            break
+        dis_count += len(dis)
+        below, masks = masks, [sum(1 << v for v in b) for b in dis]
+        rank = dict(zip(masks, count()))
+        # (class, x) -> the rank of each of the heads' class's lanes one
+        # size down plus x, or -1 when that is no DIS
+        ups: dict[tuple[int, int], list[int]] = {}
+        nxt: dict[int, list[int]] = {}  # each class's lanes, for the next size
+        table: list | None = None
+        if by_size[size + 1]:
+            table = [[] if exact else array("d") for _ in range(y.num_nodes)] + [[zero] * len(dis)]
+
+        def bound_row(c: int, lanes: list[int]) -> Sequence[Weight]:
+            f = fac[c]
+            bs = list(map(dis.__getitem__, lanes))
+            row = list(map(f.__getitem__, map(itemgetter(0), bs)))
+            for k in range(1, size):
+                row = list(map(mul, row, map(f.__getitem__, map(itemgetter(k), bs))))
+            return row if exact else array("d", [b + pad for b in row])
+
+        def plan(lo: int) -> Iterator[_SweepStep]:
+            """The steps of the sweep of the DISes with ranks lo to lo + _SWEEP_LANES."""
+            hi = lo + _SWEEP_LANES
+            maps: dict[tuple[int, int], tuple[list[int], list[int] | None]] = {}
+            for v, x, w, hp, hn in steps:
                 c = cls[v]
-                bound = bounds.get(c)
-                if bound is None:
-                    bound = [lim[c] * fcol[u][c] + pad for u in lasts]
-                    bounds[c] = bound = bound if exact else array("d", bound)
-                blocked = lmask & ~read[v] & ~fv
-                if blocked:
-                    bound = bound[:]
-                    while blocked:
-                        b = blocked & -blocked
-                        blocked ^= b
-                        bound[lane_of[b.bit_length() - 1]] = math.inf
-                if any(map(gt, row, bound)):
-                    for j, last in enumerate(lasts):
-                        if row[j] > bound[j]:
-                            rw = lim[c] * fcol[last][c]
-                            found.append((j, v, f"node {v}, B={[*prefix, last]}: "
-                                                f"covered weight {row[j]} exceeds bound {rw}"))
-        for j, last in enumerate(lasts):
-            bmask = pmask | 1 << last
-            for v in prefix + (last,):
-                rest = bmask ^ 1 << v
-                for free_t, free_h, i in side[v]:
-                    if free_t & bmask == bmask:
-                        side_checks += 1
-                        if free_h & rest != rest:
-                            t, h, _ = y.edges[i]
-                            found.append((j, t, f"node {t} -> {h}: B minus {v} "
-                                                "leaves the free set"))
-        if found:
-            found.sort(key=itemgetter(0, 1))
-            violations += [msg for _, _, msg in found]
-        if flat is not None:
-            for j, last in enumerate(lasts):
-                nxt[pmask | 1 << last] = (flat, width, j)
+                p = maps.get((c, x))
+                if p is None:
+                    hc = cls[hp if hp >= 0 else hn]
+                    up = ups.get((c, x))
+                    if up is None:
+                        up = ups[c, x] = [rank.get(below[r] | 1 << x, -1)
+                                          for r in prev.get(hc, ())]
+                    sel = [lo <= r < hi for r in up]
+                    cat = list(compress(up, sel))
+                    if hc in live:
+                        cat += live[hc][0]
+                    perm = None
+                    if c not in live:
+                        live[c] = (cat, bound_row(c, cat))
+                    else:
+                        perm = list(map(dict(zip(cat, count())).__getitem__, live[c][0]))
+                    p = maps[c, x] = (list(compress(range(len(up)), sel)), perm)
+                if live[c][0]:
+                    yield v, w, hp, hn, *p
+
+        found: list[tuple[int, int, int, str]] = []  # (rank, node, 0 or 1, violation)
+        for lo in range(0, len(dis), _SWEEP_LANES):
+            # class -> (lane ranks, bound row), filled by plan as the sweep meets each class
+            live: dict[int, tuple[list[int], Sequence[Weight]]] = {}
+            for v, row in _sweep(plan(lo), lastp, [[]] * (y.num_nodes + 1), src):
+                if table is not None:
+                    table[v].extend(row)
+                lanes, bound = live[cls[v]]
+                bm = blocked[v]
+                over = compress(lanes, map(gt, row, bound))
+                if all(map(bm.__and__, map(masks.__getitem__, over))):
+                    continue  # each lane over its bound holds a vertex blocked here
+                for j in compress(count(), map(gt, row, bound)):
+                    r = lanes[j]
+                    if not masks[r] & bm:
+                        f = fac[cls[v]]
+                        rw = f[dis[r][0]]
+                        for u in dis[r][1:]:
+                            rw *= f[u]
+                        found.append((r, v, 0, f"node {v}, B={list(dis[r])}: "
+                                               f"covered weight {row[j]} exceeds bound {rw}"))
+            if table is not None:
+                for c, (lanes, _) in live.items():
+                    nxt.setdefault(c, []).extend(lanes)
+        for r, b in enumerate(dis):
+            held = holds[b[0]]
+            for u in b[1:]:
+                held &= holds[u]
+            pairs += held.bit_count()
+            for u in b:
+                tails = held & reading[u]
+                side_checks += tails.bit_count()
+                rest = -1  # the nodes whose positive head holds B minus u
+                for w in b:
+                    if w != u:
+                        rest &= onward[w]
+                bad = tails & ~rest
+                while bad:
+                    low = bad & -bad
+                    bad ^= low
+                    t = low.bit_length() - 1
+                    found.append((r, t, 1, f"node {t} -> {onto[t]}: B minus {u} "
+                                           "leaves the free set"))
+        found.sort(key=itemgetter(0, 1, 2))
+        violations += [msg for *_, msg in found]
+        prev, src = nxt, table
     return DeepcoverReport(
         nodes=y.num_nodes,
         dis_count=dis_count,

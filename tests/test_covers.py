@@ -447,23 +447,26 @@ def test_verify_deepcover_violations_on_all_positive_chain():
 
 def test_path_weight_total_builds_the_totals_once(monkeypatch):
     built = []
-    rows = bplab.covers._rows
+    sweep = bplab.covers._sweep
 
-    def counting(y, steps, lastp, pmask, lane_of, sub, head, zrow, leaf):
-        # the sets one sweep builds: pmask plus each lane's vertex, or pmask alone
-        sets = [pmask | 1 << v for v in lane_of] or [pmask]
-        built.extend((b, isinstance(zrow[0], Fraction)) for b in sets)
-        return rows(y, steps, lastp, pmask, lane_of, sub, head, zrow, leaf)
+    def counting(steps, lastp, rows, src):
+        # a one-set sweep takes its x-lanes from its own rows, at the nodes
+        # reading a vertex of its set
+        steps = list(steps)
+        if src is rows:
+            s = frozenset(y.var_of[v] for v, _, _, _, xidx, _ in steps if xidx)
+            built.append((s, isinstance(rows[-1][0], Fraction)))
+        return sweep(steps, lastp, rows, src)
 
-    monkeypatch.setattr(bplab.covers, "_rows", counting)
+    monkeypatch.setattr(bplab.covers, "_sweep", counting)
     y = _compiled(cycle_graph(8))
     for _ in range(2):
         for exact in (False, True):
             for a in range(y.num_nodes):
                 path_weight_total(y, a, exact=exact)
-    assert built == [(0, False), (0, True)]
+    assert built == [(frozenset(), False), (frozenset(), True)]
     covered_weight(y, y.root, [0, 4])
-    assert built[2:] == [(17, False)]
+    assert built[2:] == [(frozenset({0, 4}), False)]
 
 
 def test_extract_cut_cover_builds_the_compat_masks_once(monkeypatch):
@@ -664,30 +667,140 @@ def test_verify_deepcover_words_a_partly_failing_dis_like_the_reference():
         assert got.side_checks > 1
 
 
-def test_a_failing_batch_is_swept_once(monkeypatch):
+def test_a_failing_check_sweeps_each_dis_size_once(monkeypatch):
     # the all-positive chain fails every pair, P5 in the order 1, 4, 3, 0, 2
-    # fails some: either way each batch of DISes is one _rows sweep
+    # fails some: either way each DIS size is one _sweep over the nodes
     n = 7
     chain = (path_graph(n), Nfbdd(n + 1, [(i, i + 1, i + 1) for i in range(n)], 0, n, n), 3)
     p5 = (path_graph(5), Nfbdd(7, [(0, 2, 2), (0, 1, -2), (1, 3, -5), (2, 3, 5), (3, 4, 4),
                                    (4, 5, -1), (5, 6, -3)], 0, 6, 5), 2)
-    rows = bplab.covers._rows
+    sweep = bplab.covers._sweep
     sweeps = []
 
-    def counting(*args):
-        sweeps.append(args[3])  # the batch's prefix mask
-        return rows(*args)
+    def counting(steps, lastp, rows, src):
+        sweeps.append(len(src[-1]))  # the number of DISes one size down
+        return sweep(steps, lastp, rows, src)
 
-    monkeypatch.setattr(bplab.covers, "_rows", counting)
+    monkeypatch.setattr(bplab.covers, "_sweep", counting)
     for g, y, size in (chain, p5):
-        dis = list(bplab.covers._dis_iter(g, size))[1:]
-        prefixes = [sum(1 << v for v in p) for p, _ in itertools.groupby(dis, lambda b: b[:-1])]
+        dis = list(bplab.covers._dis_iter(g, size))
+        below = [sum(len(b) == s - 1 for b in dis) for s in range(1, size + 1)]
+        assert all(any(len(b) == s for b in dis) for s in range(1, size + 1))
         for exact in (False, True):
             path_weight_total(y, y.root, exact=exact)  # the totals, built once
             sweeps.clear()
             got = verify_deepcover(y, g, max_dis_size=size, exact=exact)
             assert got.violations
-            assert sweeps == prefixes, (g.edges, exact)
+            assert sweeps == below, (g.edges, exact)
+
+
+def _split_compiles(g, order_a, order_b):
+    """A root reading order_a[0], the first vertex of both orders, whose
+    positive edge enters g's compile under order_a and whose negative edge
+    enters its compile under order_b, each where that compile's root goes on
+    the same literal; the two share only the leaf. Nodes of one read mask
+    then read different variables, so the diagram is uniform but not ordered."""
+    assert order_a[0] == order_b[0]
+    nodes = {}  # (part, node) -> new id
+    edges = []
+    leaf = None
+    count = itertools.count(1)
+    for part, order, sign in (("a", order_a, 1), ("b", order_b, -1)):
+        z = nfbdd_compile(cnf_from_graph(g), order)
+        start = next(z.edges[i][1] for i in z.out_edges[z.root]
+                     if z.edges[i][2] == sign * (order[0] + 1))
+        ids = {}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v in ids:
+                continue
+            ids[v] = None
+            stack += [z.edges[i][1] for i in z.out_edges[v]]
+        for v in ids:
+            if v == z.leaf:
+                leaf = nodes[part, v] = leaf or next(count)
+            else:
+                nodes[part, v] = next(count)
+        edges.append((0, nodes[part, start], sign * (order[0] + 1)))
+        edges += [(nodes[part, t], nodes[part, h], lab) for t, h, lab in z.edges if t in ids]
+    return Nfbdd(next(count), edges, 0, leaf, g.n)
+
+
+def test_verify_deepcover_maps_lanes_on_unordered_uniform_diagrams(monkeypatch):
+    # classes whose nodes read different variables take v's lanes through
+    # an index map; label flips keep the diagrams uniform and break checks
+    sweep = bplab.covers._sweep
+    mapped = []
+
+    def recording(steps, lastp, rows, src):
+        steps = list(steps)
+        mapped.append(any(perm for *_, perm in steps))
+        return sweep(steps, lastp, rows, src)
+
+    monkeypatch.setattr(bplab.covers, "_sweep", recording)
+    rng = random.Random(11)
+    violations = 0
+    for n in (7, 8, 9):
+        g = random_connected_graph(n, 500 + n, 3)
+        order_a = list(range(n))
+        rng.shuffle(order_a)
+        order_b = order_a[:1]
+        for i in range(1, n - 1, 2):  # swap each later pair: prefixes of odd length agree
+            order_b += [order_a[i + 1], order_a[i]]
+        order_b += order_a[len(order_b):]
+        y = _split_compiles(g, order_a, order_b)
+        flip = {v for v in range(y.num_nodes) if len(y.out_edges[v]) == 2 and rng.random() < 0.3}
+        flipped = Nfbdd(y.num_nodes, [(t, h, -lab if t in flip else lab) for t, h, lab in y.edges],
+                        y.root, y.leaf, y.num_vars)
+        for z in (y, flipped):
+            for size in (1, 2, 3):
+                for exact in (False, True):
+                    mapped.clear()
+                    got = verify_deepcover(z, g, max_dis_size=size, exact=exact)
+                    assert got == deepcover_by_dis_tables(z, g, max_dis_size=size, exact=exact), (
+                        g.edges, size, exact)
+                    assert any(mapped)
+                    violations += len(got.violations)
+    assert violations > 0
+
+
+def test_verify_deepcover_sweeps_rank_ranges_like_one_sweep(monkeypatch):
+    # with a few DISes per sweep, every size runs in several rank ranges and
+    # the rows kept for the next size are joined from them
+    cases = list(_shuffled_order_diagrams())[:6]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g, _ = hard_family_instance(6, 3, allow_small_r=True)
+    cases.append((g, _compiled(g)))
+    want = [verify_deepcover(z, g, max_dis_size=3, exact=exact, tol=tol)
+            for g, z in cases for exact, tol in ((False, 1e-9), (True, 1e-9), (False, -0.5))]
+    sweeps = []
+    sweep = bplab.covers._sweep
+    monkeypatch.setattr(bplab.covers, "_SWEEP_LANES", 5)
+    monkeypatch.setattr(bplab.covers, "_sweep", lambda *args: sweeps.append(1) or sweep(*args))
+    got = [verify_deepcover(z, g, max_dis_size=3, exact=exact, tol=tol)
+           for g, z in cases for exact, tol in ((False, 1e-9), (True, 1e-9), (False, -0.5))]
+    assert got == want
+    assert len(sweeps) > 9 * len(got)
+    assert got[-3] == deepcover_by_dis_tables(cases[-1][1], cases[-1][0], max_dis_size=3)
+
+
+def test_verify_deepcover_orders_violations_across_sizes():
+    # a negative tolerance fails most pairs at every size
+    violations = 0
+    for k, r in ((6, 2), (10, 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g, _ = hard_family_instance(k, r, allow_small_r=True)
+        y = _compiled(g)
+        got = verify_deepcover(y, g, 3, tol=-0.5)
+        assert got == deepcover_by_dis_tables(y, g, 3, tol=-0.5)
+        sizes = {m.split("B=[")[1].split("]")[0].count(",") + 1 for m in got.violations
+                 if "B=" in m}
+        assert sizes == {1, 2, 3}
+        violations += len(got.violations)
+    assert violations > 2000
 
 
 def test_min_dis_cover_equals_the_rescanning_reference():
