@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Assignment, MonotoneCnf, primal_graph
+from .graphs import ENUMERATION_CAP, Assignment, MonotoneCnf, _check_enum_cap, primal_graph
 
 
 class Nrobp:
@@ -25,13 +25,12 @@ class Nrobp:
     Edges are (tail, head, label) with label None or a DIMACS-style literal
     (variable v is v+1 / -(v+1)). Only range errors are rejected here so that
     validate_nrobp can report structural defects on constructed objects.
-    The first check that needs a valid program keeps its topological order
-    in _order, and the first that needs read masks keeps (reads, uniform)
-    in _reads_of.
+    The first check that needs a valid program keeps its check record,
+    (order, reads, uniform), in _checked; see _check_record.
     """
 
     __slots__ = ("num_nodes", "edges", "root", "leaf", "num_vars", "out_edges", "in_edges",
-                 "_order", "_reads_of")
+                 "_checked")
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int | None]],
                  root: int, leaf: int, num_vars: int) -> None:
@@ -65,8 +64,7 @@ class Nrobp:
         self.edges: tuple[tuple[int, int, int | None], ...] = tuple(es)
         self.out_edges: tuple[tuple[int, ...], ...] = tuple(out)
         self.in_edges: tuple[tuple[int, ...], ...] = tuple(inc)
-        self._order: list[int] | None = None
-        self._reads_of: tuple[list[int], bool] | None = None
+        self._checked: tuple[list[int], list[int], bool] | None = None
 
     @property
     def size_edges(self) -> int:
@@ -121,12 +119,14 @@ def _var_of(label: int) -> int:
 
 def validate_nrobp(z: Nrobp) -> BpReport:
     """Report acyclicity, source/sink uniqueness, connectivity, and read-once defects."""
-    return _validate(z, _topological_order(z))
+    return _validate(z, _topological_order(z))[0]
 
 
-def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
-    """validate_nrobp given z's topological order, or None when z is cyclic."""
+def _validate(z: Nrobp, order: list[int] | None) -> tuple[BpReport, tuple | None]:
+    """validate_nrobp given z's topological order, or None when z is cyclic; also
+    (reads, uniform) from the read pass, which runs for every valid z, else None."""
     violations: list[str] = []
+    masks = None
     if order is None:
         violations.append(f"cycle through nodes {_find_cycle(z)}")
 
@@ -164,27 +164,26 @@ def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
             if v not in reach:
                 violations.append(f"node {v} is disconnected from the root")
     else:
-        offender = _reads(z, order)[1]
+        reads, offender, uniform = _reads(z, order)
+        masks = (reads, uniform)
         if offender is not None:
             i, var = offender
             path = _witness_double_read(z, i, var)
             violations.append(
                 f"variable {var} is read twice along the path through nodes {path}")
-    return BpReport(violations=violations)
+    return BpReport(violations=violations), masks
 
 
-def _valid_order(z: Nrobp) -> list[int]:
-    """Topological order of z; ValueError naming the first defect if z is invalid.
-
-    Validated on the first call only: the order is kept in z._order.
-    """
-    if z._order is None:
+def _check_record(z: Nrobp) -> tuple[list[int], list[int], bool]:
+    """z's check record (order, reads, uniform) from one _validate, kept in
+    z._checked by the first call; ValueError naming the first defect if z is invalid."""
+    if z._checked is None:
         order = _topological_order(z)
-        rep = _validate(z, order)
+        rep, masks = _validate(z, order)
         if not rep.ok:
             raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
-        z._order = order
-    return z._order
+        z._checked = (order, *masks)
+    return z._checked
 
 
 def _reads(z: Nrobp, order: list[int]) -> tuple[list[int], tuple[int, int] | None, bool]:
@@ -195,9 +194,11 @@ def _reads(z: Nrobp, order: list[int]) -> tuple[list[int], tuple[int, int] | Non
     its tail's paths may already read, or None. uniform is cleared when two
     in-edges of a node bring different reads, when the root does not reach
     a node, and when the leaf's paths do not read every variable.
+    Nodes with equal masks share one int (one per level in a compiled diagram).
     """
     edges = z.edges
     out_edges = z.out_edges
+    share = {}.setdefault
     reads: list[int | None] = [None] * z.num_nodes
     reads[z.root] = 0
     offender = None
@@ -206,7 +207,8 @@ def _reads(z: Nrobp, order: list[int]) -> tuple[list[int], tuple[int, int] | Non
         rv = reads[v]
         if rv is None:
             uniform = False
-            rv = reads[v] = 0
+            rv = 0
+        rv = reads[v] = share(rv, rv)
         for i in out_edges[v]:
             _, h, lab = edges[i]
             if lab is None:
@@ -225,17 +227,6 @@ def _reads(z: Nrobp, order: list[int]) -> tuple[list[int], tuple[int, int] | Non
     if reads[z.leaf] != (1 << z.num_vars) - 1:
         uniform = False
     return reads, offender, uniform  # type: ignore[return-value]
-
-
-def _read_masks(z: Nrobp) -> tuple[list[int], bool]:
-    """(reads, uniform) of a valid program; ValueError if z is invalid.
-
-    One _reads pass on the first call, kept in z._reads_of for later ones.
-    """
-    if z._reads_of is None:
-        reads, _, uniform = _reads(z, _valid_order(z))
-        z._reads_of = (reads, uniform)
-    return z._reads_of
 
 
 def _find_cycle(z: Nrobp) -> list[int]:
@@ -295,7 +286,7 @@ def _witness_double_read(z: Nrobp, edge_idx: int, var: int) -> list[int]:
 
 def is_uniform(z: Nrobp) -> bool:
     """All root-to-a paths read the same variables, and full paths read Var(F)."""
-    return _read_masks(z)[1]
+    return _check_record(z)[2]
 
 
 def uniformize(z: Nrobp) -> Nrobp:
@@ -309,7 +300,7 @@ def uniformize(z: Nrobp) -> Nrobp:
     union of their path variable sets; the leaf targets all of Var(F).
     Output size is at most (2 * num_vars + 1) times the input size.
     """
-    order = _valid_order(z)
+    order, reads, _ = _check_record(z)
     full = (1 << z.num_vars) - 1
     if z.root == z.leaf:
         # constant-true single node: emit a fresh paired-literal chain
@@ -321,7 +312,6 @@ def uniformize(z: Nrobp) -> Nrobp:
             edges.append((v, v + 1, -(v + 1)))
         return Nrobp(z.num_vars + 1, edges, 0, z.num_vars, z.num_vars)
 
-    reads = _read_masks(z)[0]
     next_node = z.num_nodes
     new_edges: list[tuple[int, int, int | None]] = []
     for b in order:
@@ -371,10 +361,9 @@ def _accepted(z: Nrobp, cap: int) -> int:
     x set, a negative one the masks with it clear. Each reach[v] is freed
     once pushed along its out-edges, so only frontier nodes hold 2^n bits.
     """
-    order = _valid_order(z)
+    order = _check_record(z)[0]
     n = z.num_vars
-    if n > cap:
-        raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
+    _check_enum_cap(n, cap)
     pos = _bit_planes(n)
     reach = [0] * z.num_nodes
     reach[z.root] = (1 << (1 << n)) - 1
@@ -394,7 +383,7 @@ def _accepted(z: Nrobp, cap: int) -> int:
     return reach[z.leaf]
 
 
-def bp_satisfying_set(z: Nrobp, cap: int = 20) -> set[Assignment]:
+def bp_satisfying_set(z: Nrobp, cap: int = ENUMERATION_CAP) -> set[Assignment]:
     """Total assignments accepted by z, decoded from the reachability bitset."""
     bits = bin(_accepted(z, cap))[:1:-1]  # character m is bit m
     return {Assignment.from_mask(z.num_vars, m) for m, c in enumerate(bits) if c == "1"}
@@ -406,7 +395,7 @@ class Nfbdd(Nrobp):
     A node with two out-edges carries opposite literals of one variable;
     a node with one out-edge reads its variable with one sign. Every
     instance is checked for validity and uniformity on construction, and
-    keeps the topological order that check computed.
+    keeps the check record, order and read masks, that check computed.
     """
 
     __slots__ = ("var_of", "path_totals", "_neg")
@@ -415,16 +404,15 @@ class Nfbdd(Nrobp):
                  root: int, leaf: int, num_vars: int) -> None:
         super().__init__(num_nodes, edges, root, leaf, num_vars)
         order = _topological_order(self)
-        # the pass's masks are dropped at once: at k=10 r=6 they are 1.1M 508-bit ints
-        ok = order is not None and _reads(self, order)[1:] == (None, True)
+        reads, offender, uniform = _reads(self, order) if order else (None, None, False)
         var_of = _fbdd_shape(self)
-        if not ok or isinstance(var_of, str):
-            rep = _validate(self, order)  # only a rejected program pays for the wording
+        if offender is not None or not uniform or isinstance(var_of, str):
+            rep = _validate(self, order)[0]  # only a rejected program pays for the wording
             if not rep.ok:
                 raise ValueError(f"not a valid NROBP: {rep.violations[0]}")
             raise ValueError(var_of if isinstance(var_of, str) else "program is not uniform")
         self.var_of: tuple[int | None, ...] = var_of
-        self._order = order
+        self._checked = (order, reads, True)
         # path-weight column per exact flag, filled on first use by covers
         self.path_totals: dict[bool, list] = {}
         self._neg: list[int] | None = None
@@ -432,18 +420,19 @@ class Nfbdd(Nrobp):
     @property
     def order(self) -> list[int]:
         """The topological order the constructor validated, lowest node id first."""
-        return self._order  # type: ignore[return-value]
+        return self._checked[0]  # type: ignore[index]
 
     def node_masks(self) -> tuple[list[int], list[int]]:
         """(read, neg): per node, the variables its root paths read, and those
         that one of them, found by following first in-edges, reads negatively.
 
-        Each is computed on the first call and kept for later ones, never in
-        the constructor: at k=10 r=6 that is 1.1M pairs of 508-bit ints.
+        read is the constructor's read pass, kept with its order. neg is
+        walked on the first call and kept for later ones, never in the
+        constructor: at k=10 r=6 that is up to 1.1M 508-bit ints.
         """
         if self._neg is None:
             self._neg = _mask_walk(self)
-        return _read_masks(self)[0], self._neg
+        return self._checked[1], self._neg  # type: ignore[index]
 
 
 def _mask_walk(y: Nfbdd) -> list[int]:
@@ -653,8 +642,8 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
     lo = [ones ^ h for h in hi]
     states = [1] * (full + 1)  # forced-mask sets by read mask
     base = [2] * (full + 1)  # cost plus two edges per state, by read mask
-    cost = [0] * (full + 1)
     choice = [-1] * (full + 1)
+    best = 0  # cost of reading s; after the loop, of reading every variable
     for s in range(1, full + 1):
         best = -1
         bx = -1
@@ -667,7 +656,6 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
             if best < 0 or val < best:
                 best = val
                 bx = x
-        cost[s] = best
         choice[s] = bx
         low = s & -s
         x = low.bit_length() - 1
@@ -689,10 +677,10 @@ def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ..
         order.append(x)
         s ^= 1 << x
     order.reverse()
-    return cost[full], tuple(order)
+    return best, tuple(order)
 
 
-def bp_equivalence(a: Nrobp, b: Nrobp, cap: int = 20) -> bool:
+def bp_equivalence(a: Nrobp, b: Nrobp, cap: int = ENUMERATION_CAP) -> bool:
     """Accepted-set equality; both programs must share one variable universe."""
     if a.num_vars != b.num_vars:
         raise ValueError(f"variable universes differ: {a.num_vars} vs {b.num_vars}")

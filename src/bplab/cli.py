@@ -25,7 +25,7 @@ from .fileio import (
     write_certificate,
     write_instance_bundle,
 )
-from .graphs import cnf_from_graph, path_graph
+from .graphs import ENUMERATION_CAP, cnf_from_graph, path_graph
 from .instances import (
     canonical_tree_decomposition,
     complete_binary_tree,
@@ -239,7 +239,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 _FLAGS = {
-    "cap-vars": dict(type=int, default=20,
+    "cap-vars": dict(type=int, default=ENUMERATION_CAP,
                      help="largest variable count for exhaustive enumeration"),
     "cap-subset": dict(type=int, default=22,
                        help="largest vertex count for subset dynamic programs"),

@@ -19,8 +19,8 @@ from itertools import compress, count
 from operator import gt, itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
-from .bp import Nfbdd, Nrobp, _read_masks, _valid_order, _var_of
-from .graphs import Graph, Matching, cnf_from_graph, is_dis
+from .bp import Nfbdd, Nrobp, _check_record, _var_of
+from .graphs import ENUMERATION_CAP, Graph, Matching, _check_enum_cap, cnf_from_graph, is_dis
 from .widths import _compat_masks, _cut_size_mask, _distant_matching_of_mask, dmw_exact
 
 Weight = Union[float, Fraction]
@@ -551,15 +551,15 @@ def _min_set_cover(universe: int, masks: list[int]) -> list[int]:
     return best
 
 
-def min_dis_cover(g: Graph, t: int, cap: int = 20) -> tuple[int, tuple[frozenset[int], ...]]:
+def min_dis_cover(g: Graph, t: int, cap: int = ENUMERATION_CAP
+                  ) -> tuple[int, tuple[frozenset[int], ...]]:
     """Minimum number of size-t DISes covering all satisfying assignments of the
     clause-per-edge CNF of g, with a witness cover."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     cnf_from_graph(g)  # rejects isolated vertices
     n = g.n
-    if n > cap:
-        raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
+    _check_enum_cap(n, cap)
     indep = [0]  # independent sets of g; their complements are the satisfying masks
     for v, nbr in enumerate(g.nbr_mask):
         indep += [s | 1 << v for s in indep if not nbr & s]
@@ -625,10 +625,9 @@ def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,
     """
     if z.num_vars != g.n:
         raise ValueError(f"program reads {z.num_vars} variables but g has {g.n} vertices")
-    read, uniform = _read_masks(z)
+    order, read, uniform = _check_record(z)
     if not uniform:
         raise ValueError("program must be uniform")
-    order = _valid_order(z)
     if d is None:
         d = dmw_exact(g).value
     elif d < 1:

@@ -191,7 +191,7 @@ def bp_lines(z: Nrobp) -> Iterator[str]:
     '.' for unlabeled edges. A cyclic program has no such order and is
     rejected at the first chunk.
     """
-    order = z._order or _topological_order(z)  # a validated program keeps its own
+    order = z._checked[0] if z._checked else _topological_order(z)  # a checked one keeps its own
     if order is None:
         raise ValueError(
             f"cannot write a cyclic program: cycle through nodes {_find_cycle(z)}")

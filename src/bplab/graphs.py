@@ -289,11 +289,20 @@ def satisfies(cnf: MonotoneCnf, s: Assignment) -> bool:
     return all(u in pos or v in pos for u, v in cnf.clauses)
 
 
-def enumerate_satisfying(cnf: MonotoneCnf, cap: int = 20) -> set[Assignment]:
-    """All total satisfying assignments by exhaustion over 2^num_vars masks."""
-    n = cnf.num_vars
+# Most variables an exhaustive pass over all 2^n assignments takes by default.
+ENUMERATION_CAP = 20
+
+
+def _check_enum_cap(n: int, cap: int) -> None:
+    """ValueError when n variables exceed an exhaustive enumeration's cap."""
     if n > cap:
         raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
+
+
+def enumerate_satisfying(cnf: MonotoneCnf, cap: int = ENUMERATION_CAP) -> set[Assignment]:
+    """All total satisfying assignments by exhaustion over 2^num_vars masks."""
+    n = cnf.num_vars
+    _check_enum_cap(n, cap)
     out: set[Assignment] = set()
     for mask in range(1 << n):
         if all(mask >> u & 1 or mask >> v & 1 for u, v in cnf.clauses):

@@ -31,6 +31,7 @@ from .covers import (
     verify_deepcover,
 )
 from .graphs import (
+    ENUMERATION_CAP,
     Matching,
     cnf_from_graph,
     complete_graph,
@@ -56,7 +57,7 @@ def _check(results: list[CheckResult], name: str, ok: bool, detail: str = "") ->
     results.append(CheckResult(name=name, ok=bool(ok), detail=detail))
 
 
-def random_read_once_program(num_vars: int, seed: int, max_width: int = 3) -> Nrobp:
+def random_read_once_program(num_vars: int, seed: int) -> Nrobp:
     """A random layered program; read-once by construction, rarely uniform.
 
     Level i owns one variable; every edge out of level i reads that
@@ -67,7 +68,7 @@ def random_read_once_program(num_vars: int, seed: int, max_width: int = 3) -> Nr
         raise ValueError(f"need at least 1 variable, got {num_vars}")
     rng = random.Random(seed)
     levels = num_vars + 1
-    widths = [1] + [rng.randint(1, max_width) for _ in range(levels - 1)]
+    widths = [1] + [rng.randint(1, 3) for _ in range(levels - 1)]
     widths[-1] = 1
     var_at = rng.sample(range(num_vars), num_vars)
     ids: list[list[int]] = []
@@ -146,9 +147,10 @@ def suite_weights(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def suite_uniformize(seed: int = 0, count: int = 25, num_vars: int = 6) -> list[CheckResult]:
+def suite_uniformize(seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
-    for i in range(count):
+    num_vars = 6
+    for i in range(25):
         z = random_read_once_program(num_vars, seed + i)
         rep = validate_nrobp(z)
         if not rep.ok:
@@ -220,7 +222,7 @@ def suite_certify(seed: int = 0) -> list[CheckResult]:
                     ("C_8", cycle_graph(8))):
         y = nfbdd_compile(cnf_from_graph(g))
         cert = extract_cut_cover(y, g)
-        accepted = _accepted(y, 20)
+        accepted = _accepted(y, ENUMERATION_CAP)
         bmasks = [sum(1 << v for v in b) for b in cert.dis_sets]
         covered = all(any(m & bm == bm for bm in bmasks)
                       for m in range(1 << y.num_vars) if accepted >> m & 1)

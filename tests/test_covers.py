@@ -605,19 +605,22 @@ def test_node_masks_are_walked_once_per_diagram(monkeypatch):
 
 def test_a_parsed_program_is_validated_once(monkeypatch):
     g = cycle_graph(6)
-    y = _compiled(g)
-    assert y._reads_of is None  # the constructor does not keep its masks
-    z = parse_bp(write_bp(y))
-    calls = {"_validate": 0, "_reads": 0}
+    calls = {"_validate": [], "_reads": []}
     for name in calls:
         def counting(x, *args, name=name, fn=getattr(bplab.bp, name)):
-            calls[name] += x is z
+            calls[name].append(x)
             return fn(x, *args)
         monkeypatch.setattr(bplab.bp, name, counting)
+    y = _compiled(g)
+    y.node_masks()
+    assert verify_deepcover(y, g).ok
+    z = parse_bp(write_bp(y))
     assert is_uniform(z)
     assert extract_cut_cover(z, g).q == extract_cut_cover(y, g).q
+    assert is_uniform(y)
     assert bp_equivalence(z, uniformize(z))
-    assert calls["_validate"] == 1 and 1 <= calls["_reads"] <= 2, calls
+    runs = {name: [sum(w is x for w in seen) for x in (y, z)] for name, seen in calls.items()}
+    assert runs == {"_validate": [0, 1], "_reads": [1, 1]}, runs
 
 
 def test_node_masks_match_the_uniform_walk_and_first_in_edge_paths():

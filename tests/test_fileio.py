@@ -1,10 +1,12 @@
 """Round-trip and error tests for the text formats."""
 
+import random
 import warnings
 
 import pytest
 
-from bplab.bp import Nrobp, bp_satisfying_set, nfbdd_compile, validate_nrobp
+import bplab.fileio
+from bplab.bp import Nfbdd, Nrobp, bp_satisfying_set, nfbdd_compile, validate_nrobp
 from bplab.covers import extract_cut_cover
 from bplab.fileio import (
     fmt_num,
@@ -159,6 +161,35 @@ def test_bp_round_trip_random_programs():
         assert bp_satisfying_set(back) == bp_satisfying_set(z)
         unlabeled = sum(1 for _, _, lab in z.edges if lab is None)
         assert sum(1 for _, _, lab in back.edges if lab is None) == unlabeled
+
+
+def _shuffled_ids(y, rng):
+    p = list(range(y.num_nodes))
+    rng.shuffle(p)
+    return Nfbdd(y.num_nodes, [(p[t], p[h], lab) for t, h, lab in y.edges],
+                 p[y.root], p[y.leaf], y.num_vars)
+
+
+def test_bp_lines_chunks_write_the_one_chunk_text(monkeypatch):
+    y = nfbdd_compile(cnf_from_graph(_family(6, 6)[0]))
+    assert y.num_nodes > bplab.fileio._CHUNK_NODES
+    z = _shuffled_ids(y, random.Random(2))
+    for x in (y, z, Nrobp(z.num_nodes, z.edges, z.root, z.leaf, z.num_vars)):
+        text = write_bp(x)
+        assert write_bp(parse_bp(text)) == text
+        with monkeypatch.context() as m:
+            m.setattr(bplab.fileio, "_CHUNK_NODES", x.num_nodes + 1)
+            assert write_bp(x) == text
+
+
+def test_compiled_read_masks_share_one_int_per_level():
+    rng = random.Random(4)
+    g = _family(6, 3)[0]
+    order = list(range(g.n))
+    rng.shuffle(order)
+    for y in (nfbdd_compile(cnf_from_graph(g)), nfbdd_compile(cnf_from_graph(g), order)):
+        for x in (y, _shuffled_ids(y, rng)):
+            assert len(set(map(id, x.node_masks()[0]))) == x.num_vars + 1
 
 
 def test_write_bp_rejects_cycles():
