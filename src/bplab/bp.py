@@ -25,8 +25,8 @@ class Nrobp:
     Edges are (tail, head, label) with label None or a DIMACS-style literal
     (variable v is v+1 / -(v+1)). Only range errors are rejected here so that
     validate_nrobp can report structural defects on constructed objects.
-    The first check that needs a valid program keeps its check record,
-    (order, reads, uniform), in _checked; see _check_record.
+    The validation that finds a program valid keeps its check record,
+    (order, reads, uniform), in _checked; see _validate.
     """
 
     __slots__ = ("num_nodes", "edges", "root", "leaf", "num_vars", "out_edges", "in_edges",
@@ -118,15 +118,17 @@ def _var_of(label: int) -> int:
 
 
 def validate_nrobp(z: Nrobp) -> BpReport:
-    """Report acyclicity, source/sink uniqueness, connectivity, and read-once defects."""
-    return _validate(z, _topological_order(z))[0]
+    """Report acyclicity, source/sink uniqueness, connectivity, and read-once defects;
+    empty at once for a program that holds a check record (see _validate)."""
+    if z._checked is not None:
+        return BpReport(violations=[])
+    return _validate(z, _topological_order(z))
 
 
-def _validate(z: Nrobp, order: list[int] | None) -> tuple[BpReport, tuple | None]:
-    """validate_nrobp given z's topological order, or None when z is cyclic; also
-    (reads, uniform) from the read pass, which runs for every valid z, else None."""
+def _validate(z: Nrobp, order: list[int] | None) -> BpReport:
+    """validate_nrobp given z's topological order, or None when z is cyclic.
+    A valid z keeps its check record (order, reads, uniform) in z._checked."""
     violations: list[str] = []
-    masks = None
     if order is None:
         violations.append(f"cycle through nodes {_find_cycle(z)}")
 
@@ -165,24 +167,22 @@ def _validate(z: Nrobp, order: list[int] | None) -> tuple[BpReport, tuple | None
                 violations.append(f"node {v} is disconnected from the root")
     else:
         reads, offender, uniform = _reads(z, order)
-        masks = (reads, uniform)
         if offender is not None:
             i, var = offender
             path = _witness_double_read(z, i, var)
             violations.append(
                 f"variable {var} is read twice along the path through nodes {path}")
-    return BpReport(violations=violations), masks
+        elif not violations:
+            z._checked = (order, reads, uniform)
+    return BpReport(violations=violations)
 
 
 def _check_record(z: Nrobp) -> tuple[list[int], list[int], bool]:
-    """z's check record (order, reads, uniform) from one _validate, kept in
-    z._checked by the first call; ValueError naming the first defect if z is invalid."""
-    if z._checked is None:
-        order = _topological_order(z)
-        rep, masks = _validate(z, order)
-        if not rep.ok:
-            raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
-        z._checked = (order, *masks)
+    """z's check record (order, reads, uniform), kept by the validation that
+    found z valid; ValueError naming the first defect if z is invalid."""
+    rep = validate_nrobp(z)
+    if not rep.ok:
+        raise ValueError(f"program is not a valid NROBP: {rep.violations[0]}")
     return z._checked
 
 
@@ -407,7 +407,7 @@ class Nfbdd(Nrobp):
         reads, offender, uniform = _reads(self, order) if order else (None, None, False)
         var_of = _fbdd_shape(self)
         if offender is not None or not uniform or isinstance(var_of, str):
-            rep = _validate(self, order)[0]  # only a rejected program pays for the wording
+            rep = _validate(self, order)  # only a rejected program pays for the wording
             if not rep.ok:
                 raise ValueError(f"not a valid NROBP: {rep.violations[0]}")
             raise ValueError(var_of if isinstance(var_of, str) else "program is not uniform")
@@ -503,6 +503,8 @@ def _level_key(forced: int, m: int) -> int:
 
 # Most states a compile may hold: the whole diagram, or one level when only sized.
 COMPILE_STATE_CAP = 2_000_000
+# Most variables best_order_size searches the orders of by default.
+ORDER_SEARCH_CAP = 12
 
 
 def _read_order(n: int, order: Sequence[int] | None) -> tuple[int, ...]:
@@ -618,7 +620,7 @@ def compiled_size(cnf: MonotoneCnf, order: Sequence[int] | None = None
     return 1 + sum(widths), edges, tuple(widths)
 
 
-def best_order_size(cnf: MonotoneCnf, cap: int = 12) -> tuple[int, tuple[int, ...]]:
+def best_order_size(cnf: MonotoneCnf, cap: int = ORDER_SEARCH_CAP) -> tuple[int, tuple[int, ...]]:
     """Minimum compiled edge count over all variable orders, with a witness order.
 
     DP over subsets: the forced masks at a level depend only on the set

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .bp import best_order_size, compiled_size, nfbdd_compile, uniformize
+from .bp import ORDER_SEARCH_CAP, best_order_size, compiled_size, nfbdd_compile, uniformize
 from .covers import constants, coverlb_bound, extract_cut_cover, min_dis_cover
 from .fileio import (
     bp_lines,
@@ -35,10 +35,9 @@ from .instances import (
     tree_product,
 )
 from .suites import SUITES
-from .widths import dmw_exact, mw_exact
+from .widths import SUBSET_DP_CAP, dmw_exact, mw_exact
 
 MATERIALIZE_LIMIT = 100_000
-BEST_ORDER_LIMIT = 12
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
@@ -84,7 +83,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     _check_writable(args.out)
     order = None
     if args.best_order:
-        _, order = best_order_size(cnf, cap=min(BEST_ORDER_LIMIT, args.cap_subset))
+        _, order = best_order_size(cnf, cap=min(ORDER_SEARCH_CAP, args.cap_subset))
     elif args.order:
         order = tuple(int(t) for t in args.order.split(","))
     if args.out:
@@ -183,8 +182,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             g, params = hard_family_instance(args.k, r, allow_small_r=True)
         cnf = cnf_from_graph(g)
         best = None
-        if g.n <= min(BEST_ORDER_LIMIT, args.cap_subset):
-            best = best_order_size(cnf, cap=BEST_ORDER_LIMIT)
+        if g.n <= min(ORDER_SEARCH_CAP, args.cap_subset):
+            best = best_order_size(cnf)
         order = best[1] if best and args.order == "best" else None
         certified = g.n <= args.cap_subset  # only these rows build the diagram
         try:
@@ -203,6 +202,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 lb_s = fmt_num(lb)
                 cert = extract_cut_cover(y, g, d=d)
                 q_s = str(cert.q)
+                if cert.q < lb - 1e-9:  # as certify's exit status
+                    failures.append(
+                        f"r={r}: certificate q={q_s} is below the lower bound {lb_s}")
                 if lb > nodes:
                     failures.append(
                         f"r={r}: lower bound {lb_s} exceeds node count {nodes}")
@@ -241,7 +243,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 _FLAGS = {
     "cap-vars": dict(type=int, default=ENUMERATION_CAP,
                      help="largest variable count for exhaustive enumeration"),
-    "cap-subset": dict(type=int, default=22,
+    "cap-subset": dict(type=int, default=SUBSET_DP_CAP,
                        help="largest vertex count for subset dynamic programs"),
     "seed": dict(type=int, default=0, help="random seed"),
     "out": dict(help="output file or directory"),

@@ -20,7 +20,8 @@ from operator import gt, itemgetter, mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _check_record, _var_of
-from .graphs import ENUMERATION_CAP, Graph, Matching, _check_enum_cap, cnf_from_graph, is_dis
+from .graphs import (ENUMERATION_CAP, Graph, Matching, _check_enum_cap, _models, cnf_from_graph,
+                     is_dis)
 from .widths import _compat_masks, _cut_size_mask, _distant_matching_of_mask, dmw_exact
 
 Weight = Union[float, Fraction]
@@ -238,7 +239,7 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False) -> W
         smask |= 1 << v
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    if y.node_masks()[0][a] & smask:
+    if _check_record(y)[1][a] & smask:
         return Fraction(0) if exact else 0.0
     return _column(y, smask, exact)[a]
 
@@ -560,12 +561,7 @@ def min_dis_cover(g: Graph, t: int, cap: int = ENUMERATION_CAP
     cnf_from_graph(g)  # rejects isolated vertices
     n = g.n
     _check_enum_cap(n, cap)
-    indep = [0]  # independent sets of g; their complements are the satisfying masks
-    for v, nbr in enumerate(g.nbr_mask):
-        indep += [s | 1 << v for s in indep if not nbr & s]
-    full = (1 << n) - 1
-    sats = sorted(full ^ s for s in indep)
-    del indep
+    sats = _models(g)
     dis_sets = [combo for combo in _dis_iter(g, t) if len(combo) == t]
     if not dis_sets:
         raise ValueError(f"no DIS of size {t} exists")

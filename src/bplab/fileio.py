@@ -30,6 +30,15 @@ def _int(tok: str, ln: int) -> int:
         raise ValueError(f"line {ln}: expected an integer, got {tok!r}") from None
 
 
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each line that is neither blank nor a
+    comment, a line whose first field starts with 'c'."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if parts and parts[0][0] != "c":
+            yield ln, parts
+
+
 # ---------------------------------------------------------------- graphs
 
 def write_graph(g: Graph) -> str:
@@ -41,11 +50,7 @@ def write_graph(g: Graph) -> str:
 def parse_graph(text: str) -> Graph:
     n = m = None
     edges: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for ln, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 raise ValueError(f"line {ln}: duplicate problem line")
@@ -82,11 +87,7 @@ def write_cnf(cnf: MonotoneCnf) -> str:
 def parse_cnf(text: str) -> MonotoneCnf:
     n = m = None
     clauses: list[tuple[int, int]] = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for ln, parts in _records(text):
         if parts[0] == "p":
             if n is not None:
                 raise ValueError(f"line {ln}: duplicate problem line")
@@ -136,11 +137,7 @@ def write_td(td: TreeDecomposition, params: FamilyParams | None = None) -> str:
 def parse_td(text: str) -> tuple[TreeDecomposition, dict[str, int] | None]:
     meta: dict[str, int] | None = None
     rows: dict[int, tuple[int, frozenset[int]]] = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for ln, parts in _records(text):
         if parts[0] == "meta":
             if meta is not None:
                 raise ValueError(f"line {ln}: duplicate meta line")
@@ -233,11 +230,7 @@ def _parse_label(tok: str, ln: int, num_vars: int) -> int | None:
 def parse_bp(text: str) -> Nrobp:
     header = None
     edges: list[tuple[int, int, int | None]] = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for ln, parts in _records(text):
         if parts[0] == "bp":
             if header is not None:
                 raise ValueError(f"line {ln}: duplicate header line")

@@ -299,12 +299,17 @@ def _check_enum_cap(n: int, cap: int) -> None:
         raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
 
 
+def _models(g: Graph) -> list[int]:
+    """The models of g's clause-per-edge CNF as ascending masks (bit v set: v
+    true), the complements of g's independent sets."""
+    indep = [0]
+    for v, nbr in enumerate(g.nbr_mask):
+        indep += [s | 1 << v for s in indep if not nbr & s]
+    full = (1 << g.n) - 1
+    return sorted(full ^ s for s in indep)
+
+
 def enumerate_satisfying(cnf: MonotoneCnf, cap: int = ENUMERATION_CAP) -> set[Assignment]:
-    """All total satisfying assignments by exhaustion over 2^num_vars masks."""
-    n = cnf.num_vars
-    _check_enum_cap(n, cap)
-    out: set[Assignment] = set()
-    for mask in range(1 << n):
-        if all(mask >> u & 1 or mask >> v & 1 for u, v in cnf.clauses):
-            out.add(Assignment.from_mask(n, mask))
-    return out
+    """All total satisfying assignments: the models of cnf's primal graph."""
+    _check_enum_cap(cnf.num_vars, cap)
+    return {Assignment.from_mask(cnf.num_vars, m) for m in _models(primal_graph(cnf))}

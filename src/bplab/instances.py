@@ -271,8 +271,7 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> TdReport:
             violations.append(
                 f"vertex {v} induces a disconnected bag subtree "
                 f"(components split {sorted(seen)} from {sorted(nodes - seen)})")
-    width = max((len(b) for b in td.bags), default=0) - 1
-    return TdReport(width=width, violations=violations)
+    return TdReport(width=td.width, violations=violations)
 
 
 def cross_matching_finder(t: LabeledTree, h: Graph, part: PrefixPartition,

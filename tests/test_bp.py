@@ -26,6 +26,7 @@ from bplab.bp import (
     validate_nrobp,
 )
 from bplab.graphs import (
+    Assignment,
     Graph,
     cnf_from_graph,
     complete_graph,
@@ -173,6 +174,11 @@ def test_uniformize_single_node_program():
     assert is_uniform(u)
     assert (u.size_nodes, u.size_edges) == (3, 4)
     assert len(bp_satisfying_set(u)) == 4
+    none = Nrobp(1, [], 0, 0, 0)
+    u = uniformize(none)
+    assert (u.size_nodes, u.size_edges, u.num_vars) == (1, 0, 0)
+    assert is_uniform(u)
+    assert bp_satisfying_set(u) == bp_satisfying_set(none) == {Assignment(frozenset())}
 
 
 def test_nfbdd_compile_smallest_graph():

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line through main(argv)."""
 
+import dataclasses
 import json
 import math
 import random
@@ -141,6 +142,57 @@ def test_experiment_row_failure_keeps_the_csv(monkeypatch, capsys):
     assert rc == 1
     assert out == "k,r,n,edges,nodes,best_edges,dmw,q,lb\n6,1,6,24,16,22,1,-,1.01587301587\n"
     assert err == "ASSERT FAIL r=1: a root-leaf path admits no qualifying split\n"
+
+
+def _failed_row(capsys, tmp_path, r_max):
+    """experiment --k 6 from r=1 to r_max into a CSV file: (exit status, CSV, stderr)."""
+    csv = tmp_path / "sweep.csv"
+    rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "1", "--r-max", str(r_max),
+                       "--out", str(csv))
+    assert out == f"wrote {csv}\n"
+    return rc, csv.read_text(), err
+
+
+def test_experiment_fails_a_certificate_below_its_bound(monkeypatch, capsys, tmp_path):
+    real = bplab.cli.extract_cut_cover
+
+    def one_cut_node(y, g, d):
+        cert = real(y, g, d=d)
+        return dataclasses.replace(cert, cut_nodes=cert.cut_nodes[:1],
+                                   dis_sets=cert.dis_sets[:1], matchings=cert.matchings[:1])
+
+    monkeypatch.setattr(bplab.cli, "extract_cut_cover", one_cut_node)
+    rc, csv, err = _failed_row(capsys, tmp_path, 1)
+    assert rc == 1
+    assert csv == "k,r,n,edges,nodes,best_edges,dmw,q,lb\n6,1,6,24,16,22,1,1,1.01587301587\n"
+    assert err == "ASSERT FAIL r=1: certificate q=1 is below the lower bound 1.01587301587\n"
+
+
+def test_experiment_fails_a_bound_above_the_node_count(monkeypatch, capsys, tmp_path):
+    real = bplab.cli.compiled_size
+    monkeypatch.setattr(bplab.cli, "compiled_size",
+                        lambda cnf, order=None: (1, *real(cnf, order)[1:]))
+    rc, csv, err = _failed_row(capsys, tmp_path, 1)
+    assert rc == 1
+    assert csv == "k,r,n,edges,nodes,best_edges,dmw,q,lb\n6,1,6,24,1,22,1,2,1.01587301587\n"
+    assert err == "ASSERT FAIL r=1: lower bound 1.01587301587 exceeds node count 1\n"
+
+
+def test_experiment_fails_a_shrinking_compiled_size(monkeypatch, capsys, tmp_path):
+    real = bplab.cli.compiled_size
+    sizes = []
+
+    def shrinking(cnf, order=None):
+        sizes.append(real(cnf, order))
+        nodes, edges, widths = sizes[0]
+        return sizes[-1] if len(sizes) == 1 else (nodes - 1, edges - 1, widths)
+
+    monkeypatch.setattr(bplab.cli, "compiled_size", shrinking)
+    rc, csv, err = _failed_row(capsys, tmp_path, 2)
+    assert rc == 1
+    assert csv == ("k,r,n,edges,nodes,best_edges,dmw,q,lb\n6,1,6,24,16,22,1,2,1.01587301587\n"
+                   "6,2,14,23,15,-,1,2,1.01587301587\n")
+    assert err == "ASSERT FAIL r=2: compiled size shrank (24,16) -> (23,15)\n"
 
 
 def test_uniformize_command(tmp_path, capsys):

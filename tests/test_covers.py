@@ -13,7 +13,16 @@ import pytest
 import bplab.bp
 import bplab.covers
 import bplab.widths
-from bplab.bp import Nfbdd, Nrobp, bp_equivalence, is_uniform, nfbdd_compile, uniformize
+from bplab.bp import (
+    BpReport,
+    Nfbdd,
+    Nrobp,
+    bp_equivalence,
+    is_uniform,
+    nfbdd_compile,
+    uniformize,
+    validate_nrobp,
+)
 from bplab.covers import (
     composed_bound_constants,
     constants,
@@ -621,6 +630,51 @@ def test_a_parsed_program_is_validated_once(monkeypatch):
     assert bp_equivalence(z, uniformize(z))
     runs = {name: [sum(w is x for w in seen) for x in (y, z)] for name, seen in calls.items()}
     assert runs == {"_validate": [0, 1], "_reads": [1, 1]}, runs
+
+
+def test_validation_keeps_its_record(monkeypatch):
+    g = cycle_graph(6)
+    y = _compiled(g)
+    text = write_bp(y)
+    z = parse_bp(text)
+    cyclic = Nrobp(3, [(0, 1, 1), (1, 2, 2), (2, 1, None)], 0, 2, 2)
+    calls = {"_validate": [], "_reads": []}
+    for name in calls:
+        def counting(x, *args, name=name, fn=getattr(bplab.bp, name)):
+            calls[name].append(x)
+            return fn(x, *args)
+        monkeypatch.setattr(bplab.bp, name, counting)
+    assert validate_nrobp(z).ok
+    assert is_uniform(z)
+    assert extract_cut_cover(z, g).q == extract_cut_cover(y, g).q
+    assert bp_equivalence(z, uniformize(z))
+    assert write_bp(z) == text
+    assert validate_nrobp(z) == validate_nrobp(y) == BpReport(violations=[])
+    runs = {name: [sum(w is x for w in seen) for x in (y, z)] for name, seen in calls.items()}
+    assert runs == {"_validate": [0, 1], "_reads": [0, 1]}, runs
+    # an invalid program keeps no record, so each report is worded afresh
+    first = validate_nrobp(cyclic)
+    assert not first.ok and validate_nrobp(cyclic) == first
+    assert sum(w is cyclic for w in calls["_validate"]) == 2
+
+
+def test_covered_weight_reads_the_record_and_is_zero_where_s_is_read(monkeypatch):
+    def no_walk(y):
+        raise AssertionError("covered_weight walked the negative masks")
+
+    monkeypatch.setattr(bplab.bp, "_mask_walk", no_walk)
+    g = cycle_graph(8)
+    y = _compiled(g)
+    reads = reads_by_paths(y, y.order)[0]
+    a = next(v for v in range(y.num_nodes) if reads[v] & 1 and not reads[v] >> 5 & 1)
+    for s in ([0], [0, 5]):
+        zero = covered_weight(y, a, s)
+        assert zero == 0.0 and type(zero) is float
+        zero = covered_weight(y, a, s, exact=True)
+        assert zero == 0 and type(zero) is Fraction
+    assert covered_weight(y, a, [5], exact=True) == path_weight_oracle(y, a, frozenset({5}))
+    assert covered_weight(y, y.root, [0, 4], exact=True) == path_weight_oracle(
+        y, y.root, frozenset({0, 4}))
 
 
 def test_node_masks_match_the_uniform_walk_and_first_in_edge_paths():

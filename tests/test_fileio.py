@@ -33,6 +33,13 @@ from bplab.suites import random_read_once_program
 from oracles import atlas_connected
 
 
+def test_records_skip_blank_and_comment_lines():
+    text = "c head\n\n \t \n p edge 2 1\n  c indented\ncomment\n\te 1\t2 \n"
+    assert list(bplab.fileio._records(text)) == [(4, ["p", "edge", "2", "1"]),
+                                                 (7, ["e", "1", "2"])]
+    assert parse_graph(text).edges == ((0, 1),)
+
+
 def _family(k, r):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

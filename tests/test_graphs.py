@@ -97,12 +97,25 @@ def test_cnf_rejects_isolated_vertex():
 
 
 def test_satisfying_assignments_are_vertex_covers():
-    for g in atlas_connected(2, 5):
+    for g in atlas_connected(2, 7):
         cnf = cnf_from_graph(g)
         got = {a for a in enumerate_satisfying(cnf)}
         masks = {sum(1 << v for v in a.positives()) for a in got}
         assert all(a.is_total(cnf.num_vars) for a in got)
         assert masks == truth_table_sats(cnf) == vertex_cover_masks(g)
+    for cnf in (MonotoneCnf(0, []), MonotoneCnf(5, [(0, 3), (1, 3)])):  # unused variables
+        want = {Assignment.from_mask(cnf.num_vars, m) for m in truth_table_sats(cnf)}
+        assert enumerate_satisfying(cnf) == want
+
+
+def test_enumerate_satisfying_at_the_cap():
+    # the models of P20, C20 and K20 number F(22), L(20) and 21
+    for g, count in ((path_graph(20), 17711), (cycle_graph(20), 15127),
+                     (complete_graph(20), 21)):
+        cnf = cnf_from_graph(g)
+        got = enumerate_satisfying(cnf)
+        assert len(got) == count
+        assert all(satisfies(cnf, a) for a in got)
 
 
 def test_enumerate_satisfying_cap():

@@ -149,6 +149,7 @@ def test_tree_decomposition_validation_catches_defects():
     g = tree_product(t, h)
     good = canonical_tree_decomposition(t, h)
     assert validate_tree_decomposition(g, good).ok
+    assert validate_tree_decomposition(g, good).width == good.width == 3
 
     missing_vertex = TreeDecomposition(
         good.tree, tuple(bag - {5} for bag in good.bags))
@@ -160,6 +161,7 @@ def test_tree_decomposition_validation_catches_defects():
         tuple(frozenset(range(c * 2, c * 2 + 2)) for c in range(t.n)))
     rep = validate_tree_decomposition(g, own_only)
     assert any("contained in no bag" in v for v in rep.violations)
+    assert rep.width == own_only.width == 1
 
     # vertex 2 sits only in the two sibling bags, which are not adjacent
     split = TreeDecomposition(
