@@ -413,8 +413,8 @@ class Nfbdd(Nrobp):
             raise ValueError(var_of if isinstance(var_of, str) else "program is not uniform")
         self.var_of: tuple[int | None, ...] = var_of
         self._checked = (order, reads, True)
-        # path-weight column per exact flag, filled on first use by covers
-        self.path_totals: dict[bool, list] = {}
+        # each node's path-weight total times 2^num_vars, filled on first use by covers
+        self.path_totals: list[int] | None = None
         self._neg: list[int] | None = None
 
     @property

@@ -12,12 +12,11 @@ drives the cover-size lower bound 2^(dmw/a_x).
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
-from operator import gt, itemgetter, mul
-from typing import Iterable, Iterator, Sequence, Union
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _check_record, _var_of
 from .graphs import (ENUMERATION_CAP, Graph, Matching, _check_enum_cap, _models, cnf_from_graph,
@@ -109,22 +108,24 @@ def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
     )
 
 
-_Step = tuple[int, int, Weight, int, int]
-# A _sweep step: (v, w, positive head, negative head, xidx, perm)
-_SweepStep = tuple[int, Weight, int, int, list[int] | None, list[int] | None]
+# A _steps step: (v, x, w, positive head, negative head)
+_Step = tuple[int, int, int, int, int]
+# A _sweep step: (v, w, positive head, negative head, take, shift, perm)
+_SweepStep = tuple[int, int, int, int, Callable[..., int] | None, int, Callable[[int], int] | None]
 
 
-def _steps(y: Nfbdd, exact: bool) -> tuple[list[_Step], list[int]]:
+def _steps(y: Nfbdd) -> tuple[list[_Step], list[int]]:
     """(steps, lastp): one step (v, x, w, positive head, negative head) per
     non-leaf node, children first, and each node's last parent.
 
-    x is the variable v reads and w its edge weight (1/2 out of a two-way
-    node, 1 out of a one-way node); a missing edge's head is -1. lastp[h] is
-    h's parent that comes last in steps, after which no step reads h's row;
-    lastp[-1] is -1, which no node equals. The steps come in the postorder
-    of a depth-first walk from the root, which keeps far fewer rows alive
-    at once than a level-by-level order: at DIS size 3 on the (10,3)
-    family diagram, 135k lanes against 3.1M.
+    x is the variable v reads and w is 1 at a two-way node, whose edges
+    weigh 1/2, and 0 at a one-way node, whose edge weighs 1; a missing
+    edge's head is -1. lastp[h] is h's parent that comes last in steps,
+    after which no step reads h's row; lastp[-1] is -1, which no node
+    equals. The steps come in the postorder of a depth-first walk from the
+    root, which keeps far fewer rows alive at once than a level-by-level
+    order: at DIS size 3 on the (10,3) family diagram, 135k lanes against
+    3.1M.
     """
     order = []  # the nodes in postorder
     seen = [False] * y.num_nodes
@@ -140,8 +141,6 @@ def _steps(y: Nfbdd, exact: bool) -> tuple[list[_Step], list[int]]:
                 break
         else:
             order.append(stack.pop())
-    half: Weight = Fraction(1, 2) if exact else 0.5
-    one: Weight = Fraction(1) if exact else 1.0
     steps = []
     lastp = [-1] * (y.num_nodes + 1)
     for v in order:
@@ -153,73 +152,103 @@ def _steps(y: Nfbdd, exact: bool) -> tuple[list[_Step], list[int]]:
             _, h, lab = y.edges[i]
             heads[lab < 0] = h
             lastp[h] = v
-        steps.append((v, y.var_of[v], half if len(outs) == 2 else one, heads[0], heads[1]))
+        steps.append((v, y.var_of[v], len(outs) - 1, heads[0], heads[1]))
     return steps, lastp
 
 
-def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[list[Weight]],
-           src: Sequence[Sequence[Weight]]) -> Iterator[tuple[int, list[Weight]]]:
-    """(v, row) for each step (v, w, hp, hn, xidx, perm), in steps' order.
+def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
+           src: Sequence) -> Iterator[tuple[int, int]]:
+    """(v, row) for each step (v, w, hp, hn, take, shift, perm), in steps' order.
 
-    The one path-weight recurrence. Each lane of a row is a vertex set, and
-    its value at v the weight of the v-to-leaf paths that read the whole set
-    positively. v reads x with edge weight w; hp and hn are its positive and
-    negative heads, -1 when missing. The heads' rows hold v's lanes that
-    miss x, in v's order: v adds them elementwise, w*a + w*b, and a one-way
-    node shares its head's row. The sets holding x, its x-lanes, come
-    first: x-lane j is w times lane xidx[j] of src[hp], the set minus x at
-    the positive head (src[-1] is zeros). perm, when given, picks v's lanes
-    from that concatenation. rows holds the leaf's row and gets each
-    step's; a row is dropped after its last reader, lastp[h] (see _steps).
+    The one path-weight recurrence, on exact fixed-point lanes. Each lane
+    of a row is a vertex set, and its value at v is I = W * 2^n, W the
+    weight of the v-to-leaf paths that read the whole set positively and n
+    the diagram's variable count; I is an integer, as no such path has more
+    than n two-way nodes. A row packs its lanes into one int, lane j in a
+    field of its own, lowest first, each wide enough for 2 * 2^n. v reads x
+    and w is 1 at a two-way node, 0 at a one-way node; hp and hn are its
+    positive and negative heads, -1 when missing. The heads' rows hold v's
+    lanes that miss x, in v's order: a two-way node halves their sum,
+    (P + N) >> w, and a one-way node shares its head's row. No bit crosses
+    a field: each field of the sum is at most 2^(n+1), and even, since no
+    path from a head passes more than n - 1 two-way nodes. The sets holding
+    x, its x-lanes, come first: take(src[hp]) is the int of the lanes of
+    the sets minus x at the positive head (src[-1] is zeros), halved like
+    the heads' sum, and the heads' lanes go above them, shift bits up. perm,
+    when given, maps that concatenation to v's lane order. rows holds the
+    leaf's row and gets each step's; a row is dropped after its last
+    reader, lastp[h] (see _steps).
     """
-    empty: list[Weight] = []
-    for v, w, hp, hn, xidx, perm in steps:
-        if hn < 0:  # a one-way node: w = 1
+    for v, w, hp, hn, take, shift, perm in steps:
+        if hn < 0:  # a one-way node
             row = rows[hp]
         elif hp < 0:
             row = rows[hn]
         else:
-            row = [w * a + w * b for a, b in zip(rows[hp], rows[hn])]
-        if xidx:
-            s = src[hp]
-            row = [w * s[j] for j in xidx] + row
+            row = (rows[hp] + rows[hn]) >> w
+        if take:
+            row = take(src[hp]) >> w | row << shift
             if perm:
-                row = list(map(row.__getitem__, perm))
+                row = perm(row)
         rows[v] = row
         if lastp[hp] == v:
-            rows[hp] = empty
+            rows[hp] = 0
         if lastp[hn] == v:
-            rows[hn] = empty
+            rows[hn] = 0
         yield v, row
 
 
-def _column(y: Nfbdd, smask: int, exact: bool) -> list[Weight]:
-    """Covered weight of the set smask at every node where it is unread.
+def _gather(idx: list[int], width: int) -> Callable[[bytes], int]:
+    """The function from a packed row's little-endian bytes, width bytes a
+    lane, to the int whose lane j is that row's lane idx[j].
+
+    Runs of consecutive lanes are cut as one slice.
+    """
+    runs: list[list[int]] = []
+    for j in idx:
+        a = j * width
+        if runs and runs[-1][1] == a:
+            runs[-1][1] = a + width
+        else:
+            runs.append([a, a + width])
+    # the empty slice keeps get's result a tuple when there is one run
+    get = itemgetter(*(slice(a, b) for a, b in runs), slice(0, 0))
+    return lambda data: int.from_bytes(b"".join(get(data)), "little")
+
+
+def _weight(i: int, n: int, exact: bool) -> Weight:
+    """The weight I / 2^n of a lane holding i: a Fraction when exact, else
+    the correctly rounded float."""
+    return Fraction(i, 1 << n) if exact else i / (1 << n)
+
+
+def _column(y: Nfbdd, smask: int) -> list[int]:
+    """Covered weight of the set smask, times 2^num_vars, at every node
+    where it is unread.
 
     The one-lane _sweep over every step. Once x is read at a node, no path
     from its heads reads x again, so the set minus x at a head is the set's
     own lane there: a node reading x of smask takes its x-lane from the
-    rows being built, and its perm drops the head sum. Where smask is
+    rows being built, as is (take is int), and its perm drops the head sum. Where smask is
     partly read, the entry weighs the paths that read none of it
     negatively. The empty set's column, the path totals, is built once per
-    diagram and flag.
+    diagram.
     """
-    col = y.path_totals.get(exact) if not smask else None
+    col = y.path_totals if not smask else None
     if col is None:
-        zero: Weight = Fraction(0) if exact else 0.0
-        one: Weight = Fraction(1) if exact else 1.0
-        steps, lastp = _steps(y, exact)
-        own = [0]
-        plan = [(v, w, hp, hn, own, own) if smask >> x & 1 else (v, w, hp, hn, None, None)
-                for v, x, w, hp, hn in steps]
-        rows = [[]] * y.num_nodes + [[zero]]
-        rows[y.leaf] = [one]
-        col = [zero] * y.num_nodes
-        col[y.leaf] = one
+        steps, lastp = _steps(y)
+        width = y.num_vars + 2  # bits of the one lane
+        drop = ((1 << width) - 1).__and__
+        plan = [(v, w, hp, hn, int, width, drop) if smask >> x & 1
+                else (v, w, hp, hn, None, 0, None) for v, x, w, hp, hn in steps]
+        rows = [0] * (y.num_nodes + 1)
+        rows[y.leaf] = 1 << y.num_vars
+        col = [0] * y.num_nodes
+        col[y.leaf] = rows[y.leaf]
         for v, row in _sweep(plan, lastp, rows, rows):
-            col[v] = row[0]
+            col[v] = row
         if not smask:
-            y.path_totals[exact] = col
+            y.path_totals = col
     return col
 
 
@@ -227,7 +256,7 @@ def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
     """Total weight of a-to-leaf paths; equals 1 at every node."""
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    return _column(y, 0, exact)[a]
+    return _weight(_column(y, 0)[a], y.num_vars, exact)
 
 
 def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False) -> Weight:
@@ -240,8 +269,8 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False) -> W
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
     if _check_record(y)[1][a] & smask:
-        return Fraction(0) if exact else 0.0
-    return _column(y, smask, exact)[a]
+        return _weight(0, 0, exact)
+    return _weight(_column(y, smask)[a], y.num_vars, exact)
 
 
 def relative_weight(ctx: NodeContext, b: Iterable[int], exact: bool = False) -> Weight:
@@ -320,8 +349,39 @@ def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
         level = nxt
 
 
+class _Thresholds(dict):
+    """bound -> the threshold field of a lane under that bound, made on first
+    lookup: G - 1 - t as F little-endian bytes, where G is the field's top
+    bit and t = floor((bound + pad) * 2^n), held to [-1, 2^n], is the
+    largest lane value I with I / 2^n <= bound + pad.
+
+    A lane's field plus its threshold field sets G exactly when the lane
+    is over; the sum stays below 2G, so it never carries into the next
+    field. The ratio of bound + pad makes t exact at any n; a nan pad
+    holds t at 2^n, so nothing is over, as no float compares above nan.
+    """
+
+    def __init__(self, n: int, pad: float, width: int) -> None:
+        super().__init__()
+        self.n = n
+        self.pad = pad
+        self.width = width
+
+    def __missing__(self, bound: Weight) -> bytes:
+        x = bound + self.pad
+        if not x < 1:
+            t = 1 << self.n
+        elif x < 0:
+            t = -1
+        else:
+            p, q = x.as_integer_ratio()
+            t = (p << self.n) // q
+        field = self[bound] = ((1 << 8 * self.width - 1) - 1 - t).to_bytes(self.width, "little")
+        return field
+
+
 # Most DISes of one size that a deepcover sweep carries as lanes; every
-# class keeps a lane list and a bound row for them while the sweep runs.
+# class keeps a lane list and a threshold row for them while the sweep runs.
 _SWEEP_LANES = 4096
 
 
@@ -344,15 +404,23 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     the class that reads another variable gets an index map, built once
     per class and variable.
 
-    Each class builds its bound row once, from its unread degrees, and each
-    node's row is compared with it in one C-level pass. A lane over its
+    A row packs its lanes as _sweep does, in fields of F = ceil((n+2)/8)
+    bytes; the rows of a size are kept as bytes for the next, whose x-lanes
+    and index maps are slices of them. Each class builds its threshold row
+    once, from its unread degrees: lane j's field holds G - 1 - t_j, where G
+    is the field's top bit and t_j = floor((bound + tol) * 2^n), held to
+    [-1, 2^n], the largest lane value within the bound (tol is not added
+    when exact). So a node's row plus that row carries into G in exactly
+    the fields over their bound, and no field carries out. A lane over its
     bound is a violation unless its DIS holds a vertex that is unread but
-    blocked at the node. The pairs and side checks are counted per DIS, on
-    per-vertex bitsets over the nodes: where the vertex is free, where it
-    is read on a positive edge, and where that edge's head leaves it free.
-    A failed check is worded where it is found and keyed by (DIS rank,
-    node, sweep before side check), so one sort per size puts the
-    violations per DIS, DISes lexicographically, in node-id order.
+    blocked at the node; its weight is printed as the correctly rounded
+    float of I / 2^n, or as that Fraction when exact. The pairs and side
+    checks are counted per DIS, on per-vertex bitsets over the nodes: where
+    the vertex is free, where it is read on a positive edge, and where that
+    edge's head leaves it free. A failed check is worded where it is found
+    and keyed by (DIS rank, node, sweep before side check), so one sort per
+    size puts the violations per DIS, DISes lexicographically, in node-id
+    order.
     """
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
@@ -375,12 +443,16 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     # is free at that edge's head
     reading = _transpose([1 << y.var_of[t] if h >= 0 else 0 for t, h in enumerate(onto)], g.n)
     onward = _transpose([free[h] if h >= 0 else 0 for h in onto], g.n)
-    zero: Weight = Fraction(0) if exact else 0.0
-    pad: Weight = zero if exact else tol  # added to each bound
-    steps, lastp = _steps(y, exact)
+    n = g.n
+    width = (n + 9) // 8  # F: the bytes of one lane
+    fields = _Thresholds(n, 0 if exact else tol, width)
+    steps, lastp = _steps(y)
     by_size: list[list[tuple[int, ...]]] = [[] for _ in range(max(max_dis_size, 0) + 2)]
     for b in _dis_iter(g, max_dis_size):
         by_size[len(b)].append(b)
+    # G in every field of the longest row
+    guards = int.from_bytes((bytes(width - 1) + b"\x80")
+                            * min(_SWEEP_LANES, max(map(len, by_size))), "little")
 
     violations: list[str] = []
     pairs = 0
@@ -389,7 +461,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     # each class's lanes one size down, and the rows of that size (src[-1]: zeros)
     prev: dict[int, list[int]] = dict.fromkeys(range(len(classes)), [0])  # the empty set
     masks = [0]
-    src: list = [[t] for t in _column(y, 0, exact)] + [[zero]]
+    src: list[bytes] = [t.to_bytes(width, "little") for t in _column(y, 0)] + [bytes(width)]
     for size in range(1, max_dis_size + 1):
         dis = by_size[size]
         if not dis:
@@ -401,22 +473,23 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
         # size down plus x, or -1 when that is no DIS
         ups: dict[tuple[int, int], list[int]] = {}
         nxt: dict[int, list[int]] = {}  # each class's lanes, for the next size
-        table: list | None = None
+        table: list[bytes] | None = None
         if by_size[size + 1]:
-            table = [[] if exact else array("d") for _ in range(y.num_nodes)] + [[zero] * len(dis)]
+            table = [b""] * y.num_nodes + [bytes(width * len(dis))]
 
-        def bound_row(c: int, lanes: list[int]) -> Sequence[Weight]:
+        def bound_row(c: int, lanes: list[int]) -> int:
+            """The threshold row of class c over lanes."""
             f = fac[c]
             bs = list(map(dis.__getitem__, lanes))
             row = list(map(f.__getitem__, map(itemgetter(0), bs)))
             for k in range(1, size):
                 row = list(map(mul, row, map(f.__getitem__, map(itemgetter(k), bs))))
-            return row if exact else array("d", [b + pad for b in row])
+            return int.from_bytes(b"".join(map(fields.__getitem__, row)), "little")
 
         def plan(lo: int) -> Iterator[_SweepStep]:
             """The steps of the sweep of the DISes with ranks lo to lo + _SWEEP_LANES."""
             hi = lo + _SWEEP_LANES
-            maps: dict[tuple[int, int], tuple[list[int], list[int] | None]] = {}
+            maps: dict[tuple[int, int], tuple] = {}  # (class, x) -> (take, shift, perm)
             for v, x, w, hp, hn in steps:
                 c = cls[v]
                 p = maps.get((c, x))
@@ -434,32 +507,45 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                     if c not in live:
                         live[c] = (cat, bound_row(c, cat))
                     else:
-                        perm = list(map(dict(zip(cat, count())).__getitem__, live[c][0]))
-                    p = maps[c, x] = (list(compress(range(len(up)), sel)), perm)
+                        get = _gather(list(map(dict(zip(cat, count())).__getitem__, live[c][0])),
+                                      width)
+                        perm = (lambda row, get=get, nb=width * len(cat):
+                                get(row.to_bytes(nb, "little")))
+                    xidx = list(compress(range(len(up)), sel))
+                    p = maps[c, x] = (_gather(xidx, width) if xidx else None,
+                                      8 * width * len(xidx), perm)
                 if live[c][0]:
                     yield v, w, hp, hn, *p
 
         found: list[tuple[int, int, int, str]] = []  # (rank, node, 0 or 1, violation)
         for lo in range(0, len(dis), _SWEEP_LANES):
-            # class -> (lane ranks, bound row), filled by plan as the sweep meets each class
-            live: dict[int, tuple[list[int], Sequence[Weight]]] = {}
-            for v, row in _sweep(plan(lo), lastp, [[]] * (y.num_nodes + 1), src):
+            # class -> (lane ranks, threshold row), filled by plan as the sweep
+            # meets each class
+            live: dict[int, tuple[list[int], int]] = {}
+            for v, row in _sweep(plan(lo), lastp, [0] * (y.num_nodes + 1), src):
+                lanes, thr = live[cls[v]]
+                nb = width * len(lanes)
                 if table is not None:
-                    table[v].extend(row)
-                lanes, bound = live[cls[v]]
+                    table[v] += row.to_bytes(nb, "little")
+                over = (row + thr) & guards
+                if not over:
+                    continue
+                flags = over.to_bytes(nb, "little")[width - 1::width]
                 bm = blocked[v]
-                over = compress(lanes, map(gt, row, bound))
-                if all(map(bm.__and__, map(masks.__getitem__, over))):
+                if all(map(bm.__and__, map(masks.__getitem__, compress(lanes, flags)))):
                     continue  # each lane over its bound holds a vertex blocked here
-                for j in compress(count(), map(gt, row, bound)):
+                data = row.to_bytes(nb, "little")
+                f = fac[cls[v]]
+                for j in compress(count(), flags):
                     r = lanes[j]
                     if not masks[r] & bm:
-                        f = fac[cls[v]]
                         rw = f[dis[r][0]]
                         for u in dis[r][1:]:
                             rw *= f[u]
+                        cov = _weight(int.from_bytes(data[width * j:width * (j + 1)], "little"),
+                                      n, exact)
                         found.append((r, v, 0, f"node {v}, B={list(dis[r])}: "
-                                               f"covered weight {row[j]} exceeds bound {rw}"))
+                                               f"covered weight {cov} exceeds bound {rw}"))
             if table is not None:
                 for c, (lanes, _) in live.items():
                     nxt.setdefault(c, []).extend(lanes)

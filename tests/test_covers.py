@@ -463,8 +463,7 @@ def test_path_weight_total_builds_the_totals_once(monkeypatch):
         # reading a vertex of its set
         steps = list(steps)
         if src is rows:
-            s = frozenset(y.var_of[v] for v, _, _, _, xidx, _ in steps if xidx)
-            built.append((s, isinstance(rows[-1][0], Fraction)))
+            built.append(frozenset(y.var_of[v] for v, _, _, _, take, *_ in steps if take))
         return sweep(steps, lastp, rows, src)
 
     monkeypatch.setattr(bplab.covers, "_sweep", counting)
@@ -473,9 +472,9 @@ def test_path_weight_total_builds_the_totals_once(monkeypatch):
         for exact in (False, True):
             for a in range(y.num_nodes):
                 path_weight_total(y, a, exact=exact)
-    assert built == [(frozenset(), False), (frozenset(), True)]
+    assert built == [frozenset()]  # one integer column serves both flags
     covered_weight(y, y.root, [0, 4])
-    assert built[2:] == [(frozenset({0, 4}), False)]
+    assert built[1:] == [frozenset({0, 4})]
 
 
 def test_extract_cut_cover_builds_the_compat_masks_once(monkeypatch):
@@ -735,7 +734,9 @@ def test_a_failing_check_sweeps_each_dis_size_once(monkeypatch):
     sweeps = []
 
     def counting(steps, lastp, rows, src):
-        sweeps.append(len(src[-1]))  # the number of DISes one size down
+        if src is not rows:  # a DIS sweep, not the path totals' column
+            # src[-1] is one zero lane per DIS one size down
+            sweeps.append(len(src[-1]) // ((y.num_vars + 9) // 8))
         return sweep(steps, lastp, rows, src)
 
     monkeypatch.setattr(bplab.covers, "_sweep", counting)
@@ -841,6 +842,65 @@ def test_verify_deepcover_sweeps_rank_ranges_like_one_sweep(monkeypatch):
     assert got == want
     assert len(sweeps) > 9 * len(got)
     assert got[-3] == deepcover_by_dis_tables(cases[-1][1], cases[-1][0], max_dis_size=3)
+
+
+def _exact_covered(y, u):
+    """Per node, the Fraction weight of its paths to the leaf that read u
+    positively: a node DP, children first."""
+    covered = [Fraction(0)] * y.num_nodes
+    total = [Fraction(0)] * y.num_nodes
+    total[y.leaf] = Fraction(1)
+    for v in reversed(y.order):
+        outs = y.out_edges[v]
+        for i in outs:
+            _, h, lab = y.edges[i]
+            w = Fraction(1, len(outs))
+            total[v] += w * total[h]
+            if lab == u + 1:
+                covered[v] += w * total[h]
+            elif lab != -u - 1:
+                covered[v] += w * covered[h]
+    return covered
+
+
+def test_deepcover_prints_correctly_rounded_weights_past_53_vertices():
+    # P60's weights are multiples of 2^-60, which a float sum of halves
+    # rounds; every printed weight is the float nearest the exact one
+    g = path_graph(60)
+    y = _compiled(g)
+    got = verify_deepcover(y, g, max_dis_size=1, tol=-0.5)
+    weights = [re.fullmatch(r"node (\d+), B=\[(\d+)\]: covered weight (\S+) exceeds bound \S+", m)
+               for m in got.violations]
+    assert len(weights) > 1000 and all(weights)
+    exact = {}
+    for a, u, cov in (m.groups() for m in weights):
+        if u not in exact:
+            exact[u] = _exact_covered(y, int(u))
+        assert cov == repr(float(exact[u][int(a)])), (a, u)
+    assert verify_deepcover(y, g, max_dis_size=1, exact=True) == deepcover_by_dis_tables(
+        y, g, max_dis_size=1, exact=True)
+
+
+def test_verify_deepcover_thresholds_at_their_edges():
+    # a lane exactly at its bound is not over it; a tolerance of 1 or more
+    # leaves no lane over, and a very negative one puts every free lane over
+    cases = list(_shuffled_order_diagrams())[:3]
+    cases.append((path_graph(2), _compiled(path_graph(2))))
+    cases.append((cycle_graph(6), _compiled(cycle_graph(6))))
+    at_bound = 0
+    for g, y in cases:
+        for exact in (False, True):
+            got = verify_deepcover(y, g, max_dis_size=2, tol=0.0, exact=exact)
+            assert got == deepcover_by_dis_tables(y, g, max_dis_size=2, tol=0.0, exact=exact)
+        below = verify_deepcover(y, g, max_dis_size=2, tol=-2.0 ** -40)
+        assert below == deepcover_by_dis_tables(y, g, max_dis_size=2, tol=-2.0 ** -40)
+        at_bound += len(below.violations) - len(got.violations)
+        for tol in (1.0, 2.0, math.inf, -10.0, -math.inf):
+            got = verify_deepcover(y, g, max_dis_size=2, tol=tol)
+            assert got == deepcover_by_dis_tables(y, g, max_dis_size=2, tol=tol), tol
+            over = [m for m in got.violations if "covered weight" in m]
+            assert len(over) == (got.pairs_checked if tol < 0 else 0), tol
+    assert at_bound > 0
 
 
 def test_verify_deepcover_orders_violations_across_sizes():
