@@ -13,8 +13,7 @@ Size is measured in edges; node counts are reported alongside.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import ENUMERATION_CAP, Assignment, MonotoneCnf, _check_enum_cap, primal_graph
 
@@ -79,8 +78,7 @@ class Nrobp:
                 f"vars={self.num_vars})")
 
 
-@dataclass
-class BpReport:
+class BpReport(NamedTuple):
     violations: list[str]
 
     @property

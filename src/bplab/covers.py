@@ -12,11 +12,10 @@ drives the cover-size lower bound 2^(dmw/a_x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _check_record, _var_of
 from .graphs import (ENUMERATION_CAP, Graph, Matching, _check_enum_cap, _models, cnf_from_graph,
@@ -27,8 +26,7 @@ Weight = Union[float, Fraction]
 _BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int(..., 2) reads
 
 
-@dataclass(frozen=True)
-class NodeContext:
+class NodeContext(NamedTuple):
     """Unread vertices, free vertices, and local degrees at a diagram node."""
 
     node: int
@@ -37,15 +35,13 @@ class NodeContext:
     ld: dict[int, int]
 
 
-@dataclass(frozen=True)
-class LowerBoundConstants:
+class LowerBoundConstants(NamedTuple):
     x: int
     a_x: float
     cover_base: float
 
 
-@dataclass(frozen=True)
-class CompositeBound:
+class CompositeBound(NamedTuple):
     mw_factor: int
     distant_factor: int
     a5: float
@@ -85,12 +81,20 @@ def _free_mask(g: Graph, read: int, neg: int) -> int:
     return ((1 << g.n) - 1) & ~blocked
 
 
+def _require_nfbdd(y: Nrobp) -> None:
+    """Path weights and node contexts need the decision-diagram form."""
+    if not isinstance(y, Nfbdd):
+        raise TypeError(f"expected an Nfbdd, got {type(y).__name__}; build one with "
+                        "Nfbdd(z.num_nodes, z.edges, z.root, z.leaf, z.num_vars)")
+
+
 def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
     """Context of node a in a diagram for the clause graph g.
 
     The first call on y walks the whole diagram for its node masks; later
     calls reuse them and cost O(g.n) mask operations.
     """
+    _require_nfbdd(y)
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
     if not 0 <= a < y.num_nodes:
@@ -254,6 +258,7 @@ def _column(y: Nfbdd, smask: int) -> list[int]:
 
 def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
     """Total weight of a-to-leaf paths; equals 1 at every node."""
+    _require_nfbdd(y)
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
     return _weight(_column(y, 0)[a], y.num_vars, exact)
@@ -261,6 +266,7 @@ def path_weight_total(y: Nfbdd, a: int, exact: bool = False) -> Weight:
 
 def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False) -> Weight:
     """Weight of a-to-leaf paths reading every variable of s positively."""
+    _require_nfbdd(y)
     smask = 0
     for v in frozenset(s):
         if not 0 <= v < y.num_vars:
@@ -289,8 +295,7 @@ def relative_weight(ctx: NodeContext, b: Iterable[int], exact: bool = False) -> 
     return acc
 
 
-@dataclass
-class DeepcoverReport:
+class DeepcoverReport(NamedTuple):
     nodes: int
     dis_count: int
     pairs_checked: int
@@ -422,6 +427,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     size puts the violations per DIS, DISes lexicographically, in node-id
     order.
     """
+    _require_nfbdd(y)
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
     read, negs = y.node_masks()
@@ -673,7 +679,6 @@ def min_dis_cover(g: Graph, t: int, cap: int = ENUMERATION_CAP
     return len(chosen), tuple(frozenset(dis_sets[i]) for i in chosen)
 
 
-@dataclass(frozen=True)
 class CutCoverCertificate:
     """A node cut with one DIS and distant matching per cut node.
 
@@ -682,15 +687,25 @@ class CutCoverCertificate:
     is at least 2^(dmw / a_x).
     """
 
-    cut_nodes: tuple[int, ...]
-    dis_sets: tuple[frozenset[int], ...]
-    matchings: tuple[Matching, ...]
-    dmw: int
-    bound: float
+    __slots__ = ("cut_nodes", "dis_sets", "matchings", "dmw", "bound")
+
+    def __init__(self, cut_nodes: tuple[int, ...], dis_sets: tuple[frozenset[int], ...],
+                 matchings: tuple[Matching, ...], dmw: int, bound: float) -> None:
+        self.cut_nodes, self.dis_sets, self.matchings = cut_nodes, dis_sets, matchings
+        self.dmw, self.bound = dmw, bound
 
     @property
     def q(self) -> int:
         return len(self.cut_nodes)
+
+    def _key(self) -> tuple:
+        return (self.cut_nodes, self.dis_sets, self.matchings, self.dmw, self.bound)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CutCoverCertificate) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,

@@ -9,7 +9,6 @@ parsing boundary (see fileio).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -107,18 +106,18 @@ def is_connected(g: Graph) -> bool:
     return seen == (1 << g.n) - 1
 
 
-@dataclass(frozen=True)
 class Assignment:
     """A conflict-free set of literals; total when it mentions every variable."""
 
-    literals: frozenset[int]
+    __slots__ = ("literals",)
 
-    def __post_init__(self) -> None:
-        for lit in self.literals:
+    def __init__(self, literals: frozenset[int]) -> None:
+        for lit in literals:
             if lit == 0:
                 raise ValueError("literal 0 is not allowed")
-            if -lit in self.literals:
+            if -lit in literals:
                 raise ValueError(f"variable {abs(lit) - 1} occurs with both signs")
+        self.literals = literals
 
     @classmethod
     def from_literals(cls, lits: Iterable[int]) -> "Assignment":
@@ -149,6 +148,12 @@ class Assignment:
 
     def __len__(self) -> int:
         return len(self.literals)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Assignment) and self.literals == other.literals
+
+    def __hash__(self) -> int:
+        return hash(self.literals)
 
 
 class MonotoneCnf:
@@ -193,17 +198,15 @@ class MonotoneCnf:
         return f"MonotoneCnf(num_vars={self.num_vars}, num_clauses={self.num_clauses})"
 
 
-@dataclass(frozen=True)
 class Matching:
     """A set of edges with pairwise distinct endpoints."""
 
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("edges",)
 
-    def __post_init__(self) -> None:
-        norm = tuple(sorted((u, v) if u < v else (v, u) for u, v in self.edges))
-        object.__setattr__(self, "edges", norm)
+    def __init__(self, edges: Iterable[tuple[int, int]]) -> None:
+        self.edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in edges))
         used: set[int] = set()
-        for u, v in norm:
+        for u, v in self.edges:
             if u == v:
                 raise ValueError(f"edge ({u}, {v}) is a loop")
             if u in used or v in used:
@@ -220,6 +223,12 @@ class Matching:
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.edges)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Matching) and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash(self.edges)
 
 
 def cnf_from_graph(g: Graph) -> MonotoneCnf:

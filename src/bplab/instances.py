@@ -10,21 +10,19 @@ that keeps the residual state space of natural-order compilation small.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, Matching, is_connected, path_graph
 from .widths import PrefixPartition
 
 
-@dataclass(frozen=True)
 class LabeledTree:
     """Rooted tree given by a parent array; parent[root] == -1."""
 
-    parent: tuple[int, ...]
+    __slots__ = ("parent", "_depth")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parent", tuple(self.parent))
+    def __init__(self, parent: Iterable[int]) -> None:
+        self.parent = tuple(parent)
         n = len(self.parent)
         roots = [v for v, p in enumerate(self.parent) if p == -1]
         if len(roots) != 1:
@@ -49,7 +47,7 @@ class LabeledTree:
             for w in reversed(chain):
                 d += 1
                 depth[w] = d
-        object.__setattr__(self, "_depth", tuple(depth))
+        self._depth = tuple(depth)
 
     @property
     def n(self) -> int:
@@ -141,8 +139,7 @@ def tree_product(t: LabeledTree, h: Graph) -> Graph:
     return Graph(t.n * nh, edges)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     k: int
     y: int
     r: int
@@ -196,15 +193,13 @@ def hard_family_instance(k: int, r: int,
     return g, params
 
 
-@dataclass(frozen=True)
 class TreeDecomposition:
-    tree: LabeledTree
-    bags: tuple[frozenset[int], ...]
+    __slots__ = ("tree", "bags")
 
-    def __post_init__(self) -> None:
-        if len(self.bags) != self.tree.n:
-            raise ValueError(
-                f"{len(self.bags)} bags for a tree with {self.tree.n} nodes")
+    def __init__(self, tree: LabeledTree, bags: tuple[frozenset[int], ...]) -> None:
+        if len(bags) != tree.n:
+            raise ValueError(f"{len(bags)} bags for a tree with {tree.n} nodes")
+        self.tree, self.bags = tree, bags
 
     @property
     def width(self) -> int:
@@ -224,8 +219,7 @@ def canonical_tree_decomposition(t: LabeledTree, h: Graph) -> TreeDecomposition:
     return TreeDecomposition(t, tuple(bags))
 
 
-@dataclass
-class TdReport:
+class TdReport(NamedTuple):
     width: int
     violations: list[str]
 

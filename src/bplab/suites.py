@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bp import (
     Nrobp,
@@ -46,8 +45,7 @@ from .widths import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

@@ -14,10 +14,9 @@ the search did not reach.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, Matching, _closed_edge_mask
 
@@ -27,8 +26,7 @@ _WAIT = 255  # above every f + 1 the width search stores
 _DEAD = 254  # f above the final threshold, shown by the witness walk; below _WAIT
 
 
-@dataclass(frozen=True)
-class PrefixPartition:
+class PrefixPartition(NamedTuple):
     """A two-sided vertex partition (prefix, suffix) of some graph's vertices."""
 
     prefix: frozenset[int]
@@ -43,8 +41,7 @@ class PrefixPartition:
         return cls(p, frozenset(range(g.n)) - p)
 
 
-@dataclass(frozen=True)
-class WidthResult:
+class WidthResult(NamedTuple):
     value: int
     witness_order: tuple[int, ...]
     witness_cuts: tuple[int, ...]

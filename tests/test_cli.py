@@ -1,9 +1,11 @@
 """End-to-end tests driving the command line through main(argv)."""
 
-import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import bplab.covers
 import bplab.widths
 from bplab.bp import Nrobp, is_uniform, nfbdd_compile, bp_satisfying_set, uniformize
 from bplab.cli import main
+from bplab.covers import CutCoverCertificate
 from bplab.fileio import parse_bp, parse_cnf, parse_graph, parse_td, write_bp, write_cnf, write_graph
 from bplab.graphs import cnf_from_graph, complete_graph, cycle_graph, path_graph
 from bplab.instances import validate_tree_decomposition
@@ -158,8 +161,8 @@ def test_experiment_fails_a_certificate_below_its_bound(monkeypatch, capsys, tmp
 
     def one_cut_node(y, g, d):
         cert = real(y, g, d=d)
-        return dataclasses.replace(cert, cut_nodes=cert.cut_nodes[:1],
-                                   dis_sets=cert.dis_sets[:1], matchings=cert.matchings[:1])
+        return CutCoverCertificate(cert.cut_nodes[:1], cert.dis_sets[:1], cert.matchings[:1],
+                                   cert.dmw, cert.bound)
 
     monkeypatch.setattr(bplab.cli, "extract_cut_cover", one_cut_node)
     rc, csv, err = _failed_row(capsys, tmp_path, 1)
@@ -525,3 +528,13 @@ def test_experiment_empty_height_range_exits_2(capsys):
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "3", "--r-max", "1")
     assert (rc, out) == (2, "")
     assert "--r-min 3 exceeds --r-max 1" in err
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # pytest imports dataclasses itself, so the import runs in a fresh interpreter
+    src = Path(bplab.cli.__file__).resolve().parents[1]
+    code = ("import sys, bplab, bplab.cli, bplab.fileio; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -52,6 +52,7 @@ from bplab.widths import (
     PrefixPartition,
     dmw_exact,
     max_distant_cross_matching,
+    mw_exact,
 )
 
 from oracles import (
@@ -301,6 +302,32 @@ def test_extract_cut_cover_takes_the_callers_dmw(monkeypatch):
     monkeypatch.setattr(bplab.covers, "dmw_exact", no_dmw)
     for g, cert in zip(graphs, certs):
         assert extract_cut_cover(_compiled(g), g, d=cert.dmw) == cert
+
+
+def test_records_of_repeated_calls_compare_equal():
+    # callers, and the benchmark's check that later passes repeat the first, compare with ==
+    g = cycle_graph(8)
+    assert mw_exact(g) == mw_exact(g)
+    assert dmw_exact(g) == dmw_exact(g)
+    cert, again = (extract_cut_cover(_compiled(g), g) for _ in range(2))
+    assert cert == again and hash(cert) == hash(again)
+    assert not isinstance(cert, tuple)
+    m = Matching(((3, 2), (0, 1)))
+    assert m == Matching(((1, 0), (2, 3))) and hash(m) == hash(Matching(((1, 0), (2, 3))))
+    assert not Matching(())
+    assert (hard_family_instance(6, 2, allow_small_r=True)[1]
+            == hard_family_instance(6, 2, allow_small_r=True)[1])
+
+
+def test_weights_and_contexts_need_an_nfbdd():
+    g = path_graph(2)
+    z = parse_bp(write_bp(_compiled(g)))
+    assert type(z) is Nrobp
+    calls = [lambda: path_weight_total(z, z.root), lambda: covered_weight(z, z.root, [0]),
+             lambda: verify_deepcover(z, g), lambda: node_context(z, g, z.root)]
+    for call in calls:
+        with pytest.raises(TypeError, match="expected an Nfbdd, got Nrobp"):
+            call()
 
 
 def test_extract_cut_cover_rejections():
