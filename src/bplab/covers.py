@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -23,7 +23,9 @@ from .graphs import (ENUMERATION_CAP, Graph, Matching, _check_enum_cap, _models,
 from .widths import _compat_masks, _cut_size_mask, _distant_matching_of_mask, dmw_exact
 
 Weight = Union[float, Fraction]
-_BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int(..., 2) reads
+# _BIT_OF[b]: each byte to its bit b, so a strided slice of packed masks
+# translates to one 0/1 byte per mask
+_BIT_OF = [(bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 
 class NodeContext(NamedTuple):
@@ -79,6 +81,28 @@ def _free_mask(g: Graph, read: int, neg: int) -> int:
         m ^= bit
         blocked |= g.nbr_mask[bit.bit_length() - 1]
     return ((1 << g.n) - 1) & ~blocked
+
+
+def _free_masks(y: Nfbdd, g: Graph) -> tuple[list[int], list[int]]:
+    """(free, blocked): per node, its free vertices, and those unread but
+    not free there.
+
+    One walk over first in-edges in y's order: a node's blocking mask is
+    its tail's, ORed with the neighbours of its first in-edge's variable
+    when that edge reads it negatively, as bp._mask_walk ORs the literal.
+    """
+    edges = y.edges
+    in_edges = y.in_edges
+    nbr = g.nbr_mask
+    near = [0] * y.num_nodes  # neighbours of the variables read negatively
+    for v in y.order:
+        if v != y.root:
+            t, _, lab = edges[in_edges[v][0]]
+            near[v] = near[t] | nbr[-lab - 1] if lab < 0 else near[t]
+    read = _check_record(y)[1]
+    full = (1 << g.n) - 1
+    return ([full & ~(r | b) for r, b in zip(read, near)],
+            [b & ~r for r, b in zip(read, near)])
 
 
 def _require_nfbdd(y: Nrobp) -> None:
@@ -226,7 +250,8 @@ def _weight(i: int, n: int, exact: bool) -> Weight:
     return Fraction(i, 1 << n) if exact else i / (1 << n)
 
 
-def _column(y: Nfbdd, smask: int) -> list[int]:
+def _column(y: Nfbdd, smask: int,
+            walk: tuple[list[_Step], list[int]] | None = None) -> list[int]:
     """Covered weight of the set smask, times 2^num_vars, at every node
     where it is unread.
 
@@ -236,11 +261,11 @@ def _column(y: Nfbdd, smask: int) -> list[int]:
     rows being built, as is (take is int), and its perm drops the head sum. Where smask is
     partly read, the entry weighs the paths that read none of it
     negatively. The empty set's column, the path totals, is built once per
-    diagram.
+    diagram. walk is y's _steps when the caller has them.
     """
     col = y.path_totals if not smask else None
     if col is None:
-        steps, lastp = _steps(y)
+        steps, lastp = walk or _steps(y)
         width = y.num_vars + 2  # bits of the one lane
         drop = ((1 << width) - 1).__and__
         plan = [(v, w, hp, hn, int, width, drop) if smask >> x & 1
@@ -313,18 +338,17 @@ def _transpose(masks: list[int], width: int) -> list[int]:
     One string holds every mask's digits, so each column is one strided
     slice of it; that is len(masks) * width characters at once.
     """
-    digits = "".join(format(m, f"0{width}b") for m in reversed(masks))
+    digits = "".join(map(format, reversed(masks), repeat(f"0{width}b")))
     return [int(digits[width - 1 - u::width], 2) for u in range(width)]
 
 
-def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
-    """DISes of g with at most max_size vertices: the empty set, then by size
-    and lexicographically within a size.
+def _dis_levels(g: Graph, max_size: int) -> list[tuple[list[tuple[int, ...]], list[int]]]:
+    """DISes of g with at most max_size vertices: per size from 0, the DISes
+    in lexicographic order and their vertex masks.
 
     Every subset of a DIS is a DIS, so each DIS of size s extends one of
     size s - 1 by a vertex above its maximum and outside the closed
-    2-neighbourhoods of its members. Only the sizes still to be extended
-    are kept.
+    2-neighbourhoods of its members.
     """
     near = []  # near[v]: v, its neighbours and theirs
     for v, nbr in enumerate(g.nbr_mask):
@@ -336,22 +360,28 @@ def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
             m |= g.nbr_mask[b.bit_length() - 1]
         near.append(m)
     full = (1 << g.n) - 1
-    yield ()
-    level: list[tuple[int, ...]] = [()]
-    for size in range(1, max_size + 1):
-        nxt = []
-        for combo in level:
+    levels: list[tuple[list[tuple[int, ...]], list[int]]] = [([()], [0])]
+    for _ in range(max_size):
+        dis: list[tuple[int, ...]] = []
+        masks: list[int] = []
+        for combo, mask in zip(*levels[-1]):
             cand = full >> (combo[-1] + 1) << (combo[-1] + 1) if combo else full
             for v in combo:
                 cand &= ~near[v]
             while cand:
                 b = cand & -cand
                 cand ^= b
-                c = combo + (b.bit_length() - 1,)
-                if size < max_size:
-                    nxt.append(c)
-                yield c
-        level = nxt
+                dis.append(combo + (b.bit_length() - 1,))
+                masks.append(mask | b)
+        levels.append((dis, masks))
+    return levels
+
+
+def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
+    """DISes of g with at most max_size vertices: the empty set, then by size
+    and lexicographically within a size."""
+    for dis, _ in _dis_levels(g, max_size):
+        yield from dis
 
 
 class _Thresholds(dict):
@@ -411,15 +441,20 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
 
     A row packs its lanes as _sweep does, in fields of F = ceil((n+2)/8)
     bytes; the rows of a size are kept as bytes for the next, whose x-lanes
-    and index maps are slices of them. Each class builds its threshold row
-    once, from its unread degrees: lane j's field holds G - 1 - t_j, where G
-    is the field's top bit and t_j = floor((bound + tol) * 2^n), held to
-    [-1, 2^n], the largest lane value within the bound (tol is not added
-    when exact). So a node's row plus that row carries into G in exactly
-    the fields over their bound, and no field carries out. A lane over its
-    bound is a violation unless its DIS holds a vertex that is unread but
-    blocked at the node; its weight is printed as the correctly rounded
-    float of I / 2^n, or as that Fraction when exact. The pairs and side
+    and index maps are slices of them. Each class has one threshold row:
+    lane j's field holds G - 1 - t_j, where G is the field's top bit and
+    t_j = floor((bound + tol) * 2^n), held to [-1, 2^n], the largest lane
+    value within the bound (tol is not added when exact). So a node's row
+    plus that row carries into G in exactly the fields over their bound,
+    and no field carries out. A class takes its data from its heads' class,
+    as it takes its lane order: the unread degrees of a class reading x
+    differ from its heads' class's only at x's neighbours, so its factor
+    list is that class's with those recomputed, and its threshold row is
+    new fields for its x-lanes followed by that class's row, recomputed
+    only on the lanes that meet a neighbour of x. A lane over its bound is
+    a violation unless its DIS holds a vertex that is unread but blocked
+    at the node; its weight is printed as the correctly rounded float of
+    I / 2^n, or as that Fraction when exact. The pairs and side
     checks are counted per DIS, on per-vertex bitsets over the nodes: where
     the vertex is free, where it is read on a positive edge, and where that
     edge's head leaves it free. A failed check is worded where it is found
@@ -430,35 +465,43 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     _require_nfbdd(y)
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
-    read, negs = y.node_masks()
-    full = (1 << g.n) - 1
-    free = [_free_mask(g, read[v], negs[v]) for v in range(y.num_nodes)]
-    blocked = [full & ~r & ~f for r, f in zip(read, free)]  # unread but not free
-    holds = _transpose(free, g.n)  # bit v of holds[u]: u is free at node v
+    n = g.n
+    nbr = g.nbr_mask
+    read = _check_record(y)[1]
+    free, blocked = _free_masks(y, g)
+    holds = _transpose(free, n)  # bit v of holds[u]: u is free at node v
     by_degree = [(1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
-                 for d in range(g.n)]
+                 for d in range(n)]
     classes: dict[int, int] = {}  # read mask -> class number, in order of first node
     cls = [classes.setdefault(r, len(classes)) for r in read]
-    # fac[c][u]: u's factor of the bound in class c, from its unread degree there
-    fac = [[by_degree[(m & ~r).bit_count()] for m in g.nbr_mask] for r in classes]
+    steps, lastp = walk = _steps(y)
+    # fac[c][u]: u's factor of the bound in class c, from its unread degree
+    # there. Steps come heads first, so the heads' class of the first node
+    # of c, reading x, has its list already; c copies it and recomputes x's
+    # neighbours. The leaf's class reads every vertex.
+    fac: list[list[Weight]] = [[]] * len(classes)
+    fac[cls[y.leaf]] = by_degree[:1] * n
+    for v, x, _, hp, hn in steps:
+        c = cls[v]
+        if not fac[c]:
+            f = fac[c] = fac[cls[hp if hp >= 0 else hn]].copy()
+            for u in g.adj[x]:
+                f[u] = by_degree[(nbr[u] & ~read[v]).bit_count()]
     onto = [-1] * y.num_nodes  # the head of each node's positive edge
     for t, h, lab in y.edges:
         if lab > 0:
             onto[t] = h
     # bit t of reading[x]: node t reads x on a positive edge; of onward[u]: u
     # is free at that edge's head
-    reading = _transpose([1 << y.var_of[t] if h >= 0 else 0 for t, h in enumerate(onto)], g.n)
-    onward = _transpose([free[h] if h >= 0 else 0 for h in onto], g.n)
-    n = g.n
+    reading = _transpose([1 << y.var_of[t] if h >= 0 else 0 for t, h in enumerate(onto)], n)
+    onward = _transpose([free[h] if h >= 0 else 0 for h in onto], n)
     width = (n + 9) // 8  # F: the bytes of one lane
+    mb = (n + 7) // 8  # the bytes of one DIS mask
     fields = _Thresholds(n, 0 if exact else tol, width)
-    steps, lastp = _steps(y)
-    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(max(max_dis_size, 0) + 2)]
-    for b in _dis_iter(g, max_dis_size):
-        by_size[len(b)].append(b)
+    levels = _dis_levels(g, max_dis_size) + [([], [])]
     # G in every field of the longest row
     guards = int.from_bytes((bytes(width - 1) + b"\x80")
-                            * min(_SWEEP_LANES, max(map(len, by_size))), "little")
+                            * min(_SWEEP_LANES, max(len(dis) for dis, _ in levels)), "little")
 
     violations: list[str] = []
     pairs = 0
@@ -467,34 +510,57 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     # each class's lanes one size down, and the rows of that size (src[-1]: zeros)
     prev: dict[int, list[int]] = dict.fromkeys(range(len(classes)), [0])  # the empty set
     masks = [0]
-    src: list[bytes] = [t.to_bytes(width, "little") for t in _column(y, 0)] + [bytes(width)]
+    src: list[bytes] = ([t.to_bytes(width, "little") for t in _column(y, 0, walk)]
+                        + [bytes(width)])
     for size in range(1, max_dis_size + 1):
-        dis = by_size[size]
+        dis = levels[size][0]
         if not dis:
             break
         dis_count += len(dis)
-        below, masks = masks, [sum(1 << v for v in b) for b in dis]
+        below, masks = masks, levels[size][1]
         rank = dict(zip(masks, count()))
+        packed = b"".join(map(int.to_bytes, masks, repeat(mb), repeat("little")))
         # (class, x) -> the rank of each of the heads' class's lanes one
         # size down plus x, or -1 when that is no DIS
         ups: dict[tuple[int, int], list[int]] = {}
         nxt: dict[int, list[int]] = {}  # each class's lanes, for the next size
         table: list[bytes] | None = None
-        if by_size[size + 1]:
+        if levels[size + 1][0]:
             table = [b""] * y.num_nodes + [bytes(width * len(dis))]
 
-        def bound_row(c: int, lanes: list[int]) -> int:
-            """The threshold row of class c over lanes."""
-            f = fac[c]
+        def bounds(f: list[Weight], lanes: Iterable[int]) -> list[bytes]:
+            """The threshold fields of lanes under the factors f."""
             bs = list(map(dis.__getitem__, lanes))
             row = list(map(f.__getitem__, map(itemgetter(0), bs)))
             for k in range(1, size):
                 row = list(map(mul, row, map(f.__getitem__, map(itemgetter(k), bs))))
-            return int.from_bytes(b"".join(map(fields.__getitem__, row)), "little")
+            return list(map(fields.__getitem__, row))
+
+        def bound_row(c: int, x: int, cat: list[int], hc: int, span: range) -> int:
+            """The threshold row of class c over cat, lanes of ranks in span:
+            its x-lanes, then the lanes of its heads' class hc, whose fields
+            c shares but on the lanes that meet x's neighbours."""
+            inherited, thr = live.get(hc, ((), 0))
+            k = len(cat) - len(inherited)
+            near: list[int] = []
+            if inherited:
+                start, stop = span.start * mb, min(span.stop, len(dis)) * mb
+                hit = 0  # byte r - span.start: 1 when DIS r holds a neighbour of x
+                for u in g.adj[x]:
+                    col = packed[start + (u >> 3):stop:mb].translate(_BIT_OF[u & 7])
+                    hit |= int.from_bytes(col, "little")
+                near = list(compress(count(k), itemgetter(*inherited, slice(0, 0))(
+                    (hit << 8 * span.start).to_bytes(stop // mb, "little"))))
+            new = bounds(fac[c], cat[:k] + list(map(cat.__getitem__, near)))
+            data = bytearray(b"".join(new[:k]))
+            data += thr.to_bytes(width * len(inherited), "little")
+            for j, field in zip(near, new[k:]):
+                data[width * j:width * (j + 1)] = field
+            return int.from_bytes(data, "little")
 
         def plan(lo: int) -> Iterator[_SweepStep]:
             """The steps of the sweep of the DISes with ranks lo to lo + _SWEEP_LANES."""
-            hi = lo + _SWEEP_LANES
+            span = range(lo, lo + _SWEEP_LANES)
             maps: dict[tuple[int, int], tuple] = {}  # (class, x) -> (take, shift, perm)
             for v, x, w, hp, hn in steps:
                 c = cls[v]
@@ -503,15 +569,16 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                     hc = cls[hp if hp >= 0 else hn]
                     up = ups.get((c, x))
                     if up is None:
-                        up = ups[c, x] = [rank.get(below[r] | 1 << x, -1)
-                                          for r in prev.get(hc, ())]
-                    sel = [lo <= r < hi for r in up]
+                        down = map(below.__getitem__, prev.get(hc, ()))
+                        up = ups[c, x] = list(map(rank.get, map((1 << x).__or__, down),
+                                                  repeat(-1)))
+                    sel = list(map(span.__contains__, up))
                     cat = list(compress(up, sel))
                     if hc in live:
                         cat += live[hc][0]
                     perm = None
                     if c not in live:
-                        live[c] = (cat, bound_row(c, cat))
+                        live[c] = (cat, bound_row(c, x, cat, hc, span))
                     else:
                         get = _gather(list(map(dict(zip(cat, count())).__getitem__, live[c][0])),
                                       width)
@@ -592,7 +659,11 @@ def _min_set_cover(universe: int, masks: list[int]) -> list[int]:
     Branches on the uncovered element with the fewest covering sets, the
     lowest such element first. That ranking is static, so it is made once:
     the per-element counts are summed as carry-save bit planes, and the
-    elements grouped into one mask per count, fewest first.
+    elements grouped into one mask per count, fewest first. A branch is cut
+    when even sets of the largest overlap with the uncovered elements could
+    not finish below the best cover. The same test with the largest set's
+    size, which is at least that overlap, goes first: it cuts fewer
+    branches but needs no pass over the sets.
     """
     planes: list[int] = []  # bit e of planes[j]: bit j of the number of sets holding e
     for m in masks:
@@ -614,6 +685,7 @@ def _min_set_cover(universe: int, masks: list[int]) -> list[int]:
             groups.append(grp)
     sets_of: dict[int, list[int]] = {}  # covering sets of each element branched on
     best: list[int] | None = None
+    top = max(map(int.bit_count, masks))  # no set covers more than this
 
     def bnb(uncovered: int, chosen: list[int]) -> None:
         nonlocal best
@@ -622,8 +694,11 @@ def _min_set_cover(universe: int, masks: list[int]) -> list[int]:
                 best = list(chosen)
             return
         limit = len(masks) + 1 if best is None else len(best)
+        left = uncovered.bit_count()
+        if len(chosen) - (-left // top) >= limit:
+            return
         maxcov = max((m & uncovered).bit_count() for m in masks)
-        need = -((-uncovered.bit_count()) // maxcov)
+        need = -(-left // maxcov)
         if len(chosen) + need >= limit:
             return
         for grp in groups:
@@ -654,13 +729,12 @@ def min_dis_cover(g: Graph, t: int, cap: int = ENUMERATION_CAP
     n = g.n
     _check_enum_cap(n, cap)
     sats = _models(g)
-    dis_sets = [combo for combo in _dis_iter(g, t) if len(combo) == t]
+    dis_sets = _dis_levels(g, t)[t][0]
     if not dis_sets:
         raise ValueError(f"no DIS of size {t} exists")
     universe = (1 << len(sats)) - 1
     # holds[v]: bit i set when satisfying mask i reads v positively
-    holds = [int(bytes(sat >> v & 1 for sat in reversed(sats)).translate(_BITS), 2)
-             for v in range(n)]
+    holds = _transpose(sats, n)
     cover_masks = []
     for combo in dis_sets:
         m = universe
@@ -706,6 +780,10 @@ class CutCoverCertificate:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"CutCoverCertificate({fields})"
 
 
 def extract_cut_cover(z: Nrobp, g: Graph, d: int | None = None, *,

@@ -155,6 +155,9 @@ class Assignment:
     def __hash__(self) -> int:
         return hash(self.literals)
 
+    def __repr__(self) -> str:
+        return f"Assignment(literals={self.literals!r})"
+
 
 class MonotoneCnf:
     """A 2-CNF whose clauses are all-positive pairs of distinct variables."""
@@ -229,6 +232,9 @@ class Matching:
 
     def __hash__(self) -> int:
         return hash(self.edges)
+
+    def __repr__(self) -> str:
+        return f"Matching(edges={self.edges!r})"
 
 
 def cnf_from_graph(g: Graph) -> MonotoneCnf:

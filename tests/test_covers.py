@@ -24,6 +24,7 @@ from bplab.bp import (
     validate_nrobp,
 )
 from bplab.covers import (
+    CutCoverCertificate,
     composed_bound_constants,
     constants,
     coverlb_bound,
@@ -37,6 +38,7 @@ from bplab.covers import (
 )
 from bplab.fileio import parse_bp, write_bp
 from bplab.graphs import (
+    Assignment,
     Graph,
     Matching,
     cnf_from_graph,
@@ -965,3 +967,69 @@ def test_min_dis_cover_equals_the_rescanning_reference():
                 assert min_dis_cover(g, t) == want, (g.edges, t)
                 outcomes.add("cover")
     assert outcomes == {"cover", "no", "satisfying", "refusing"}
+
+
+def _split_cases(rng):
+    """(g, diagram) for _split_compiles diagrams of random graphs with 7 to 9
+    vertices, each followed by a copy with a third of its two-way nodes'
+    labels swapped."""
+    for n in (7, 8, 9):
+        g = random_connected_graph(n, 600 + n, 3)
+        order_a = list(range(n))
+        rng.shuffle(order_a)
+        order_b = order_a[:1]
+        for i in range(1, n - 1, 2):
+            order_b += [order_a[i + 1], order_a[i]]
+        order_b += order_a[len(order_b):]
+        y = _split_compiles(g, order_a, order_b)
+        yield g, y
+        flip = {v for v in range(y.num_nodes) if len(y.out_edges[v]) == 2 and rng.random() < 0.3}
+        yield g, Nfbdd(y.num_nodes, [(t, h, -lab if t in flip else lab) for t, h, lab in y.edges],
+                       y.root, y.leaf, y.num_vars)
+
+
+def test_walked_free_masks_match_first_in_edge_paths():
+    # verify_deepcover's one walk over first in-edges, and node_context's
+    # per-node masks, both give the oracle's free set at every node
+    cases = list(_shuffled_order_diagrams()) + list(_split_cases(random.Random(12)))
+    for g, y in cases:
+        free, blocked = bplab.covers._free_masks(y, g)
+        for a in range(y.num_nodes):
+            vert, want = context_by_first_in_edges(y, g, a)
+            assert free[a] == sum(1 << v for v in want), (g.edges, a)
+            assert blocked[a] == sum(1 << v for v in vert - want), (g.edges, a)
+            assert node_context(y, g, a).free == want
+    assert any(blocked)
+
+
+def test_verify_deepcover_walks_each_diagram_once_per_call(monkeypatch):
+    # on a fresh diagram one _steps walk serves the path totals and the
+    # sweeps; the free masks come from their own walk, not node_masks
+    def no_walk(y):
+        raise AssertionError("verify_deepcover walked the negative masks")
+
+    walks = []
+    steps = bplab.covers._steps
+    monkeypatch.setattr(bplab.covers, "_steps", lambda y: walks.append(y) or steps(y))
+    monkeypatch.setattr(bplab.bp, "_mask_walk", no_walk)
+    g = cycle_graph(8)
+    y = _compiled(g)
+    first = verify_deepcover(y, g)
+    assert walks == [y] and y.path_totals is not None
+    assert verify_deepcover(y, g) == first
+    assert walks == [y, y]
+
+
+def test_records_print_their_fields():
+    # a failing comparison of these records shows their fields, not addresses
+    g = cycle_graph(8)
+    cert = extract_cut_cover(_compiled(g), g)
+    m = Matching(((3, 2), (0, 1)))
+    a = Assignment.from_mask(3, 0b101)
+    assert repr(m) == "Matching(edges=((0, 1), (2, 3)))"
+    assert repr(a) == f"Assignment(literals={frozenset({1, -2, 3})!r})"
+    assert repr(cert).startswith(f"CutCoverCertificate(cut_nodes={cert.cut_nodes!r}, dis_sets=")
+    names = {"Assignment": Assignment, "CutCoverCertificate": CutCoverCertificate,
+             "Matching": Matching}
+    for x in (m, a, cert):
+        assert eval(repr(x), names) == x
