@@ -26,6 +26,8 @@ Weight = Union[float, Fraction]
 # _BIT_OF[b]: each byte to its bit b, so a strided slice of packed masks
 # translates to one 0/1 byte per mask
 _BIT_OF = [(bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8)]
+# _TOP_BIT: each byte to its top bit, 0 or 0x80
+_TOP_BIT = bytes(128) + b"\x80" * 128
 
 
 class NodeContext(NamedTuple):
@@ -420,6 +422,25 @@ class _Thresholds(dict):
 _SWEEP_LANES = 4096
 
 
+def _over_lanes(row: int, thr: int, width: int, guard: int | None = None) -> list[int]:
+    """The lanes j of a packed row, width bytes each, over their threshold
+    fields in thr: those whose field of row + thr has its top bit G set.
+
+    guard, when given, has G in the fields of the lanes to test, and only
+    the fields below its top bit are added, so a test of a row's low lanes
+    costs what they hold.
+    """
+    if guard is not None and guard.bit_length() < thr.bit_length():
+        low = (1 << guard.bit_length()) - 1
+        row &= low
+        thr &= low
+    over = row + thr if guard is None else (row + thr) & guard
+    if not over:
+        return []
+    flags = over.to_bytes((over.bit_length() + 7) // 8, "little")[width - 1::width]
+    return list(compress(count(), flags.translate(_TOP_BIT)))
+
+
 def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-9,
                      exact: bool = False) -> DeepcoverReport:
     """Sweep every node and DIS B inside its free set: covered <= relative weight.
@@ -454,7 +475,24 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     only on the lanes that meet a neighbour of x. A lane over its bound is
     a violation unless its DIS holds a vertex that is unread but blocked
     at the node; its weight is printed as the correctly rounded float of
-    I / 2^n, or as that Fraction when exact. The pairs and side
+    I / 2^n, or as that Fraction when exact.
+
+    Most nodes test only the lanes they change. A lane B without x at a
+    node v reading x holds its head's value, or the mean of its heads'
+    values, and its threshold in v's class is at least the one in the
+    heads' class, equal off N(x): only x's neighbours change unread
+    degree, and the float products, the added tol and the threshold
+    rounding are monotone. So B is over at v only where it is over at a
+    head. A head is clean when no lane over its bound there is a
+    violation, so every such lane holds a vertex blocked at that head.
+    At a node that reads its class's first variable and whose heads are
+    clean, B can then be a violation only if it meets E, the vertices
+    other than x blocked at a head but not at v. With E empty the node
+    tests its x-lanes, unless x is blocked at v; with E inside N(x), its
+    x-lanes and the lanes that meet N(x), whose fields the class
+    recomputed; a node with nothing to test is skipped. Any other node (a
+    head with a violation, an index map, E outside N(x)) tests every
+    lane. The violations found are the same either way. The pairs and side
     checks are counted per DIS, on per-vertex bitsets over the nodes: where
     the vertex is free, where it is read on a positive edge, and where that
     edge's head leaves it free. A failed check is worded where it is found
@@ -469,6 +507,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     nbr = g.nbr_mask
     read = _check_record(y)[1]
     free, blocked = _free_masks(y, g)
+    blocked.append(0)  # blocked[-1]: a missing head's
     holds = _transpose(free, n)  # bit v of holds[u]: u is free at node v
     by_degree = [(1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
                  for d in range(n)]
@@ -499,9 +538,6 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     mb = (n + 7) // 8  # the bytes of one DIS mask
     fields = _Thresholds(n, 0 if exact else tol, width)
     levels = _dis_levels(g, max_dis_size) + [([], [])]
-    # G in every field of the longest row
-    guards = int.from_bytes((bytes(width - 1) + b"\x80")
-                            * min(_SWEEP_LANES, max(len(dis) for dis, _ in levels)), "little")
 
     violations: list[str] = []
     pairs = 0
@@ -536,11 +572,14 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                 row = list(map(mul, row, map(f.__getitem__, map(itemgetter(k), bs))))
             return list(map(fields.__getitem__, row))
 
-        def bound_row(c: int, x: int, cat: list[int], hc: int, span: range) -> int:
-            """The threshold row of class c over cat, lanes of ranks in span:
-            its x-lanes, then the lanes of its heads' class hc, whose fields
-            c shares but on the lanes that meet x's neighbours."""
-            inherited, thr = live.get(hc, ((), 0))
+        def bound_row(c: int, x: int, cat: list[int], hc: int, span: range
+                      ) -> tuple[int, int, int]:
+            """(threshold row, x guard, near guard) of class c over cat, lanes
+            of ranks in span: its x-lanes, then the lanes of its heads' class
+            hc, whose fields c shares but on the lanes that meet x's
+            neighbours. The x guard has G in the x-lanes' fields; the near
+            guard in those and in the fields that c recomputes."""
+            inherited, thr = live[hc][:2] if hc in live else ((), 0)
             k = len(cat) - len(inherited)
             near: list[int] = []
             if inherited:
@@ -554,9 +593,13 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
             new = bounds(fac[c], cat[:k] + list(map(cat.__getitem__, near)))
             data = bytearray(b"".join(new[:k]))
             data += thr.to_bytes(width * len(inherited), "little")
+            mark = bytearray(width * (near[-1] + 1 if near else k))
+            mark[width - 1:width * k:width] = b"\x80" * k
             for j, field in zip(near, new[k:]):
                 data[width * j:width * (j + 1)] = field
-            return int.from_bytes(data, "little")
+                mark[width * (j + 1) - 1] = 0x80
+            nx = int.from_bytes(mark, "little")
+            return int.from_bytes(data, "little"), nx & (1 << 8 * width * k) - 1, nx
 
         def plan(lo: int) -> Iterator[_SweepStep]:
             """The steps of the sweep of the DISes with ranks lo to lo + _SWEEP_LANES."""
@@ -578,7 +621,8 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                         cat += live[hc][0]
                     perm = None
                     if c not in live:
-                        live[c] = (cat, bound_row(c, x, cat, hc, span))
+                        thr, xg, nx = bound_row(c, x, cat, hc, span)
+                        live[c] = (cat, thr, x, xg, nx)
                     else:
                         get = _gather(list(map(dict(zip(cat, count())).__getitem__, live[c][0])),
                                       width)
@@ -592,35 +636,51 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
 
         found: list[tuple[int, int, int, str]] = []  # (rank, node, 0 or 1, violation)
         for lo in range(0, len(dis), _SWEEP_LANES):
-            # class -> (lane ranks, threshold row), filled by plan as the sweep
-            # meets each class
-            live: dict[int, tuple[list[int], int]] = {}
+            # class -> (lane ranks, threshold row, the variable its first node
+            # reads, x guard, near guard), filled by plan as the sweep meets
+            # each class
+            live: dict[int, tuple[list[int], int, int, int, int]] = {}
+            clean = bytearray(b"\1") * (y.num_nodes + 1)  # no unblocked lane over at v
+            at = iter(steps)
             for v, row in _sweep(plan(lo), lastp, [0] * (y.num_nodes + 1), src):
-                lanes, thr = live[cls[v]]
+                for step in at:
+                    if step[0] == v:
+                        break
+                _, x, _, hp, hn = step
+                lanes, thr, cx, xg, nx = live[cls[v]]
                 nb = width * len(lanes)
                 if table is not None:
                     table[v] += row.to_bytes(nb, "little")
-                over = (row + thr) & guards
-                if not over:
-                    continue
-                flags = over.to_bytes(nb, "little")[width - 1::width]
                 bm = blocked[v]
-                if all(map(bm.__and__, map(masks.__getitem__, compress(lanes, flags)))):
-                    continue  # each lane over its bound holds a vertex blocked here
-                data = row.to_bytes(nb, "little")
-                f = fac[cls[v]]
-                for j in compress(count(), flags):
+                guard: int | None = None  # every lane
+                if x == cx and clean[hp] and clean[hn]:
+                    # a lane without x is over only where a head's is, and
+                    # there it holds a vertex blocked at that head
+                    gone = (blocked[hp] | blocked[hn]) & ~bm & ~(1 << x)
+                    if not gone:
+                        guard = 0 if bm >> x & 1 else xg
+                    elif not gone & ~nbr[x]:
+                        guard = nx
+                    if guard == 0:
+                        continue  # no lane to test
+                data = b""
+                for j in _over_lanes(row, thr, width, guard):
                     r = lanes[j]
-                    if not masks[r] & bm:
-                        rw = f[dis[r][0]]
-                        for u in dis[r][1:]:
-                            rw *= f[u]
-                        cov = _weight(int.from_bytes(data[width * j:width * (j + 1)], "little"),
-                                      n, exact)
-                        found.append((r, v, 0, f"node {v}, B={list(dis[r])}: "
-                                               f"covered weight {cov} exceeds bound {rw}"))
+                    if masks[r] & bm:
+                        continue  # its DIS holds a vertex blocked here
+                    if not data:  # v's first violation
+                        data = row.to_bytes(nb, "little")
+                        f = fac[cls[v]]
+                        clean[v] = 0
+                    rw = f[dis[r][0]]
+                    for u in dis[r][1:]:
+                        rw *= f[u]
+                    cov = _weight(int.from_bytes(data[width * j:width * (j + 1)], "little"),
+                                  n, exact)
+                    found.append((r, v, 0, f"node {v}, B={list(dis[r])}: "
+                                           f"covered weight {cov} exceeds bound {rw}"))
             if table is not None:
-                for c, (lanes, _) in live.items():
+                for c, (lanes, *_) in live.items():
                     nxt.setdefault(c, []).extend(lanes)
         for r, b in enumerate(dis):
             held = holds[b[0]]

@@ -1020,6 +1020,51 @@ def test_verify_deepcover_walks_each_diagram_once_per_call(monkeypatch):
     assert walks == [y, y]
 
 
+def test_verify_deepcover_index_maps_fail_like_the_reference():
+    # tolerances just below zero fail some lanes and leave others clean, so
+    # nodes reading another variable than their class's first node meet
+    # heads both with and without lanes over their bound
+    failing = 0
+    for g, z in _split_cases(random.Random(12)):
+        for size in (1, 2, 3):
+            for tol in (-0.03, -0.1):
+                got = verify_deepcover(z, g, max_dis_size=size, tol=tol)
+                assert got == deepcover_by_dis_tables(z, g, max_dis_size=size, tol=tol), (
+                    g.edges, size, tol)
+                failing += not got.ok
+    assert failing > 0
+
+
+def test_verify_deepcover_tests_only_the_lanes_a_node_changes(monkeypatch):
+    # on a clean compiled diagram every node reads its class's variable and
+    # has clean heads, so none gets the full-row test, and many test no lane
+    over_lanes = bplab.covers._over_lanes
+    sweep = bplab.covers._sweep
+    guards = []
+    steps = []
+
+    def testing(row, thr, width, guard=None):
+        guards.append(guard)
+        return over_lanes(row, thr, width, guard)
+
+    def counting(plan, lastp, rows, src):
+        for v, row in sweep(plan, lastp, rows, src):
+            steps.append(v)
+            yield v, row
+
+    monkeypatch.setattr(bplab.covers, "_over_lanes", testing)
+    monkeypatch.setattr(bplab.covers, "_sweep", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g, _ = hard_family_instance(6, 3, allow_small_r=True)
+    y = _compiled(g)
+    path_weight_total(y, y.root)  # the totals' one-lane sweep, outside the count
+    steps.clear()
+    assert verify_deepcover(y, g, max_dis_size=3).ok
+    assert guards and None not in guards
+    assert 3 * len(guards) <= 2 * len(steps)
+
+
 def test_records_print_their_fields():
     # a failing comparison of these records shows their fields, not addresses
     g = cycle_graph(8)
