@@ -396,7 +396,7 @@ class Nfbdd(Nrobp):
     keeps the check record, order and read masks, that check computed.
     """
 
-    __slots__ = ("var_of", "path_totals", "_neg")
+    __slots__ = ("var_of", "path_totals")
 
     def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int, int | None]],
                  root: int, leaf: int, num_vars: int) -> None:
@@ -413,37 +413,11 @@ class Nfbdd(Nrobp):
         self._checked = (order, reads, True)
         # each node's path-weight total times 2^num_vars, filled on first use by covers
         self.path_totals: list[int] | None = None
-        self._neg: list[int] | None = None
 
     @property
     def order(self) -> list[int]:
         """The topological order the constructor validated, lowest node id first."""
         return self._checked[0]  # type: ignore[index]
-
-    def node_masks(self) -> tuple[list[int], list[int]]:
-        """(read, neg): per node, the variables its root paths read, and those
-        that one of them, found by following first in-edges, reads negatively.
-
-        read is the constructor's read pass, kept with its order. neg is
-        walked on the first call and kept for later ones, never in the
-        constructor: at k=10 r=6 that is up to 1.1M 508-bit ints.
-        """
-        if self._neg is None:
-            self._neg = _mask_walk(self)
-        return self._checked[1], self._neg  # type: ignore[index]
-
-
-def _mask_walk(y: Nfbdd) -> list[int]:
-    """Nfbdd.node_masks' neg: each node adds its first in-edge's literal,
-    when negative, to its tail's mask."""
-    edges = y.edges
-    in_edges = y.in_edges
-    neg = [0] * y.num_nodes
-    for v in y.order:
-        if v != y.root:
-            t, _, lab = edges[in_edges[v][0]]
-            neg[v] = neg[t] | 1 << (-lab - 1) if lab < 0 else neg[t]
-    return neg
 
 
 def _fbdd_shape(z: Nrobp) -> tuple[int | None, ...] | str:

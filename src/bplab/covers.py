@@ -75,23 +75,14 @@ def composed_bound_constants() -> CompositeBound:
     return CompositeBound(mw_factor=32, distant_factor=61, a5=a5, product=a5 * 32 * 61)
 
 
-def _free_mask(g: Graph, read: int, neg: int) -> int:
-    blocked = read
-    m = neg
-    while m:
-        bit = m & -m
-        m ^= bit
-        blocked |= g.nbr_mask[bit.bit_length() - 1]
-    return ((1 << g.n) - 1) & ~blocked
-
-
 def _free_masks(y: Nfbdd, g: Graph) -> tuple[list[int], list[int]]:
     """(free, blocked): per node, its free vertices, and those unread but
     not free there.
 
     One walk over first in-edges in y's order: a node's blocking mask is
     its tail's, ORed with the neighbours of its first in-edge's variable
-    when that edge reads it negatively, as bp._mask_walk ORs the literal.
+    when that edge reads it negatively; node_context follows the same
+    first in-edges back for one node.
     """
     edges = y.edges
     in_edges = y.in_edges
@@ -117,18 +108,25 @@ def _require_nfbdd(y: Nrobp) -> None:
 def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
     """Context of node a in a diagram for the clause graph g.
 
-    The first call on y walks the whole diagram for its node masks; later
-    calls reuse them and cost O(g.n) mask operations.
+    a's read mask comes from y's check record. Its free set is the unread
+    vertices less the neighbours of each variable read negatively on the
+    root path found by following first in-edges back from a. That path has
+    one edge per read variable, so a call costs O(g.n) mask operations and
+    never walks the whole diagram.
     """
     _require_nfbdd(y)
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
     if not 0 <= a < y.num_nodes:
         raise ValueError(f"node {a} out of range")
-    reads, negs = y.node_masks()
-    read, neg = reads[a], negs[a]
+    read = blocked = _check_record(y)[1][a]
+    v = a
+    while v != y.root:
+        v, _, lab = y.edges[y.in_edges[v][0]]
+        if lab < 0:
+            blocked |= g.nbr_mask[-lab - 1]
     vert_mask = ((1 << g.n) - 1) & ~read
-    free = _free_mask(g, read, neg)
+    free = ((1 << g.n) - 1) & ~blocked
     ld = {v: (g.nbr_mask[v] & vert_mask).bit_count() for v in range(g.n)}
     return NodeContext(
         node=a,
@@ -187,8 +185,8 @@ def _steps(y: Nfbdd) -> tuple[list[_Step], list[int]]:
 
 
 def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
-           src: Sequence) -> Iterator[tuple[int, int]]:
-    """(v, row) for each step (v, w, hp, hn, take, shift, perm), in steps' order.
+           src: Sequence) -> Iterator[tuple[_SweepStep, int]]:
+    """(step, row) for each step (v, w, hp, hn, take, shift, perm), in steps' order.
 
     The one path-weight recurrence, on exact fixed-point lanes. Each lane
     of a row is a vertex set, and its value at v is I = W * 2^n, W the
@@ -209,7 +207,8 @@ def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
     leaf's row and gets each step's; a row is dropped after its last
     reader, lastp[h] (see _steps).
     """
-    for v, w, hp, hn, take, shift, perm in steps:
+    for step in steps:
+        v, w, hp, hn, take, shift, perm = step
         if hn < 0:  # a one-way node
             row = rows[hp]
         elif hp < 0:
@@ -225,7 +224,7 @@ def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
             rows[hp] = 0
         if lastp[hn] == v:
             rows[hn] = 0
-        yield v, row
+        yield step, row
 
 
 def _gather(idx: list[int], width: int) -> Callable[[bytes], int]:
@@ -276,8 +275,8 @@ def _column(y: Nfbdd, smask: int,
         rows[y.leaf] = 1 << y.num_vars
         col = [0] * y.num_nodes
         col[y.leaf] = rows[y.leaf]
-        for v, row in _sweep(plan, lastp, rows, rows):
-            col[v] = row
+        for step, row in _sweep(plan, lastp, rows, rows):
+            col[step[0]] = row
         if not smask:
             y.path_totals = col
     return col
@@ -520,16 +519,14 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     # neighbours. The leaf's class reads every vertex.
     fac: list[list[Weight]] = [[]] * len(classes)
     fac[cls[y.leaf]] = by_degree[:1] * n
+    onto = [-1] * y.num_nodes  # the head of each node's positive edge
     for v, x, _, hp, hn in steps:
+        onto[v] = hp
         c = cls[v]
         if not fac[c]:
             f = fac[c] = fac[cls[hp if hp >= 0 else hn]].copy()
             for u in g.adj[x]:
                 f[u] = by_degree[(nbr[u] & ~read[v]).bit_count()]
-    onto = [-1] * y.num_nodes  # the head of each node's positive edge
-    for t, h, lab in y.edges:
-        if lab > 0:
-            onto[t] = h
     # bit t of reading[x]: node t reads x on a positive edge; of onward[u]: u
     # is free at that edge's head
     reading = _transpose([1 << y.var_of[t] if h >= 0 else 0 for t, h in enumerate(onto)], n)
@@ -641,12 +638,9 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
             # each class
             live: dict[int, tuple[list[int], int, int, int, int]] = {}
             clean = bytearray(b"\1") * (y.num_nodes + 1)  # no unblocked lane over at v
-            at = iter(steps)
-            for v, row in _sweep(plan(lo), lastp, [0] * (y.num_nodes + 1), src):
-                for step in at:
-                    if step[0] == v:
-                        break
-                _, x, _, hp, hn = step
+            for (v, _, hp, hn, _, _, _), row in _sweep(plan(lo), lastp,
+                                                       [0] * (y.num_nodes + 1), src):
+                x = y.var_of[v]
                 lanes, thr, cx, xg, nx = live[cls[v]]
                 nb = width * len(lanes)
                 if table is not None:

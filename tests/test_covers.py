@@ -406,7 +406,8 @@ def test_extract_cut_cover_needs_only_d_cut_edges_past_the_cross_cap():
 def _xor_cut_sizes(y, g):
     """Cut edge count of each node's read split."""
     inc = bplab.widths._compat_masks(g)[2]
-    return [bplab.widths._xor_cross_edges(inc, m).bit_count() for m in y.node_masks()[0]]
+    return [bplab.widths._xor_cross_edges(inc, m).bit_count()
+            for m in bplab.bp._check_record(y)[1]]
 
 
 def test_extract_cut_cover_without_a_qualifying_split():
@@ -617,27 +618,42 @@ def test_verify_deepcover_matches_per_dis_tables_with_shuffled_ids():
     assert partly > 0
 
 
-def test_node_masks_are_walked_once_per_diagram(monkeypatch):
-    walks = []
-    walk = bplab.bp._mask_walk
+class _CountingInEdges(tuple):
+    """A program's in-edge tuples, recording each node looked up."""
 
-    def counting(y):
-        walks.append(y.num_nodes)
-        return walk(y)
+    def __new__(cls, in_edges, looked):
+        self = super().__new__(cls, in_edges)
+        self.looked = looked
+        return self
 
-    monkeypatch.setattr(bplab.bp, "_mask_walk", counting)
-    g = cycle_graph(8)
-    y = _compiled(g)
-    assert walks == []  # never in the constructor
-    for a in range(y.num_nodes):
-        node_context(y, g, a)
-    covered_weight(y, y.root, [0, 4])
-    verify_deepcover(y, g)
-    extract_cut_cover(y, g)
-    assert walks == [y.num_nodes]
-    z = _compiled(path_graph(3))
-    node_context(z, path_graph(3), z.leaf)
-    assert walks == [y.num_nodes, z.num_nodes]
+    def __getitem__(self, v):
+        self.looked.append(v)
+        return super().__getitem__(v)
+
+
+def test_node_context_walks_only_its_own_root_path(monkeypatch):
+    # no all-node walk: node_context follows first in-edges from a back to
+    # the root, one in-edge look-up per variable read at a
+    def no_walk(*args):
+        raise AssertionError("node_context walked the whole diagram")
+
+    monkeypatch.setattr(bplab.covers, "_free_masks", no_walk)
+    monkeypatch.setattr(bplab.covers, "_steps", no_walk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family, _ = hard_family_instance(6, 3, allow_small_r=True)
+    cases = [(family, _compiled(family))] + list(_shuffled_id_diagrams())
+    cases += _split_cases(random.Random(12))
+    for g, y in cases:
+        read = bplab.bp._check_record(y)[1]
+        looked: list[int] = []
+        y.in_edges = _CountingInEdges(y.in_edges, looked)
+        for a in range(y.num_nodes):
+            del looked[:]
+            ctx = node_context(y, g, a)
+            assert len(looked) == read[a].bit_count()
+            assert (ctx.vert, ctx.free) == context_by_first_in_edges(y, g, a), (g.edges, a)
+            assert ctx.ld == {v: len(set(g.adj[v]) & ctx.vert) for v in range(g.n)}
 
 
 def test_a_parsed_program_is_validated_once(monkeypatch):
@@ -649,7 +665,7 @@ def test_a_parsed_program_is_validated_once(monkeypatch):
             return fn(x, *args)
         monkeypatch.setattr(bplab.bp, name, counting)
     y = _compiled(g)
-    y.node_masks()
+    bplab.covers._free_masks(y, g)
     assert verify_deepcover(y, g).ok
     z = parse_bp(write_bp(y))
     assert is_uniform(z)
@@ -687,10 +703,10 @@ def test_validation_keeps_its_record(monkeypatch):
 
 
 def test_covered_weight_reads_the_record_and_is_zero_where_s_is_read(monkeypatch):
-    def no_walk(y):
-        raise AssertionError("covered_weight walked the negative masks")
+    def no_walk(y, g):
+        raise AssertionError("covered_weight walked the free masks")
 
-    monkeypatch.setattr(bplab.bp, "_mask_walk", no_walk)
+    monkeypatch.setattr(bplab.covers, "_free_masks", no_walk)
     g = cycle_graph(8)
     y = _compiled(g)
     reads = reads_by_paths(y, y.order)[0]
@@ -705,14 +721,14 @@ def test_covered_weight_reads_the_record_and_is_zero_where_s_is_read(monkeypatch
         y, y.root, frozenset({0, 4}))
 
 
-def test_node_masks_match_the_uniform_walk_and_first_in_edge_paths():
+def test_read_masks_match_the_uniform_walk_and_first_in_edge_paths():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         family, _ = hard_family_instance(6, 3, allow_small_r=True)
     cases = [(g, _compiled(g)) for g in FIXTURES + [family]]
     cases += _shuffled_id_diagrams()
     for g, y in cases:
-        assert y.node_masks()[0] == reads_by_paths(y, y.order)[0]
+        assert bplab.bp._check_record(y)[1] == reads_by_paths(y, y.order)[0]
         for a in range(y.num_nodes):
             ctx = node_context(y, g, a)
             assert (ctx.vert, ctx.free) == context_by_first_in_edges(y, g, a)
@@ -990,7 +1006,8 @@ def _split_cases(rng):
 
 def test_walked_free_masks_match_first_in_edge_paths():
     # verify_deepcover's one walk over first in-edges, and node_context's
-    # per-node masks, both give the oracle's free set at every node
+    # walk back along one node's first in-edges, both give the oracle's
+    # free set at every node
     cases = list(_shuffled_order_diagrams()) + list(_split_cases(random.Random(12)))
     for g, y in cases:
         free, blocked = bplab.covers._free_masks(y, g)
@@ -1004,20 +1021,19 @@ def test_walked_free_masks_match_first_in_edge_paths():
 
 def test_verify_deepcover_walks_each_diagram_once_per_call(monkeypatch):
     # on a fresh diagram one _steps walk serves the path totals and the
-    # sweeps; the free masks come from their own walk, not node_masks
-    def no_walk(y):
-        raise AssertionError("verify_deepcover walked the negative masks")
-
+    # sweeps, and one _free_masks walk the free masks
     walks = []
     steps = bplab.covers._steps
+    free_masks = bplab.covers._free_masks
     monkeypatch.setattr(bplab.covers, "_steps", lambda y: walks.append(y) or steps(y))
-    monkeypatch.setattr(bplab.bp, "_mask_walk", no_walk)
+    monkeypatch.setattr(bplab.covers, "_free_masks",
+                        lambda y, g: walks.append(g) or free_masks(y, g))
     g = cycle_graph(8)
     y = _compiled(g)
     first = verify_deepcover(y, g)
-    assert walks == [y] and y.path_totals is not None
+    assert walks == [g, y] and y.path_totals is not None
     assert verify_deepcover(y, g) == first
-    assert walks == [y, y]
+    assert walks == [g, y, g, y]
 
 
 def test_verify_deepcover_index_maps_fail_like_the_reference():

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import bplab.bp
 import bplab.fileio
 from bplab.bp import Nfbdd, Nrobp, bp_satisfying_set, nfbdd_compile, validate_nrobp
 from bplab.covers import extract_cut_cover
@@ -196,7 +197,7 @@ def test_compiled_read_masks_share_one_int_per_level():
     rng.shuffle(order)
     for y in (nfbdd_compile(cnf_from_graph(g)), nfbdd_compile(cnf_from_graph(g), order)):
         for x in (y, _shuffled_ids(y, rng)):
-            assert len(set(map(id, x.node_masks()[0]))) == x.num_vars + 1
+            assert len(set(map(id, bplab.bp._check_record(x)[1]))) == x.num_vars + 1
 
 
 def test_write_bp_rejects_cycles():
