@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import itemgetter, mul
+from itertools import chain, compress, count, repeat
+from operator import itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _check_record, _var_of
@@ -23,9 +23,9 @@ from .graphs import (ENUMERATION_CAP, Graph, Matching, _check_enum_cap, _models,
 from .widths import _compat_masks, _cut_size_mask, _distant_matching_of_mask, dmw_exact
 
 Weight = Union[float, Fraction]
-# _BIT_OF[b]: each byte to its bit b, so a strided slice of packed masks
-# translates to one 0/1 byte per mask
-_BIT_OF = [(bytes(1 << b) + b"\1" * (1 << b)) * (128 >> b) for b in range(8)]
+# _FLAG_OF[b]: each byte to 0x80 when its bit b is set, else 0, so a strided
+# slice of packed masks translates to one flag byte per mask
+_FLAG_OF = [(bytes(1 << b) + b"\x80" * (1 << b)) * (128 >> b) for b in range(8)]
 # _TOP_BIT: each byte to its top bit, 0 or 0x80
 _TOP_BIT = bytes(128) + b"\x80" * 128
 
@@ -203,9 +203,9 @@ def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
     x, its x-lanes, come first: take(src[hp]) is the int of the lanes of
     the sets minus x at the positive head (src[-1] is zeros), halved like
     the heads' sum, and the heads' lanes go above them, shift bits up. perm,
-    when given, maps that concatenation to v's lane order. rows holds the
-    leaf's row and gets each step's; a row is dropped after its last
-    reader, lastp[h] (see _steps).
+    when given, maps the row so made, with or without x-lanes, to v's lane
+    order. rows holds the leaf's row and gets each step's; a row is dropped
+    after its last reader, lastp[h] (see _steps).
     """
     for step in steps:
         v, w, hp, hn, take, shift, perm = step
@@ -217,8 +217,8 @@ def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
             row = (rows[hp] + rows[hn]) >> w
         if take:
             row = take(src[hp]) >> w | row << shift
-            if perm:
-                row = perm(row)
+        if perm:
+            row = perm(row)
         rows[v] = row
         if lastp[hp] == v:
             rows[hp] = 0
@@ -227,7 +227,7 @@ def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
         yield step, row
 
 
-def _gather(idx: list[int], width: int) -> Callable[[bytes], int]:
+def _gather(idx: Iterable[int], width: int) -> Callable[[bytes], int]:
     """The function from a packed row's little-endian bytes, width bytes a
     lane, to the int whose lane j is that row's lane idx[j].
 
@@ -240,7 +240,10 @@ def _gather(idx: list[int], width: int) -> Callable[[bytes], int]:
             runs[-1][1] = a + width
         else:
             runs.append([a, a + width])
-    # the empty slice keeps get's result a tuple when there is one run
+    if len(runs) == 1:
+        cut = slice(*runs[0])
+        return lambda data: int.from_bytes(data[cut], "little")
+    # the empty slice: itemgetter needs an argument when there is no run
     get = itemgetter(*(slice(a, b) for a, b in runs), slice(0, 0))
     return lambda data: int.from_bytes(b"".join(get(data)), "little")
 
@@ -416,6 +419,10 @@ class _Thresholds(dict):
         return field
 
 
+# A class without lanes, as verify_deepcover keeps one: lanes, threshold row,
+# x guard and near guard
+_NO_LANES: tuple[list[int], int, int, int] = ([], 0, 0, 0)
+
 # Most DISes of one size that a deepcover sweep carries as lanes; every
 # class keeps a lane list and a threshold row for them while the sweep runs.
 _SWEEP_LANES = 4096
@@ -457,7 +464,8 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     of the heads' class one size down plus x, so one pass over those lanes
     gives both the x-lanes and the lanes their values come from. A node of
     the class that reads another variable gets an index map, built once
-    per class and variable.
+    per class and variable and applied whether or not the node has x-lanes
+    at that size.
 
     A row packs its lanes as _sweep does, in fields of F = ceil((n+2)/8)
     bytes; the rows of a size are kept as bytes for the next, whose x-lanes
@@ -471,7 +479,12 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     differ from its heads' class's only at x's neighbours, so its factor
     list is that class's with those recomputed, and its threshold row is
     new fields for its x-lanes followed by that class's row, recomputed
-    only on the lanes that meet a neighbour of x. A lane over its bound is
+    only on the lanes that meet a neighbour of x. A class keeps its lanes'
+    DIS masks packed in lane order, so those lanes of the heads' class are
+    one strided slice of its masks per neighbour, and the new fields go in
+    by one byte join over the gaps between them and one mask. A class's
+    set-up thus computes fields only for the lanes it changes; the rest is
+    a few byte-level passes over its row. A lane over its bound is
     a violation unless its DIS holds a vertex that is unread but blocked
     at the node; its weight is printed as the correctly rounded float of
     I / 2^n, or as that Fraction when exact.
@@ -494,7 +507,10 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     lane. The violations found are the same either way. The pairs and side
     checks are counted per DIS, on per-vertex bitsets over the nodes: where
     the vertex is free, where it is read on a positive edge, and where that
-    edge's head leaves it free. A failed check is worded where it is found
+    edge's head leaves it free or the edge reads it. A node reads one
+    vertex, so the side checks of B are its nodes that read a vertex of B
+    positively, and one of them fails where its head does not leave the
+    rest of B free. A failed check is worded where it is found
     and keyed by (DIS rank, node, sweep before side check), so one sort per
     size puts the violations per DIS, DISes lexicographically, in node-id
     order.
@@ -519,18 +535,38 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     # neighbours. The leaf's class reads every vertex.
     fac: list[list[Weight]] = [[]] * len(classes)
     fac[cls[y.leaf]] = by_degree[:1] * n
+    above = [0] * len(classes)  # the classes whose first node's heads are in the class
+    first = [-1] * len(classes)  # the variable each class's first node reads
+    # the lanes a node tests when its heads are clean: 0 every lane, 1 none,
+    # 2 its x-lanes, 3 those and the lanes that meet N(x)
+    kind = bytearray(y.num_nodes)
     onto = [-1] * y.num_nodes  # the head of each node's positive edge
     for v, x, _, hp, hn in steps:
         onto[v] = hp
         c = cls[v]
         if not fac[c]:
-            f = fac[c] = fac[cls[hp if hp >= 0 else hn]].copy()
+            hc = cls[hp if hp >= 0 else hn]
+            above[hc] += 1
+            first[c] = x
+            f = fac[c] = fac[hc].copy()
             for u in g.adj[x]:
                 f[u] = by_degree[(nbr[u] & ~read[v]).bit_count()]
+        if x == first[c]:
+            # a lane without x is over only where a head's is, and there it
+            # holds a vertex blocked at that head
+            gone = (blocked[hp] | blocked[hn]) & ~blocked[v] & ~(1 << x)
+            if not gone:
+                kind[v] = 1 + (not blocked[v] >> x & 1)
+            elif not gone & ~nbr[x]:
+                kind[v] = 3
     # bit t of reading[x]: node t reads x on a positive edge; of onward[u]: u
-    # is free at that edge's head
-    reading = _transpose([1 << y.var_of[t] if h >= 0 else 0 for t, h in enumerate(onto)], n)
-    onward = _transpose([free[h] if h >= 0 else 0 for h in onto], n)
+    # is free at that edge's head, or is the variable t reads
+    reading = [0] * n
+    for t, h in enumerate(onto):
+        if h >= 0:
+            reading[y.var_of[t]] |= 1 << t
+    onward = _transpose([free[h] | 1 << y.var_of[t] if h >= 0 else 0
+                         for t, h in enumerate(onto)], n)
     width = (n + 9) // 8  # F: the bytes of one lane
     mb = (n + 7) // 8  # the bytes of one DIS mask
     fields = _Thresholds(n, 0 if exact else tol, width)
@@ -552,10 +588,10 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
         dis_count += len(dis)
         below, masks = masks, levels[size][1]
         rank = dict(zip(masks, count()))
-        packed = b"".join(map(int.to_bytes, masks, repeat(mb), repeat("little")))
+        mbytes = list(map(int.to_bytes, masks, repeat(mb), repeat("little")))
         # (class, x) -> the rank of each of the heads' class's lanes one
-        # size down plus x, or -1 when that is no DIS
-        ups: dict[tuple[int, int], list[int]] = {}
+        # size down plus x, or None when that is no DIS
+        ups: dict[tuple[int, int], list[int | None]] = {}
         nxt: dict[int, list[int]] = {}  # each class's lanes, for the next size
         table: list[bytes] | None = None
         if levels[size + 1][0]:
@@ -563,44 +599,41 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
 
         def bounds(f: list[Weight], lanes: Iterable[int]) -> list[bytes]:
             """The threshold fields of lanes under the factors f."""
-            bs = list(map(dis.__getitem__, lanes))
-            row = list(map(f.__getitem__, map(itemgetter(0), bs)))
-            for k in range(1, size):
-                row = list(map(mul, row, map(f.__getitem__, map(itemgetter(k), bs))))
+            by_place = zip(*map(dis.__getitem__, lanes))  # each DIS's first vertices, ...
+            row = map(f.__getitem__, next(by_place, ()))
+            for col in by_place:
+                row = map(mul, row, map(f.__getitem__, col))
             return list(map(fields.__getitem__, row))
 
-        def bound_row(c: int, x: int, cat: list[int], hc: int, span: range
-                      ) -> tuple[int, int, int]:
-            """(threshold row, x guard, near guard) of class c over cat, lanes
-            of ranks in span: its x-lanes, then the lanes of its heads' class
-            hc, whose fields c shares but on the lanes that meet x's
-            neighbours. The x guard has G in the x-lanes' fields; the near
-            guard in those and in the fields that c recomputes."""
-            inherited, thr = live[hc][:2] if hc in live else ((), 0)
-            k = len(cat) - len(inherited)
-            near: list[int] = []
-            if inherited:
-                start, stop = span.start * mb, min(span.stop, len(dis)) * mb
-                hit = 0  # byte r - span.start: 1 when DIS r holds a neighbour of x
-                for u in g.adj[x]:
-                    col = packed[start + (u >> 3):stop:mb].translate(_BIT_OF[u & 7])
-                    hit |= int.from_bytes(col, "little")
-                near = list(compress(count(k), itemgetter(*inherited, slice(0, 0))(
-                    (hit << 8 * span.start).to_bytes(stop // mb, "little"))))
-            new = bounds(fac[c], cat[:k] + list(map(cat.__getitem__, near)))
-            data = bytearray(b"".join(new[:k]))
-            data += thr.to_bytes(width * len(inherited), "little")
-            mark = bytearray(width * (near[-1] + 1 if near else k))
-            mark[width - 1:width * k:width] = b"\x80" * k
-            for j, field in zip(near, new[k:]):
-                data[width * j:width * (j + 1)] = field
-                mark[width * (j + 1) - 1] = 0x80
+        def enter(c: int, x: int, xr: list[int], hc: int) -> None:
+            """Set up live[c] for class c, whose first node reads x: its
+            lanes are the x-lanes xr, then the lanes of its heads' class hc.
+            c computes the fields of its x-lanes and of hc's lanes that meet
+            a neighbour of x, found in hc's packed DIS masks, and shares the
+            rest of hc's threshold row."""
+            lanes, thr, _, _ = live.get(hc, _NO_LANES)
+            waiting[hc] -= 1  # hc's masks are kept only for the classes still to come
+            pk = packed.get(hc, b"") if waiting[hc] else packed.pop(hc, b"")
+            k = len(xr)
+            hit = 0  # byte j: 0x80 when hc's lane j holds a neighbour of x
+            for u in g.adj[x]:
+                hit |= int.from_bytes(pk[u >> 3::mb].translate(_FLAG_OF[u & 7]), "little")
+            near = hit.to_bytes(len(lanes), "little")
+            new = bounds(fac[c], xr + list(compress(lanes, near)))
+            mark = bytearray(width * (k + len(lanes)))
+            mark[width - 1::width] = b"\x80" * k + near
             nx = int.from_bytes(mark, "little")
-            return int.from_bytes(data, "little"), nx & (1 << 8 * width * k) - 1, nx
+            ones = nx >> 8 * width * (k + 1) - 1  # bit 0 of hc's fields that c recomputes
+            gaps = map(bytes, map(mul, map(len, near.split(b"\x80")), repeat(width)))
+            thr &= ~((ones << 8 * width) - ones)
+            thr |= int.from_bytes(b"".join(chain.from_iterable(zip(gaps, new[k:]))), "little")
+            thr = thr << 8 * width * k | int.from_bytes(b"".join(new[:k]), "little")
+            live[c] = (xr + lanes, thr, nx & (1 << 8 * width * k) - 1, nx)
+            packed[c] = b"".join(map(mbytes.__getitem__, xr)) + pk
 
         def plan(lo: int) -> Iterator[_SweepStep]:
             """The steps of the sweep of the DISes with ranks lo to lo + _SWEEP_LANES."""
-            span = range(lo, lo + _SWEEP_LANES)
+            here = dict.fromkeys(range(lo, min(lo + _SWEEP_LANES, len(dis))), 1)  # this range
             maps: dict[tuple[int, int], tuple] = {}  # (class, x) -> (take, shift, perm)
             for v, x, w, hp, hn in steps:
                 c = cls[v]
@@ -610,60 +643,48 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                     up = ups.get((c, x))
                     if up is None:
                         down = map(below.__getitem__, prev.get(hc, ()))
-                        up = ups[c, x] = list(map(rank.get, map((1 << x).__or__, down),
-                                                  repeat(-1)))
-                    sel = list(map(span.__contains__, up))
-                    cat = list(compress(up, sel))
-                    if hc in live:
-                        cat += live[hc][0]
+                        up = ups[c, x] = list(map(rank.get, map(or_, down, repeat(1 << x))))
+                    sel = bytes(map(here.get, up, repeat(0)))  # byte j: 1 when up[j] is here
+                    xr = list(compress(up, sel))
                     perm = None
                     if c not in live:
-                        thr, xg, nx = bound_row(c, x, cat, hc, span)
-                        live[c] = (cat, thr, x, xg, nx)
+                        enter(c, x, xr, hc)
                     else:
-                        get = _gather(list(map(dict(zip(cat, count())).__getitem__, live[c][0])),
+                        cat = xr + live.get(hc, _NO_LANES)[0]
+                        get = _gather(map(dict(zip(cat, count())).__getitem__, live[c][0]),
                                       width)
                         perm = (lambda row, get=get, nb=width * len(cat):
                                 get(row.to_bytes(nb, "little")))
-                    xidx = list(compress(range(len(up)), sel))
-                    p = maps[c, x] = (_gather(xidx, width) if xidx else None,
-                                      8 * width * len(xidx), perm)
+                    p = maps[c, x] = (_gather(compress(count(), sel), width) if xr else None,
+                                      8 * width * len(xr), perm)
                 if live[c][0]:
                     yield v, w, hp, hn, *p
 
         found: list[tuple[int, int, int, str]] = []  # (rank, node, 0 or 1, violation)
         for lo in range(0, len(dis), _SWEEP_LANES):
-            # class -> (lane ranks, threshold row, the variable its first node
-            # reads, x guard, near guard), filled by plan as the sweep meets
-            # each class
-            live: dict[int, tuple[list[int], int, int, int, int]] = {}
+            # class -> (lane ranks, threshold row, x guard, near guard), filled
+            # by plan as the sweep meets each class
+            live: dict[int, tuple[list[int], int, int, int]] = {}
+            # class -> its lanes' DIS masks packed in lane order, kept while a
+            # class above it (see above) is still to be set up
+            packed: dict[int, bytes] = {}
+            waiting = above.copy()
             clean = bytearray(b"\1") * (y.num_nodes + 1)  # no unblocked lane over at v
             for (v, _, hp, hn, _, _, _), row in _sweep(plan(lo), lastp,
                                                        [0] * (y.num_nodes + 1), src):
-                x = y.var_of[v]
-                lanes, thr, cx, xg, nx = live[cls[v]]
-                nb = width * len(lanes)
+                lanes, thr, xg, nx = live[cls[v]]
                 if table is not None:
-                    table[v] += row.to_bytes(nb, "little")
-                bm = blocked[v]
-                guard: int | None = None  # every lane
-                if x == cx and clean[hp] and clean[hn]:
-                    # a lane without x is over only where a head's is, and
-                    # there it holds a vertex blocked at that head
-                    gone = (blocked[hp] | blocked[hn]) & ~bm & ~(1 << x)
-                    if not gone:
-                        guard = 0 if bm >> x & 1 else xg
-                    elif not gone & ~nbr[x]:
-                        guard = nx
-                    if guard == 0:
-                        continue  # no lane to test
+                    table[v] += row.to_bytes(width * len(lanes), "little")
+                guard = (None, 0, xg, nx)[kind[v]] if clean[hp] and clean[hn] else None
+                if guard == 0:
+                    continue  # no lane to test
                 data = b""
                 for j in _over_lanes(row, thr, width, guard):
                     r = lanes[j]
-                    if masks[r] & bm:
+                    if masks[r] & blocked[v]:
                         continue  # its DIS holds a vertex blocked here
                     if not data:  # v's first violation
-                        data = row.to_bytes(nb, "little")
+                        data = row.to_bytes(width * len(lanes), "little")
                         f = fac[cls[v]]
                         clean[v] = 0
                     rw = f[dis[r][0]]
@@ -678,23 +699,22 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                     nxt.setdefault(c, []).extend(lanes)
         for r, b in enumerate(dis):
             held = holds[b[0]]
+            tails = reading[b[0]]
+            kept = onward[b[0]]  # the nodes whose positive head holds B minus what they read
             for u in b[1:]:
                 held &= holds[u]
+                tails |= reading[u]
+                kept &= onward[u]
             pairs += held.bit_count()
-            for u in b:
-                tails = held & reading[u]
-                side_checks += tails.bit_count()
-                rest = -1  # the nodes whose positive head holds B minus u
-                for w in b:
-                    if w != u:
-                        rest &= onward[w]
-                bad = tails & ~rest
-                while bad:
-                    low = bad & -bad
-                    bad ^= low
-                    t = low.bit_length() - 1
-                    found.append((r, t, 1, f"node {t} -> {onto[t]}: B minus {u} "
-                                           "leaves the free set"))
+            tails &= held  # each reads one vertex u of B, so a side check of B minus u
+            side_checks += tails.bit_count()
+            bad = tails & ~kept
+            while bad:
+                low = bad & -bad
+                bad ^= low
+                t = low.bit_length() - 1
+                found.append((r, t, 1, f"node {t} -> {onto[t]}: B minus {y.var_of[t]} "
+                                       "leaves the free set"))
         found.sort(key=itemgetter(0, 1, 2))
         violations += [msg for *_, msg in found]
         prev, src = nxt, table

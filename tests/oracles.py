@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import networkx as nx
 
-from bplab.bp import BpReport, Nrobp, _find_cycle, _var_of, _witness_double_read, is_uniform
+from bplab.bp import BpReport, Nfbdd, Nrobp, _find_cycle, _var_of, _witness_double_read, is_uniform
 from bplab.covers import CutCoverCertificate, DeepcoverReport, constants
 from bplab.graphs import Graph, Matching, cnf_from_graph, is_dis, primal_graph
 from bplab.widths import (
@@ -426,6 +426,78 @@ def random_connected_graph(n, seed, max_degree=5):
         deg[u] += 1
         deg[v] += 1
     return Graph(n, sorted(edges))
+
+
+def _lowest_unread(g, unread):
+    return (unread & -unread).bit_length() - 1
+
+
+def _highest_unread(g, unread):
+    return unread.bit_length() - 1
+
+
+def _middle_unread(g, unread):
+    return [v for v in range(g.n) if unread >> v & 1][unread.bit_count() // 2]
+
+
+def _smallest_component(g, unread):
+    """The lowest vertex of the smallest component of g[unread]; ties go to
+    the component holding the lowest vertex."""
+    best = None  # (size, lowest vertex)
+    left = unread
+    while left:
+        comp = grow = left & -left
+        while grow:
+            reach = 0
+            for v in range(g.n):
+                if grow >> v & 1:
+                    reach |= g.nbr_mask[v]
+            grow = reach & unread & ~comp
+            comp |= grow
+        left &= ~comp
+        low = (comp & -comp).bit_length() - 1
+        if best is None or comp.bit_count() < best[0]:
+            best = comp.bit_count(), low
+    return best[1]
+
+
+FREE_RULES = {
+    "lowest": _lowest_unread,
+    "highest": _highest_unread,
+    "middle": _middle_unread,
+    "component": _smallest_component,
+}
+
+
+def free_compile(g, rule):
+    """A free BDD for g's clauses whose next variable depends on the path.
+
+    A state is (U, F) as vertex masks: the unread vertices U and the forced
+    ones F, the unread neighbours of a vertex read false. The lowest forced
+    vertex is read first, on a positive edge alone; otherwise rule(g, U)
+    picks the next vertex x. The positive child is (U - x, F - x); the
+    negative child, when x is not forced, is (U - x, (F | N(x)) & (U - x)).
+    Equal states merge. Ids go level by level, each level's (U, F) pairs in
+    sorted order, and each node's positive edge comes before its negative.
+    """
+    levels = [[((1 << g.n) - 1, 0)]]
+    reads = {}  # state -> (x, children)
+    for _ in range(g.n):
+        nxt = set()
+        for u, f in levels[-1]:
+            x = (f & -f).bit_length() - 1 if f else rule(g, u)
+            rest = u & ~(1 << x)
+            kids = [(rest, f & rest)]
+            if not f >> x & 1:
+                kids.append((rest, (f | g.nbr_mask[x]) & rest))
+            reads[u, f] = x, kids
+            nxt.update(kids)
+        levels.append(sorted(nxt))
+    ids = {s: i for i, s in enumerate(s for level in levels for s in level)}
+    edges = []
+    for s, (x, kids) in reads.items():
+        edges += [(ids[s], ids[kid], lab) for kid, lab in zip(kids, (x + 1, -x - 1))]
+    return Nfbdd(len(ids), edges, 0, len(ids) - 1, g.n)
 
 
 def context_by_first_in_edges(y, g, a):

@@ -58,10 +58,12 @@ from bplab.widths import (
 )
 
 from oracles import (
+    FREE_RULES,
     atlas_connected,
     context_by_first_in_edges,
     cut_cover_by_paths,
     deepcover_by_dis_tables,
+    free_compile,
     min_dis_cover_by_filter,
     path_weight_oracle,
     random_connected_graph,
@@ -1079,6 +1081,95 @@ def test_verify_deepcover_tests_only_the_lanes_a_node_changes(monkeypatch):
     assert verify_deepcover(y, g, max_dis_size=3).ok
     assert guards and None not in guards
     assert 3 * len(guards) <= 2 * len(steps)
+
+
+def test_free_compiles_decide_the_vertex_covers():
+    # the test-only free compile under each rule is a valid uniform diagram
+    # equivalent to the natural compile, and some read-mask class of it
+    # reads more than one variable
+    mixed = 0
+    for n, seed in ((5, 1), (7, 2), (8, 3), (9, 4)):
+        g = random_connected_graph(n, seed, 3)
+        natural = _compiled(g)
+        for name, rule in FREE_RULES.items():
+            y = free_compile(g, rule)
+            assert bp_equivalence(y, natural), (g.edges, name)
+            reads: dict[int, set[int]] = {}
+            for v, r in enumerate(bplab.bp._check_record(y)[1]):
+                if v != y.leaf:
+                    reads.setdefault(r, set()).add(y.var_of[v])
+            mixed += any(len(xs) > 1 for xs in reads.values())
+    assert mixed > 0
+
+
+def _recording_sweeps(monkeypatch):
+    """Patch covers._sweep to record each sweep's steps as (take, perm)
+    pairs, and return the list of sweeps."""
+    sweep = bplab.covers._sweep
+    sweeps = []
+
+    def recording(steps, lastp, rows, src):
+        steps = list(steps)
+        sweeps.append([(take, perm) for *_, take, _, perm in steps])
+        return sweep(steps, lastp, rows, src)
+
+    monkeypatch.setattr(bplab.covers, "_sweep", recording)
+    return sweeps
+
+
+def test_verify_deepcover_maps_the_lanes_of_nodes_without_x_lanes(monkeypatch):
+    # at size 2 node 9 of this diagram reads a variable of its class other
+    # than the first node's, and no size-2 DIS it leaves unread holds that
+    # variable: its row takes the index map without x-lanes
+    sweeps = _recording_sweeps(monkeypatch)
+    g = random_connected_graph(7, 2, 3)
+    y = free_compile(g, FREE_RULES["lowest"])
+    for exact in (False, True):
+        sweeps.clear()
+        got = verify_deepcover(y, g, max_dis_size=2, exact=exact)
+        assert got == deepcover_by_dis_tables(y, g, max_dis_size=2, exact=exact)
+        assert got.ok
+        assert any(perm and not take for steps in sweeps for take, perm in steps)
+
+
+def test_verify_deepcover_matches_per_dis_tables_on_free_compiles():
+    # seeded free compiles of random graphs under three rules, at every
+    # size to 3, within the bounds and with a tolerance that fails some
+    failing = 0
+    for n in range(4, 10):
+        for seed in range(10):
+            g = random_connected_graph(n, seed, 3)
+            for name in ("lowest", "highest", "middle"):
+                y = free_compile(g, FREE_RULES[name])
+                for size in (1, 2, 3):
+                    for tol in (1e-9, -0.1):
+                        got = verify_deepcover(y, g, max_dis_size=size, tol=tol)
+                        assert got == deepcover_by_dis_tables(y, g, max_dis_size=size, tol=tol), (
+                            g.edges, name, size, tol)
+                        failing += not got.ok
+    assert failing > 0
+
+
+def test_verify_deepcover_sweeps_rank_ranges_of_free_compiles_like_one_sweep(monkeypatch):
+    # with a few DISes per sweep, a node can have x-lanes in one rank range
+    # and none in the next, where its index map comes without a take
+    cases = [(g, free_compile(g, FREE_RULES[name])) for g in
+             (random_connected_graph(9, seed, 3) for seed in (0, 1, 2))
+             for name in ("lowest", "component")]
+    runs = [(size, exact, tol) for size in (2, 3)
+            for exact, tol in ((False, 1e-9), (True, 1e-9), (False, -0.1))]
+    want = [verify_deepcover(z, g, max_dis_size=size, exact=exact, tol=tol)
+            for g, z in cases for size, exact, tol in runs]
+    sweeps = _recording_sweeps(monkeypatch)
+    monkeypatch.setattr(bplab.covers, "_SWEEP_LANES", 5)
+    got = [verify_deepcover(z, g, max_dis_size=size, exact=exact, tol=tol)
+           for g, z in cases for size, exact, tol in runs]
+    assert got == want
+    assert len(sweeps) > 4 * len(got)
+    assert any(perm and not take for steps in sweeps for take, perm in steps)
+    assert any(not rep.ok for rep in got)
+    g, z = cases[-1]
+    assert got[-1] == deepcover_by_dis_tables(z, g, max_dis_size=3, tol=-0.1)
 
 
 def test_records_print_their_fields():
