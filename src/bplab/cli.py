@@ -29,7 +29,9 @@ from .graphs import ENUMERATION_CAP, cnf_from_graph, path_graph
 from .instances import (
     canonical_tree_decomposition,
     complete_binary_tree,
+    family_compiled_size,
     family_edge_count,
+    family_exponent_limit,
     family_params,
     hard_family_instance,
     tree_product,
@@ -176,21 +178,29 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     a5 = constants(5).a_x
     prev_edges = prev_nodes = prev_n = 0
     failures: list[str] = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        limit = round(family_exponent_limit(args.k), 4) if args.stats else None
     for r in range(args.r_min, args.r_max + 1):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            g, params = hard_family_instance(args.k, r, allow_small_r=True)
-        cnf = cnf_from_graph(g)
-        best = None
-        if g.n <= min(ORDER_SEARCH_CAP, args.cap_subset):
-            best = best_order_size(cnf)
-        order = best[1] if best and args.order == "best" else None
-        certified = g.n <= args.cap_subset  # only these rows build the diagram
-        try:
-            nodes, edges, widths = compiled_size(cnf, order)
-            y = nfbdd_compile(cnf, order) if certified else None
-        except ValueError as exc:
-            raise ValueError(f"row k={args.k} r={r}: {exc}") from None
+            params = family_params(args.k, r, allow_small_r=True)
+            certified = params.n <= args.cap_subset  # only these rows build the graph
+            g = cnf = best = None
+            if certified:
+                g, _ = hard_family_instance(args.k, r, allow_small_r=True)
+                cnf = cnf_from_graph(g)
+            if params.n <= min(ORDER_SEARCH_CAP, args.cap_subset):
+                best = best_order_size(cnf)
+            order = best[1] if best and args.order == "best" else None
+            try:
+                if order is None:
+                    nodes, edges, widths = family_compiled_size(args.k, r)
+                else:
+                    nodes, edges, widths = compiled_size(cnf, order)
+                y = nfbdd_compile(cnf, order) if certified else None
+            except ValueError as exc:
+                raise ValueError(f"row k={args.k} r={r}: {exc}") from None
         best_edges = str(best[0]) if best else "-"
         dmw_s = q_s = lb_s = "-"
         if certified:
@@ -216,15 +226,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 f"({edges},{nodes})")
         slope = None
         if prev_n:  # growth exponent against the previous row
-            slope = round(math.log(nodes / prev_nodes) / math.log(g.n / prev_n), 4)
+            slope = round(math.log(nodes / prev_nodes) / math.log(params.n / prev_n), 4)
         stats.append({
-            "k": args.k, "r": r, "n": g.n, "nodes": nodes, "edges": edges,
+            "k": args.k, "r": r, "n": params.n, "nodes": nodes, "edges": edges,
             "widest_level": max(widths, default=1),
-            "mean_level_width": round(nodes / (g.n + 1), 4),
+            "mean_level_width": round(nodes / (params.n + 1), 4),
             "materialised": certified, "order": "natural" if order is None else "best",
-            "slope": slope,
+            "slope": slope, "sizes": "closed-form" if order is None else "compiled",
+            "exponent_limit": limit,
         })
-        prev_edges, prev_nodes, prev_n = edges, nodes, g.n
+        prev_edges, prev_nodes, prev_n = edges, nodes, params.n
         rows.append([str(args.k), str(r), str(params.n), str(edges), str(nodes),
                      best_edges, dmw_s, q_s, lb_s])
     csv_text = "k,r,n,edges,nodes,best_edges,dmw,q,lb\n"

@@ -9,6 +9,7 @@ that keeps the residual state space of natural-order compilation small.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Iterable, NamedTuple
 
@@ -191,6 +192,165 @@ def hard_family_instance(k: int, r: int,
     g = tree_product(t, path_graph(params.path_len))
     assert g.n == params.n and g.num_edges == family_edge_count(params)
     return g, params
+
+
+# Longest path P_L (k <= 50) and most vertices that the closed form sizes.
+FAMILY_PATH_CAP = 24
+FAMILY_VARS_CAP = 1 << 20
+
+
+def _closed_form_path(k: int, r: int) -> int:
+    """The family's path length L, or ValueError past the closed form's caps."""
+    params = family_params(k, r, allow_small_r=True)
+    if params.path_len > FAMILY_PATH_CAP:
+        raise ValueError(f"k={k} gives paths of {params.path_len} labels, over the "
+                         f"closed-form path cap {FAMILY_PATH_CAP} (k <= 50)")
+    if params.n > FAMILY_VARS_CAP:
+        raise ValueError(f"the k={k} r={r} family has {params.n} vertices, over the "
+                         f"closed-form vertex cap {FAMILY_VARS_CAP}")
+    return params.path_len
+
+
+def _path_independent_sets(length: int) -> list[int]:
+    """Independent sets of the path on labels 0..length-1 as bitmasks, increasing."""
+    sets = [0]
+    for u in range(length):
+        sets += [s | 1 << u for s in sets if not s << 1 >> u & 1]  # u-1 not in s
+    return sorted(sets)
+
+
+def _disjoint_sums(sets: list[int], length: int, v: list) -> list:
+    """M v over the independent sets, M[S][T] = [S & T == 0], one label at a time.
+
+    A key holds S's labels below i and T's labels from i up. Moving label i
+    from T to S sums over the T-bits that S's bit allows, so a step touches
+    each key once: O(|sets| * length), not one term per disjoint pair.
+    """
+    g = dict(zip(sets, v))
+    for i in range(length):
+        b = 1 << i
+        nxt: dict = {}
+        get = nxt.get
+        for x, val in g.items():
+            if x & b:  # T holds i, so S does not
+                nxt[x ^ b] = get(x ^ b, 0) + val
+            else:
+                nxt[x] = get(x, 0) + val
+                if not x & b >> 1:  # S may hold i unless it holds i-1
+                    nxt[x | b] = get(x | b, 0) + val
+        g = nxt
+    return [g[s] for s in sets]
+
+
+def family_compiled_size(k: int, r: int) -> tuple[int, int, tuple[int, ...]]:
+    """(nodes, edges, level widths) of the natural-order compile of the (k, r)
+    family, equal to compiled_size(cnf_from_graph(g)), from (k, r) alone.
+
+    After label j of copy c is read, a state is the set of forced unread
+    vertices. With S_a the labels read false in copy a (an independent set
+    of P_L, disjoint from its tree neighbours' sets), it is fixed by:
+    - S_a for each open ancestor a, one whose right child is unread (c lies
+      in a's left subtree): that child has S_a forced;
+    - c's own forced labels above j: the parent's S there, and j+1 when j
+      is in S_c;
+    - S_c on the labels up to j, which c's children see.
+    The other read copies are seen by nothing, and an ancestor that is not
+    open can take S = {}. So a maximal run of m open ancestors counts
+    1^T M^(m-1) 1 tuples, v_m = M^(m-1) 1 by bottom set (v_0 is the empty
+    set alone), runs multiply, and only the deepest run couples to c's
+    labels: directly when the parent is open (case A), through the
+    parent's labels above j when the grandparent is (case B), not at all
+    otherwise. Every count below is a prefix or suffix sum of w = M v_m.
+    A level's edges are two per state, less one per state that forces the
+    next variable, so edges = 2 (nodes - 1) - (forcing states).
+    """
+    length = _closed_form_path(k, r)
+    sets = _path_independent_sets(length)
+    fib = [0, 1]
+    while len(fib) < length + 4:
+        fib.append(fib[-1] + fib[-2])
+    last = length - 1
+    # tables[m][case][leaf] = (widths by label, forcing states); case 0 is A, 1 is B
+    tables = []
+    totals = []  # 1^T v_m: tuples of a run of m open ancestors
+    zero_in = []  # states of a run of m whose bottom set holds label 0
+    v = [1] + [0] * (len(sets) - 1)
+    for _ in range(r + 1):
+        w = _disjoint_sums(sets, length, v)
+        total = w[0]
+        # pre(j): w summed over the sets within labels 0..j, the first fib[j+3]
+        acc = [0]
+        for x in w:
+            acc.append(acc[-1] + x)
+        pre = [acc[fib[j + 3]] for j in range(-2, length)]
+        suf = [pre[last - i + 2] for i in range(length + 2)]  # P_L is symmetric
+        avoid = [w[fib[u + 2]] for u in range(length)]  # w[{u}]: sets avoiding u
+        # Case A, S the parent's set: an inner copy's states are (S, U), U
+        # within 0..j disjoint from S, so pre(j); j+1 is forced unless
+        # j+1 is not in S and j is not in U, 2 pre(j) - pre(j+1); after
+        # label L-1, U holding 0 forces the left child. A leaf's states are
+        # S, and S + {j+1} when S avoids j and j+1: w[{j}] + w[{j+1}].
+        # Case B, S the grandparent's set: T, the parent's set above j,
+        # avoids S, suf(i) counting T within i..L-1; fib[j+2] sets U avoid
+        # j and fib[j+1] hold it, and those show only T above j+1. A leaf
+        # sees own labels, X or X + {j+1} over X within j+2..L-1.
+        # A leaf's last label forces the next copy when 0 is in S.
+        a_nonleaf = ([pre[j + 2] for j in range(length)],
+                     sum(2 * pre[j + 2] - pre[j + 3] for j in range(last))
+                     + pre[last + 2] - pre[last + 1])
+        a_leaf = ([avoid[j] + avoid[j + 1] for j in range(last)] + [total],
+                  sum(avoid[:last]) + total - avoid[0])
+        b_nonleaf = ([fib[j + 2] * suf[j + 1] + fib[j + 1] * suf[j + 2]
+                      for j in range(length)],
+                     sum(fib[j + 2] * (suf[j + 1] - suf[j + 2]) + fib[j + 1] * suf[j + 2]
+                         for j in range(last)) + total * fib[length])
+        b_leaf = ([2 * suf[j + 2] for j in range(last)] + [total],
+                  sum(suf[2:length + 1]) + total - avoid[0])
+        tables.append(((a_nonleaf, a_leaf), (b_nonleaf, b_leaf)))
+        totals.append(total)
+        zero_in.append(total - avoid[0])
+        v = w
+    widths: list[int] = []
+    forcing = 0
+    stack = [(0, 0, 0, 1)]  # depth, deepest run m, non-open steps below it, other runs
+    while stack:
+        d, m, gap, rest = stack.pop()
+        leaf = d == r
+        scale = rest
+        if gap < 2:
+            level, forced = tables[m][gap][leaf]
+        else:  # the deepest run is uncoupled: c's labels count as under the root
+            level, forced = tables[0][1][leaf]
+            if leaf:  # the next copy is the right child of the run's bottom
+                forcing += rest * zero_in[m]
+            scale *= totals[m]
+        widths.extend(level if scale == 1 else [scale * x for x in level])
+        forcing += scale * forced
+        if not leaf:
+            stack.append((d + 1, m, gap + 1, rest))
+            stack.append((d + 1, m + 1, 0, rest) if gap == 0
+                         else (d + 1, 1, 0, rest * totals[m]))
+    nodes = 1 + sum(widths)
+    return nodes, 2 * (nodes - 1) - forcing, tuple(widths)
+
+
+def family_exponent_limit(k: int) -> float:
+    """log2 of the spectral radius of [[1, 1^T], [1, M_L]], M_L[S][T] = [S & T == 0]
+    over the independent sets of P_L: natural-order sizes grow as n^this."""
+    length = _closed_form_path(k, 0)
+    sets = _path_independent_sets(length)
+    x0, x = 1.0, [1.0] * len(sets)
+    ratio = 0.0
+    for _ in range(1000):  # power iteration on a symmetric positive matrix
+        y0 = x0 + sum(x)
+        y = [x0 + t for t in _disjoint_sums(sets, length, x)]
+        prev, ratio = ratio, (x0 * y0 + sum(a * b for a, b in zip(x, y))) / (
+            x0 * x0 + sum(t * t for t in x))
+        top = max(y0, max(y))
+        x0, x = y0 / top, [t / top for t in y]
+        if abs(ratio - prev) <= 1e-12 * ratio:
+            break
+    return math.log2(ratio)
 
 
 class TreeDecomposition:

@@ -172,9 +172,9 @@ def test_experiment_fails_a_certificate_below_its_bound(monkeypatch, capsys, tmp
 
 
 def test_experiment_fails_a_bound_above_the_node_count(monkeypatch, capsys, tmp_path):
-    real = bplab.cli.compiled_size
-    monkeypatch.setattr(bplab.cli, "compiled_size",
-                        lambda cnf, order=None: (1, *real(cnf, order)[1:]))
+    real = bplab.cli.family_compiled_size
+    monkeypatch.setattr(bplab.cli, "family_compiled_size",
+                        lambda k, r: (1, *real(k, r)[1:]))
     rc, csv, err = _failed_row(capsys, tmp_path, 1)
     assert rc == 1
     assert csv == "k,r,n,edges,nodes,best_edges,dmw,q,lb\n6,1,6,24,1,22,1,2,1.01587301587\n"
@@ -182,15 +182,15 @@ def test_experiment_fails_a_bound_above_the_node_count(monkeypatch, capsys, tmp_
 
 
 def test_experiment_fails_a_shrinking_compiled_size(monkeypatch, capsys, tmp_path):
-    real = bplab.cli.compiled_size
+    real = bplab.cli.family_compiled_size
     sizes = []
 
-    def shrinking(cnf, order=None):
-        sizes.append(real(cnf, order))
+    def shrinking(k, r):
+        sizes.append(real(k, r))
         nodes, edges, widths = sizes[0]
         return sizes[-1] if len(sizes) == 1 else (nodes - 1, edges - 1, widths)
 
-    monkeypatch.setattr(bplab.cli, "compiled_size", shrinking)
+    monkeypatch.setattr(bplab.cli, "family_compiled_size", shrinking)
     rc, csv, err = _failed_row(capsys, tmp_path, 2)
     assert rc == 1
     assert csv == ("k,r,n,edges,nodes,best_edges,dmw,q,lb\n6,1,6,24,16,22,1,2,1.01587301587\n"
@@ -335,8 +335,8 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work done before the output was opened")
 
-    for name in ("nfbdd_compile", "compiled_size", "best_order_size", "uniformize",
-                 "dmw_exact", "extract_cut_cover"):
+    for name in ("nfbdd_compile", "compiled_size", "family_compiled_size", "best_order_size",
+                 "uniformize", "dmw_exact", "extract_cut_cover"):
         monkeypatch.setattr(bplab.cli, name, no_work)
     sweep = ["experiment", "--k", "6", "--r-min", "1", "--r-max", "2"]
     for argv in (["compile", "--cnf", cnf, "--out"],
@@ -445,9 +445,11 @@ def test_compile_state_cap_exits_2(tmp_path, monkeypatch, capsys):
     rc, out, err = run(capsys, "compile", "--cnf", cnf, "--out", str(bp_path))
     assert (rc, out) == (2, "")
     assert bp_path.read_text() == "kept\n"
+    # the natural (6,4) row is sized in closed form, which the compile cap does not limit
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "4", "--r-max", "4")
-    assert (rc, out) == (2, "")
-    assert err == "error: row k=6 r=4: one level holds 29 states after 7" + tail
+    assert (rc, err) == (0, "")
+    frozen = EXPECTED_CSV.splitlines(keepends=True)
+    assert out == frozen[0] + frozen[4]
     # a certified row builds the diagram, under the same cap
     monkeypatch.setattr(bplab.bp, "COMPILE_STATE_CAP", 10)
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "2", "--r-max", "2")
@@ -488,7 +490,8 @@ def test_experiment_stats_sidecar(tmp_path, capsys):
     assert (rc, rc2, err) == (0, 0, "")
     assert out == plain == "".join(EXPECTED_CSV.splitlines(keepends=True)[:5])
     rows = json.loads(stats.read_text())["rows"]
-    assert rows == [
+    closed_form = {"sizes": "closed-form", "exponent_limit": 1.8325}
+    assert rows == [dict(row, **closed_form) for row in [
         {"k": 6, "r": 1, "n": 6, "nodes": 16, "edges": 24, "widest_level": 4,
          "mean_level_width": 2.2857, "materialised": True, "order": "natural", "slope": None},
         {"k": 6, "r": 2, "n": 14, "nodes": 60, "edges": 93, "widest_level": 10,
@@ -497,7 +500,7 @@ def test_experiment_stats_sidecar(tmp_path, capsys):
          "mean_level_width": 6.9677, "materialised": False, "order": "natural", "slope": 1.6807},
         {"k": 6, "r": 4, "n": 62, "nodes": 772, "edges": 1211, "widest_level": 58,
          "mean_level_width": 12.254, "materialised": False, "order": "natural", "slope": 1.7546},
-    ]
+    ]]
     for prev, row in zip(rows, rows[1:]):
         growth = math.log(row["nodes"] / prev["nodes"]) / math.log(row["n"] / prev["n"])
         assert row["slope"] == pytest.approx(growth, abs=1e-4)
@@ -522,6 +525,7 @@ def test_experiment_best_order_row_and_sidecar(tmp_path, capsys):
         "--order", "best", "--stats", str(stats))
     rows = json.loads(stats.read_text())["rows"]
     assert [row["order"] for row in rows] == ["best", "natural", "natural"]
+    assert [row["sizes"] for row in rows] == ["compiled", "closed-form", "closed-form"]
 
 
 def test_experiment_empty_height_range_exits_2(capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,8 +17,11 @@ from bplab import (
     complete_graph,
     copy_of,
     cross_matching_finder,
+    compiled_size,
     cycle_graph,
+    family_compiled_size,
     family_edge_count,
+    family_exponent_limit,
     family_params,
     family_threshold,
     hard_family_instance,
@@ -141,6 +145,58 @@ def test_hard_family_instance():
         assert rep.ok
         assert rep.width <= k - params.y
         assert primal_graph(cnf_from_graph(g)) == g
+
+
+# Largest r per k at which compiled_size takes about 0.1 s.
+ORACLE_GRID = {3: 8, 4: 8, 5: 8, 6: 8, 7: 5, 10: 5, 14: 3, 18: 2, 22: 2}
+
+
+def test_family_compiled_size_equals_the_compile():
+    for k, r_max in ORACLE_GRID.items():
+        for r in range(r_max + 1):
+            g, _ = hard_family_instance(k, r, allow_small_r=True)
+            assert family_compiled_size(k, r) == compiled_size(cnf_from_graph(g)), (k, r)
+
+
+def test_family_compiled_size_k6_recurrence():
+    nodes = [family_compiled_size(6, r)[0] for r in range(15)]
+    assert nodes[:2] == [4, 16]
+    for r in range(2, 15):
+        assert nodes[r] == 3 * nodes[r - 1] + 2 * nodes[r - 2] + 4, r
+
+
+def test_family_compiled_size_frontier_pins():
+    # (nodes, widest level) of rows compiled with compiled_size
+    for k, r, nodes, widest in ((6, 11, 5618808, 27720), (18, 4, 22262711, 1651340),
+                                (22, 3, 11087540, 787325), (10, 8, 51106344, 1665856)):
+        got = family_compiled_size(k, r)
+        assert (got[0], max(got[2]), len(got[2])) == (nodes, widest, family_params(
+            k, r, allow_small_r=True).n), (k, r)
+    assert family_compiled_size(10, 8)[1] == 78341812
+    assert family_compiled_size(22, 4)[:2] == (718132794, 1089530768)
+
+
+def test_family_exponent_limit_matches_the_node_ratios():
+    for k, r, want in ((6, 13, 1.8325), (10, 12, 2.762), (14, 10, 3.7936)):
+        ratio = math.log2(family_compiled_size(k, r)[0] / family_compiled_size(k, r - 1)[0])
+        assert ratio == pytest.approx(want, abs=1e-4)
+        assert family_exponent_limit(k) == pytest.approx(ratio, abs=1e-3), k
+
+
+def test_family_compiled_size_caps(capsys):
+    from bplab.cli import main
+
+    path = "k=51 gives paths of 26 labels, over the closed-form path cap 24 (k <= 50)"
+    vertices = "the k=6 r=19 family has 2097150 vertices, over the closed-form vertex cap 1048576"
+    for call, message in (((51, 0), path), ((6, 19), vertices)):
+        with pytest.raises(ValueError) as exc:
+            family_compiled_size(*call)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="closed-form path cap 24"):
+        family_exponent_limit(51)
+    for k, r, message in (("51", "0", path), ("6", "19", vertices)):
+        assert main(["experiment", "--k", k, "--r-min", r, "--r-max", r]) == 2
+        assert capsys.readouterr() == ("", f"error: row k={k} r={r}: {message}\n")
 
 
 def test_tree_decomposition_validation_catches_defects():
