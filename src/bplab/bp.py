@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import ENUMERATION_CAP, Assignment, MonotoneCnf, _check_enum_cap, primal_graph
+from .graphs import ENUMERATION_CAP, MonotoneCnf, _check_enum_cap, primal_graph
 
 
 class Nrobp:
@@ -381,10 +381,10 @@ def _accepted(z: Nrobp, cap: int) -> int:
     return reach[z.leaf]
 
 
-def bp_satisfying_set(z: Nrobp, cap: int = ENUMERATION_CAP) -> set[Assignment]:
-    """Total assignments accepted by z, decoded from the reachability bitset."""
+def bp_satisfying_set(z: Nrobp, cap: int = ENUMERATION_CAP) -> set[int]:
+    """The assignment masks z accepts, decoded from the reachability bitset."""
     bits = bin(_accepted(z, cap))[:1:-1]  # character m is bit m
-    return {Assignment.from_mask(z.num_vars, m) for m, c in enumerate(bits) if c == "1"}
+    return {m for m, c in enumerate(bits) if c == "1"}
 
 
 class Nfbdd(Nrobp):

@@ -27,6 +27,7 @@ from .fileio import (
 )
 from .graphs import ENUMERATION_CAP, cnf_from_graph, path_graph
 from .instances import (
+    FAMILY_PATH_CAP,
     canonical_tree_decomposition,
     complete_binary_tree,
     family_compiled_size,
@@ -180,21 +181,24 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     failures: list[str] = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        limit = round(family_exponent_limit(args.k), 4) if args.stats else None
+        # natural-order rows come from the closed form while its paths are short
+        closed = family_params(args.k, 0, allow_small_r=True).path_len <= FAMILY_PATH_CAP
+        limit = round(family_exponent_limit(args.k), 4) if args.stats and closed else None
     for r in range(args.r_min, args.r_max + 1):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             params = family_params(args.k, r, allow_small_r=True)
-            certified = params.n <= args.cap_subset  # only these rows build the graph
+            certified = params.n <= args.cap_subset  # only these rows build the diagram
             g = cnf = best = None
-            if certified:
+            if certified or not closed:
                 g, _ = hard_family_instance(args.k, r, allow_small_r=True)
                 cnf = cnf_from_graph(g)
             if params.n <= min(ORDER_SEARCH_CAP, args.cap_subset):
                 best = best_order_size(cnf)
             order = best[1] if best and args.order == "best" else None
+            closed_form = order is None and closed
             try:
-                if order is None:
+                if closed_form:
                     nodes, edges, widths = family_compiled_size(args.k, r)
                 else:
                     nodes, edges, widths = compiled_size(cnf, order)
@@ -232,7 +236,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             "widest_level": max(widths, default=1),
             "mean_level_width": round(nodes / (params.n + 1), 4),
             "materialised": certified, "order": "natural" if order is None else "best",
-            "slope": slope, "sizes": "closed-form" if order is None else "compiled",
+            "slope": slope, "sizes": "closed-form" if closed_form else "compiled",
             "exponent_limit": limit,
         })
         prev_edges, prev_nodes, prev_n = edges, nodes, params.n

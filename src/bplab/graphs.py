@@ -1,9 +1,10 @@
-"""Undirected graphs, monotone 2-CNFs, assignments, and matchings.
+"""Undirected graphs, monotone 2-CNFs, and matchings.
 
 Vertices and variables are 0-based in memory. Literals are encoded
 DIMACS-style as nonzero ints: variable v appears positively as v+1 and
 negatively as -(v+1). File formats that use 1-based ids convert at the
-parsing boundary (see fileio).
+parsing boundary (see fileio). A truth assignment is an int mask: bit v
+set when variable v is true.
 """
 
 from __future__ import annotations
@@ -104,59 +105,6 @@ def is_connected(g: Graph) -> bool:
                 seen |= b
                 stack.append(v)
     return seen == (1 << g.n) - 1
-
-
-class Assignment:
-    """A conflict-free set of literals; total when it mentions every variable."""
-
-    __slots__ = ("literals",)
-
-    def __init__(self, literals: frozenset[int]) -> None:
-        for lit in literals:
-            if lit == 0:
-                raise ValueError("literal 0 is not allowed")
-            if -lit in literals:
-                raise ValueError(f"variable {abs(lit) - 1} occurs with both signs")
-        self.literals = literals
-
-    @classmethod
-    def from_literals(cls, lits: Iterable[int]) -> "Assignment":
-        return cls(frozenset(lits))
-
-    @classmethod
-    def from_mask(cls, num_vars: int, mask: int) -> "Assignment":
-        """Total assignment: bit v of mask set means variable v is true."""
-        return cls(frozenset((v + 1) if mask >> v & 1 else -(v + 1) for v in range(num_vars)))
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(lit) - 1 for lit in self.literals)
-
-    def positives(self) -> frozenset[int]:
-        return frozenset(lit - 1 for lit in self.literals if lit > 0)
-
-    def negatives(self) -> frozenset[int]:
-        return frozenset(-lit - 1 for lit in self.literals if lit < 0)
-
-    def has_positive(self, v: int) -> bool:
-        return (v + 1) in self.literals
-
-    def has_negative(self, v: int) -> bool:
-        return -(v + 1) in self.literals
-
-    def is_total(self, num_vars: int) -> bool:
-        return len(self.literals) == num_vars and self.variables() == frozenset(range(num_vars))
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Assignment) and self.literals == other.literals
-
-    def __hash__(self) -> int:
-        return hash(self.literals)
-
-    def __repr__(self) -> str:
-        return f"Assignment(literals={self.literals!r})"
 
 
 class MonotoneCnf:
@@ -291,19 +239,6 @@ def is_distant_matching(g: Graph, m: Matching) -> bool:
     )
 
 
-def covers(s: Assignment, vs: Iterable[int]) -> bool:
-    """True when every vertex in vs occurs positively in s."""
-    return all(s.has_positive(v) for v in vs)
-
-
-def satisfies(cnf: MonotoneCnf, s: Assignment) -> bool:
-    """Clause-by-clause check; s must be total."""
-    if not s.is_total(cnf.num_vars):
-        raise ValueError("assignment is not total over the clause variables")
-    pos = s.positives()
-    return all(u in pos or v in pos for u, v in cnf.clauses)
-
-
 # Most variables an exhaustive pass over all 2^n assignments takes by default.
 ENUMERATION_CAP = 20
 
@@ -314,17 +249,23 @@ def _check_enum_cap(n: int, cap: int) -> None:
         raise ValueError(f"refusing exhaustive enumeration over {n} variables (cap {cap})")
 
 
+def _independent_sets(g: Graph) -> list[int]:
+    """The independent sets of g as bitmasks, in the order the doubling builds them."""
+    sets = [0]
+    for v, nbr in enumerate(g.nbr_mask):
+        sets += [s | 1 << v for s in sets if not nbr & s]
+    return sets
+
+
 def _models(g: Graph) -> list[int]:
     """The models of g's clause-per-edge CNF as ascending masks (bit v set: v
     true), the complements of g's independent sets."""
-    indep = [0]
-    for v, nbr in enumerate(g.nbr_mask):
-        indep += [s | 1 << v for s in indep if not nbr & s]
     full = (1 << g.n) - 1
-    return sorted(full ^ s for s in indep)
+    return sorted(full ^ s for s in _independent_sets(g))
 
 
-def enumerate_satisfying(cnf: MonotoneCnf, cap: int = ENUMERATION_CAP) -> set[Assignment]:
-    """All total satisfying assignments: the models of cnf's primal graph."""
+def enumerate_satisfying(cnf: MonotoneCnf, cap: int = ENUMERATION_CAP) -> set[int]:
+    """All total satisfying assignments as masks (bit v set: variable v true),
+    the models of cnf's primal graph."""
     _check_enum_cap(cnf.num_vars, cap)
-    return {Assignment.from_mask(cnf.num_vars, m) for m in _models(primal_graph(cnf))}
+    return set(_models(primal_graph(cnf)))

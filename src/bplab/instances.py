@@ -13,7 +13,7 @@ import math
 import warnings
 from typing import Iterable, NamedTuple
 
-from .graphs import Graph, Matching, is_connected, path_graph
+from .graphs import Graph, Matching, _independent_sets, is_connected, path_graph
 from .widths import PrefixPartition
 
 
@@ -211,14 +211,6 @@ def _closed_form_path(k: int, r: int) -> int:
     return params.path_len
 
 
-def _path_independent_sets(length: int) -> list[int]:
-    """Independent sets of the path on labels 0..length-1 as bitmasks, increasing."""
-    sets = [0]
-    for u in range(length):
-        sets += [s | 1 << u for s in sets if not s << 1 >> u & 1]  # u-1 not in s
-    return sorted(sets)
-
-
 def _disjoint_sums(sets: list[int], length: int, v: list) -> list:
     """M v over the independent sets, M[S][T] = [S & T == 0], one label at a time.
 
@@ -265,7 +257,7 @@ def family_compiled_size(k: int, r: int) -> tuple[int, int, tuple[int, ...]]:
     next variable, so edges = 2 (nodes - 1) - (forcing states).
     """
     length = _closed_form_path(k, r)
-    sets = _path_independent_sets(length)
+    sets = sorted(_independent_sets(path_graph(length)))  # pre and avoid need ascending
     fib = [0, 1]
     while len(fib) < length + 4:
         fib.append(fib[-1] + fib[-2])
@@ -338,7 +330,7 @@ def family_exponent_limit(k: int) -> float:
     """log2 of the spectral radius of [[1, 1^T], [1, M_L]], M_L[S][T] = [S & T == 0]
     over the independent sets of P_L: natural-order sizes grow as n^this."""
     length = _closed_form_path(k, 0)
-    sets = _path_independent_sets(length)
+    sets = sorted(_independent_sets(path_graph(length)))
     x0, x = 1.0, [1.0] * len(sets)
     ratio = 0.0
     for _ in range(1000):  # power iteration on a symmetric positive matrix

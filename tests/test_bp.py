@@ -26,7 +26,6 @@ from bplab.bp import (
     validate_nrobp,
 )
 from bplab.graphs import (
-    Assignment,
     Graph,
     cnf_from_graph,
     complete_graph,
@@ -52,10 +51,6 @@ from oracles import (
     validate_by_bfs,
     vertex_cover_masks,
 )
-
-
-def _masks(assignments):
-    return {sum(1 << v for v in a.positives()) for a in assignments}
 
 
 def test_nrobp_constructor_and_sizes():
@@ -155,8 +150,7 @@ def test_uniformize_preserves_satisfying_set():
         assert validate_nrobp(u).ok
         assert is_uniform(u)
         assert u.size_edges <= (2 * num_vars + 1) * max(z.size_edges, 1)
-        assert bp_satisfying_set(u) == bp_satisfying_set(z)
-        assert _masks(bp_satisfying_set(u)) == accepted_masks(z)
+        assert bp_satisfying_set(u) == bp_satisfying_set(z) == accepted_masks(z)
 
 
 def test_uniformize_uniform_input_keeps_size():
@@ -178,7 +172,7 @@ def test_uniformize_single_node_program():
     u = uniformize(none)
     assert (u.size_nodes, u.size_edges, u.num_vars) == (1, 0, 0)
     assert is_uniform(u)
-    assert bp_satisfying_set(u) == bp_satisfying_set(none) == {Assignment(frozenset())}
+    assert bp_satisfying_set(u) == bp_satisfying_set(none) == {0}
 
 
 def test_nfbdd_compile_smallest_graph():
@@ -186,7 +180,7 @@ def test_nfbdd_compile_smallest_graph():
     assert (z.size_nodes, z.size_edges) == (4, 5)
     assert z.edges == ((0, 1, 1), (0, 2, -1), (1, 3, 2), (1, 3, -2), (2, 3, 2))
     assert z.var_of == (0, 1, 1, None)
-    assert _masks(bp_satisfying_set(z)) == {0b01, 0b10, 0b11}
+    assert bp_satisfying_set(z) == {0b01, 0b10, 0b11}
 
 
 def test_nfbdd_compile_sizes_frozen():
@@ -203,7 +197,7 @@ def test_nfbdd_compile_sizes_frozen():
     for name, (g, nodes, edges) in expected.items():
         z = nfbdd_compile(cnf_from_graph(g))
         assert (z.size_nodes, z.size_edges) == (nodes, edges), name
-        assert _masks(bp_satisfying_set(z)) == vertex_cover_masks(g), name
+        assert bp_satisfying_set(z) == vertex_cover_masks(g), name
 
 
 def test_nfbdd_compile_accepts_vertex_covers_on_atlas():
@@ -211,7 +205,7 @@ def test_nfbdd_compile_accepts_vertex_covers_on_atlas():
         z = nfbdd_compile(cnf_from_graph(g))
         assert validate_nrobp(z).ok
         assert is_uniform(z)
-        assert _masks(bp_satisfying_set(z)) == vertex_cover_masks(g)
+        assert bp_satisfying_set(z) == vertex_cover_masks(g)
 
 
 def test_nfbdd_compile_matches_clause_set_oracle_on_atlas():
@@ -275,7 +269,7 @@ def test_nfbdd_compile_order_argument():
     cnf = cnf_from_graph(cycle_graph(4))
     z = nfbdd_compile(cnf, order=(3, 1, 2, 0))
     assert z.size_edges == 12
-    assert _masks(bp_satisfying_set(z)) == vertex_cover_masks(cycle_graph(4))
+    assert bp_satisfying_set(z) == vertex_cover_masks(cycle_graph(4))
     with pytest.raises(ValueError, match=r"order \(0, 0, 1\) is not a permutation"):
         nfbdd_compile(cnf_from_graph(path_graph(3)), order=(0, 0, 1))
     with pytest.raises(ValueError, match="is not a permutation"):
@@ -376,7 +370,7 @@ def test_root_leaf_paths_and_literals():
 def test_bp_satisfying_set_matches_path_semantics():
     for seed in range(20):
         z = random_read_once_program(3 + seed % 3, seed=100 + seed)
-        assert _masks(bp_satisfying_set(z)) == accepted_masks(z)
+        assert bp_satisfying_set(z) == accepted_masks(z)
     big = nfbdd_compile(cnf_from_graph(path_graph(4)))
     with pytest.raises(ValueError, match="refusing exhaustive enumeration"):
         bp_satisfying_set(big, cap=3)
@@ -394,15 +388,15 @@ def test_accepted_bitset_matches_path_semantics():
         z = random_read_once_program(num_vars, seed=500 + seed)
         u = uniformize(z)
         want = accepted_masks(z)
-        assert _masks(bp_satisfying_set(z)) == want
-        assert _masks(bp_satisfying_set(u)) == want
+        assert bp_satisfying_set(z) == want
+        assert bp_satisfying_set(u) == want
         assert bp_equivalence(z, u)
         assert bp_equivalence(u, z)
         # the leaf gets the lowest id, so it is not last in node order
         perm = list(reversed(range(z.num_nodes)))
         flipped = _relabel(z, perm)
         assert flipped.leaf == 0
-        assert _masks(bp_satisfying_set(flipped)) == want
+        assert bp_satisfying_set(flipped) == want
         assert bp_equivalence(flipped, u)
 
 
@@ -421,7 +415,7 @@ def test_bp_equivalence_on_unequal_pairs():
     full = Nrobp(2, [(0, 1, 1), (0, 1, -1)], 0, 1, 1)
     half = Nrobp(2, [(0, 1, 1)], 0, 1, 1)
     assert not bp_equivalence(full, half)
-    assert _masks(bp_satisfying_set(half)) == {0b1}
+    assert bp_satisfying_set(half) == {0b1}
     assert bp_equivalence(Nrobp(1, [], 0, 0, 1), full)
 
 

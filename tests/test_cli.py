@@ -528,6 +528,18 @@ def test_experiment_best_order_row_and_sidecar(tmp_path, capsys):
     assert [row["sizes"] for row in rows] == ["compiled", "closed-form", "closed-form"]
 
 
+def test_experiment_past_the_closed_form_path_cap(tmp_path, capsys):
+    # k=54 gives paths of 26 labels, over the closed form's 24
+    stats = tmp_path / "stats.json"
+    rc, out, err = run(capsys, "experiment", "--k", "54", "--r-min", "0", "--r-max", "0",
+                       "--stats", str(stats))
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == ["k,r,n,edges,nodes,best_edges,dmw,q,lb",
+                                "54,0,26,77,52,-,-,-,-"]
+    [row] = json.loads(stats.read_text())["rows"]
+    assert (row["sizes"], row["exponent_limit"]) == ("compiled", None)
+
+
 def test_experiment_empty_height_range_exits_2(capsys):
     rc, out, err = run(capsys, "experiment", "--k", "6", "--r-min", "3", "--r-max", "1")
     assert (rc, out) == (2, "")

@@ -38,7 +38,6 @@ from bplab.covers import (
 )
 from bplab.fileio import parse_bp, write_bp
 from bplab.graphs import (
-    Assignment,
     Graph,
     Matching,
     cnf_from_graph,
@@ -1177,11 +1176,8 @@ def test_records_print_their_fields():
     g = cycle_graph(8)
     cert = extract_cut_cover(_compiled(g), g)
     m = Matching(((3, 2), (0, 1)))
-    a = Assignment.from_mask(3, 0b101)
     assert repr(m) == "Matching(edges=((0, 1), (2, 3)))"
-    assert repr(a) == f"Assignment(literals={frozenset({1, -2, 3})!r})"
     assert repr(cert).startswith(f"CutCoverCertificate(cut_nodes={cert.cut_nodes!r}, dis_sets=")
-    names = {"Assignment": Assignment, "CutCoverCertificate": CutCoverCertificate,
-             "Matching": Matching}
-    for x in (m, a, cert):
+    names = {"CutCoverCertificate": CutCoverCertificate, "Matching": Matching}
+    for x in (m, cert):
         assert eval(repr(x), names) == x

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from bplab import (
-    Assignment,
     Graph,
     Matching,
     MonotoneCnf,
@@ -18,9 +17,7 @@ from bplab import (
     isolated_vertices,
     path_graph,
     primal_graph,
-    satisfies,
 )
-from bplab.graphs import covers
 from oracles import atlas_connected, edges_distant_oracle, truth_table_sats, vertex_cover_masks
 
 
@@ -56,21 +53,6 @@ def test_named_graphs():
     assert is_connected(Graph(1))
 
 
-def test_assignment():
-    a = Assignment.from_literals([1, -2, 3])
-    assert a.positives() == {0, 2}
-    assert a.negatives() == {1}
-    assert a.variables() == {0, 1, 2}
-    assert a.has_positive(0) and a.has_negative(1)
-    assert a.is_total(3) and not a.is_total(4)
-    assert len(a) == 3
-    assert Assignment.from_mask(3, 0b101) == a
-    with pytest.raises(ValueError, match="both signs"):
-        Assignment.from_literals([1, -1])
-    with pytest.raises(ValueError, match="literal 0"):
-        Assignment.from_literals([0])
-
-
 def test_monotone_cnf_validation():
     cnf = MonotoneCnf(3, [(1, 2), (0, 1)])
     assert cnf.clauses == ((0, 1), (1, 2))
@@ -99,13 +81,9 @@ def test_cnf_rejects_isolated_vertex():
 def test_satisfying_assignments_are_vertex_covers():
     for g in atlas_connected(2, 7):
         cnf = cnf_from_graph(g)
-        got = {a for a in enumerate_satisfying(cnf)}
-        masks = {sum(1 << v for v in a.positives()) for a in got}
-        assert all(a.is_total(cnf.num_vars) for a in got)
-        assert masks == truth_table_sats(cnf) == vertex_cover_masks(g)
+        assert enumerate_satisfying(cnf) == truth_table_sats(cnf) == vertex_cover_masks(g)
     for cnf in (MonotoneCnf(0, []), MonotoneCnf(5, [(0, 3), (1, 3)])):  # unused variables
-        want = {Assignment.from_mask(cnf.num_vars, m) for m in truth_table_sats(cnf)}
-        assert enumerate_satisfying(cnf) == want
+        assert enumerate_satisfying(cnf) == truth_table_sats(cnf)
 
 
 def test_enumerate_satisfying_at_the_cap():
@@ -115,21 +93,14 @@ def test_enumerate_satisfying_at_the_cap():
         cnf = cnf_from_graph(g)
         got = enumerate_satisfying(cnf)
         assert len(got) == count
-        assert all(satisfies(cnf, a) for a in got)
+        assert all(m >> 20 == 0 for m in got)
+        assert all(m >> u & 1 or m >> v & 1 for m in got for u, v in cnf.clauses)
 
 
 def test_enumerate_satisfying_cap():
     big = path_graph(21)
     with pytest.raises(ValueError, match="cap 20"):
         enumerate_satisfying(cnf_from_graph(big))
-
-
-def test_satisfies_and_covers():
-    cnf = cnf_from_graph(path_graph(3))
-    assert satisfies(cnf, Assignment.from_literals([-1, 2, -3]))
-    assert not satisfies(cnf, Assignment.from_literals([1, -2, -3]))
-    assert covers(Assignment.from_literals([1, 2, -3]), {0, 1})
-    assert not covers(Assignment.from_literals([1, -2, 3]), {0, 1})
 
 
 def test_matching_validation():

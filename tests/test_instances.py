@@ -194,9 +194,11 @@ def test_family_compiled_size_caps(capsys):
         assert str(exc.value) == message
     with pytest.raises(ValueError, match="closed-form path cap 24"):
         family_exponent_limit(51)
-    for k, r, message in (("51", "0", path), ("6", "19", vertices)):
-        assert main(["experiment", "--k", k, "--r-min", r, "--r-max", r]) == 2
-        assert capsys.readouterr() == ("", f"error: row k={k} r={r}: {message}\n")
+    # past the path cap, experiment sizes the row with the size-only compile
+    assert main(["experiment", "--k", "51", "--r-min", "0", "--r-max", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "51,0,26,77,52,-,-,-,-"
+    assert main(["experiment", "--k", "6", "--r-min", "19", "--r-max", "19"]) == 2
+    assert capsys.readouterr() == ("", f"error: row k=6 r=19: {vertices}\n")
 
 
 def test_tree_decomposition_validation_catches_defects():
