@@ -12,9 +12,10 @@ drives the cover-size lower bound 2^(dmw/a_x).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import itemgetter, mul, or_
+from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .bp import Nfbdd, Nrobp, _check_record, _var_of
@@ -23,9 +24,6 @@ from .graphs import (ENUMERATION_CAP, Graph, Matching, _check_enum_cap, _models,
 from .widths import _compat_masks, _cut_size_mask, _distant_matching_of_mask, dmw_exact
 
 Weight = Union[float, Fraction]
-# _FLAG_OF[b]: each byte to 0x80 when its bit b is set, else 0, so a strided
-# slice of packed masks translates to one flag byte per mask
-_FLAG_OF = [(bytes(1 << b) + b"\x80" * (1 << b)) * (128 >> b) for b in range(8)]
 # _TOP_BIT: each byte to its top bit, 0 or 0x80
 _TOP_BIT = bytes(128) + b"\x80" * 128
 
@@ -138,8 +136,8 @@ def node_context(y: Nfbdd, g: Graph, a: int) -> NodeContext:
 
 # A _steps step: (v, x, w, positive head, negative head)
 _Step = tuple[int, int, int, int, int]
-# A _sweep step: (v, w, positive head, negative head, take, shift, perm)
-_SweepStep = tuple[int, int, int, int, Callable[..., int] | None, int, Callable[[int], int] | None]
+# A _sweep step: (v, w, positive head, negative head, take, shift)
+_SweepStep = tuple[int, int, int, int, Callable[..., int] | None, int]
 
 
 def _steps(y: Nfbdd) -> tuple[list[_Step], list[int]]:
@@ -186,7 +184,7 @@ def _steps(y: Nfbdd) -> tuple[list[_Step], list[int]]:
 
 def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
            src: Sequence) -> Iterator[tuple[_SweepStep, int]]:
-    """(step, row) for each step (v, w, hp, hn, take, shift, perm), in steps' order.
+    """(step, row) for each step (v, w, hp, hn, take, shift), in steps' order.
 
     The one path-weight recurrence, on exact fixed-point lanes. Each lane
     of a row is a vertex set, and its value at v is I = W * 2^n, W the
@@ -195,30 +193,29 @@ def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
     than n two-way nodes. A row packs its lanes into one int, lane j in a
     field of its own, lowest first, each wide enough for 2 * 2^n. v reads x
     and w is 1 at a two-way node, 0 at a one-way node; hp and hn are its
-    positive and negative heads, -1 when missing. The heads' rows hold v's
-    lanes that miss x, in v's order: a two-way node halves their sum,
-    (P + N) >> w, and a one-way node shares its head's row. No bit crosses
-    a field: each field of the sum is at most 2^(n+1), and even, since no
-    path from a head passes more than n - 1 two-way nodes. The sets holding
-    x, its x-lanes, come first: take(src[hp]) is the int of the lanes of
-    the sets minus x at the positive head (src[-1] is zeros), halved like
-    the heads' sum, and the heads' lanes go above them, shift bits up. perm,
-    when given, maps the row so made, with or without x-lanes, to v's lane
-    order. rows holds the leaf's row and gets each step's; a row is dropped
-    after its last reader, lastp[h] (see _steps).
+    positive and negative heads, -1 when missing. A two-way node halves its
+    heads' sum, (P + N) >> w, and a node with one head shares that head's
+    row, halved when w is 1. No bit crosses a field: each field of the sum
+    is at most 2^(n+1), and even, since no path from a head passes more
+    than n - 1 two-way nodes. The row so made moves shift bits up, and the
+    lanes of the sets holding x, its x-lanes, are ORed in: take(src[hp]) is
+    the int of the lanes of those sets minus x at the positive head
+    (src[-1] is zeros), halved like the heads' sum. rows holds the leaf's
+    row and gets each step's; a row is dropped after its last reader,
+    lastp[h] (see _steps).
     """
     for step in steps:
-        v, w, hp, hn, take, shift, perm = step
-        if hn < 0:  # a one-way node
-            row = rows[hp]
+        v, w, hp, hn, take, shift = step
+        if hn < 0:
+            row = rows[hp] >> w if w else rows[hp]  # x >> 0 would copy x
         elif hp < 0:
             row = rows[hn]
         else:
             row = (rows[hp] + rows[hn]) >> w
+        if shift:
+            row <<= shift
         if take:
-            row = take(src[hp]) >> w | row << shift
-        if perm:
-            row = perm(row)
+            row |= take(src[hp]) >> w
         rows[v] = row
         if lastp[hp] == v:
             rows[hp] = 0
@@ -227,25 +224,49 @@ def _sweep(steps: Iterable[_SweepStep], lastp: list[int], rows: list[int],
         yield step, row
 
 
-def _gather(idx: Iterable[int], width: int) -> Callable[[bytes], int]:
+def _gather(pairs: Iterable[tuple[int, int]], width: int) -> Callable[[bytes], int]:
     """The function from a packed row's little-endian bytes, width bytes a
-    lane, to the int whose lane j is that row's lane idx[j].
+    lane, to the int whose lane t is that row's lane s for each (t, s) of
+    pairs, and 0 elsewhere.
 
-    Runs of consecutive lanes are cut as one slice.
+    Both t and s rise along pairs. Runs of lanes consecutive in both are
+    cut as one slice, with zero bytes in the gaps below and between their
+    targets; as the sources rise, a row stored without its zero top bytes
+    gathers the same int.
     """
-    runs: list[list[int]] = []
-    for j in idx:
-        a = j * width
-        if runs and runs[-1][1] == a:
-            runs[-1][1] = a + width
+    cuts: list[list[int]] = []  # [source start, source end] in bytes, one per run
+    gaps: list[int] = []  # the zero bytes below each run's target
+    at = 0  # the target byte after the last run
+    for t, s in pairs:
+        a, b = t * width, s * width
+        if cuts and a == at and cuts[-1][1] == b:
+            cuts[-1][1] = b + width
         else:
-            runs.append([a, a + width])
-    if len(runs) == 1:
-        cut = slice(*runs[0])
+            gaps.append(a - at)
+            cuts.append([b, b + width])
+        at = a + width
+    if len(cuts) == 1 and not gaps[0]:
+        cut = slice(*cuts[0])
         return lambda data: int.from_bytes(data[cut], "little")
-    # the empty slice: itemgetter needs an argument when there is no run
-    get = itemgetter(*(slice(a, b) for a, b in runs), slice(0, 0))
-    return lambda data: int.from_bytes(b"".join(get(data)), "little")
+    get = itemgetter(*(slice(*c) for c in cuts), slice(0, 0))  # a tuple even for one slice
+    if not any(gaps):
+        return lambda data: int.from_bytes(b"".join(get(data)), "little")
+    zeros = list(map(bytes, gaps))
+    return lambda data: int.from_bytes(b"".join(chain.from_iterable(zip(zeros, get(data)))),
+                                       "little")
+
+
+def _packed(lanes: list[int], fields: list[bytes], width: int) -> int:
+    """The int whose lane lanes[i], width bytes, holds fields[i], and whose
+    other lanes hold 0; lanes rise, and each run of consecutive lanes is
+    one slice."""
+    if not lanes:
+        return 0
+    cuts = [0, *compress(count(1), map((1).__ne__, map(sub, lanes[1:], lanes))), len(lanes)]
+    buf = bytearray(width * (lanes[-1] + 1))
+    for i, j in zip(cuts, cuts[1:]):
+        buf[width * lanes[i]:width * (lanes[j - 1] + 1)] = b"".join(fields[i:j])
+    return int.from_bytes(buf, "little")
 
 
 def _weight(i: int, n: int, exact: bool) -> Weight:
@@ -259,10 +280,11 @@ def _column(y: Nfbdd, smask: int,
     """Covered weight of the set smask, times 2^num_vars, at every node
     where it is unread.
 
-    The one-lane _sweep over every step. Once x is read at a node, no path
-    from its heads reads x again, so the set minus x at a head is the set's
-    own lane there: a node reading x of smask takes its x-lane from the
-    rows being built, as is (take is int), and its perm drops the head sum. Where smask is
+    The one-lane _sweep over every step. A node reading x of smask keeps
+    only its positive head, as its negative edge reads x negatively, and
+    halves that head's lane when it is two-way. No path from the head reads
+    x again, so the set minus x there is the set's own lane: take is int on
+    the rows being built, and ORs in that same value. Where smask is
     partly read, the entry weighs the paths that read none of it
     negatively. The empty set's column, the path totals, is built once per
     diagram. walk is y's _steps when the caller has them.
@@ -270,10 +292,8 @@ def _column(y: Nfbdd, smask: int,
     col = y.path_totals if not smask else None
     if col is None:
         steps, lastp = walk or _steps(y)
-        width = y.num_vars + 2  # bits of the one lane
-        drop = ((1 << width) - 1).__and__
-        plan = [(v, w, hp, hn, int, width, drop) if smask >> x & 1
-                else (v, w, hp, hn, None, 0, None) for v, x, w, hp, hn in steps]
+        plan = [(v, w, hp, -1, int, 0) if smask >> x & 1 else (v, w, hp, hn, None, 0)
+                for v, x, w, hp, hn in steps]
         rows = [0] * (y.num_nodes + 1)
         rows[y.leaf] = 1 << y.num_vars
         col = [0] * y.num_nodes
@@ -419,12 +439,8 @@ class _Thresholds(dict):
         return field
 
 
-# A class without lanes, as verify_deepcover keeps one: lanes, threshold row,
-# x guard and near guard
-_NO_LANES: tuple[list[int], int, int, int] = ([], 0, 0, 0)
-
 # Most DISes of one size that a deepcover sweep carries as lanes; every
-# class keeps a lane list and a threshold row for them while the sweep runs.
+# class keeps a threshold row for them while the sweep runs.
 _SWEEP_LANES = 4096
 
 
@@ -456,68 +472,53 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     B minus v.
 
     One _sweep per DIS size, smallest first; a size with more than
-    _SWEEP_LANES DISes is swept in rank ranges of that many. The nodes
-    that share a read mask form a class, and a node's row holds one lane
-    per DIS of the size that its class leaves unread. The first node of a
-    class that the sweep meets, reading x, sets the class's lane order: the
-    DISes holding x, then its heads' class's lanes. Each x-lane is a lane
-    of the heads' class one size down plus x, so one pass over those lanes
-    gives both the x-lanes and the lanes their values come from. A node of
-    the class that reads another variable gets an index map, built once
-    per class and variable and applied whether or not the node has x-lanes
-    at that size.
+    _SWEEP_LANES DISes is swept in rank ranges of that many. The DISes
+    rank lexicographically by the positions of their vertices on the
+    root-leaf path of first out-edges (by their vertices on a
+    natural-order compile). The nodes that share a read mask form a class,
+    and a node's lane for B is B's rank less its class's base, the class's
+    lowest unread rank in the range; a lane the class reads holds 0. On an
+    ordered diagram a class's unread lanes are a suffix of the range. A
+    node reading x shifts its heads' sum up by their class's base less its
+    own and ORs in its x-lanes, gathered from its positive head's row one
+    size down, which each node keeps as bytes, less its zero top bytes.
 
-    A row packs its lanes as _sweep does, in fields of F = ceil((n+2)/8)
-    bytes; the rows of a size are kept as bytes for the next, whose x-lanes
-    and index maps are slices of them. Each class has one threshold row:
-    lane j's field holds G - 1 - t_j, where G is the field's top bit and
-    t_j = floor((bound + tol) * 2^n), held to [-1, 2^n], the largest lane
-    value within the bound (tol is not added when exact). So a node's row
-    plus that row carries into G in exactly the fields over their bound,
-    and no field carries out. A class takes its data from its heads' class,
-    as it takes its lane order: the unread degrees of a class reading x
-    differ from its heads' class's only at x's neighbours, so its factor
-    list is that class's with those recomputed, and its threshold row is
-    new fields for its x-lanes followed by that class's row, recomputed
-    only on the lanes that meet a neighbour of x. A class keeps its lanes'
-    DIS masks packed in lane order, so those lanes of the heads' class are
-    one strided slice of its masks per neighbour, and the new fields go in
-    by one byte join over the gaps between them and one mask. A class's
-    set-up thus computes fields only for the lanes it changes; the rest is
-    a few byte-level passes over its row. A lane over its bound is
-    a violation unless its DIS holds a vertex that is unread but blocked
-    at the node; its weight is printed as the correctly rounded float of
-    I / 2^n, or as that Fraction when exact.
+    Lanes are _sweep's, F = ceil((n+2)/8) bytes each. Each class has one
+    threshold row: an unread lane's field holds G - 1 - t, G the field's
+    top bit and t = floor((bound + tol) * 2^n), held to [-1, 2^n] (no tol
+    when exact); a read lane's holds 0. A row plus that row carries into G
+    in exactly the fields over their bound. A class takes its factor list
+    and threshold row from the heads' class of its first node, reading x,
+    recomputing only x's neighbours' factors and the fields of its x-lanes
+    and of the lanes that meet N(x), found from per-vertex lane lists of
+    the range. A lane over its bound is a violation unless its DIS holds a
+    vertex unread but blocked at the node; its weight prints as the
+    correctly rounded float of I / 2^n, or as that Fraction when exact.
 
-    Most nodes test only the lanes they change. A lane B without x at a
-    node v reading x holds its head's value, or the mean of its heads'
-    values, and its threshold in v's class is at least the one in the
-    heads' class, equal off N(x): only x's neighbours change unread
-    degree, and the float products, the added tol and the threshold
-    rounding are monotone. So B is over at v only where it is over at a
-    head. A head is clean when no lane over its bound there is a
-    violation, so every such lane holds a vertex blocked at that head.
-    At a node that reads its class's first variable and whose heads are
-    clean, B can then be a violation only if it meets E, the vertices
-    other than x blocked at a head but not at v. With E empty the node
-    tests its x-lanes, unless x is blocked at v; with E inside N(x), its
-    x-lanes and the lanes that meet N(x), whose fields the class
-    recomputed; a node with nothing to test is skipped. Any other node (a
-    head with a violation, an index map, E outside N(x)) tests every
-    lane. The violations found are the same either way. The pairs and side
-    checks are counted per DIS, on per-vertex bitsets over the nodes: where
-    the vertex is free, where it is read on a positive edge, and where that
-    edge's head leaves it free or the edge reads it. A node reads one
-    vertex, so the side checks of B are its nodes that read a vertex of B
-    positively, and one of them fails where its head does not leave the
-    rest of B free. A failed check is worded where it is found
-    and keyed by (DIS rank, node, sweep before side check), so one sort per
-    size puts the violations per DIS, DISes lexicographically, in node-id
-    order.
+    A node v reading x tests only the lanes it changes when its heads are
+    clean, with no lane over its bound there a violation. A lane B without
+    x holds its head's value or the mean of its heads', and its threshold
+    is at least the heads' class's, equal off N(x), so B is over at v only
+    where it is over at a head, and there B holds a vertex blocked at that
+    head. So B can be a violation only if it meets E, the vertices other
+    than x blocked at a head but not at v. With E empty v tests its
+    x-lanes (none when x is blocked at v); with E inside N(x), those and
+    the lanes that meet N(x). The guards of these tests are kept per class
+    and variable, the x guard holding every lane up to the last x-lane
+    (any over lane it adds the blocked test drops); any other node tests
+    every lane. Pairs and side checks are counted per DIS on per-vertex
+    bitsets over the nodes: where the vertex is free, where it is read on
+    a positive edge, and where that edge's head leaves it free or the edge
+    reads it; a side check of B fails at a node reading a vertex of B
+    positively whose head does not leave the rest of B free. Violations
+    are keyed by (DIS rank, node, sweep before side check), so one sort
+    per size puts them per DIS, DISes lexicographically, in node-id order.
     """
     _require_nfbdd(y)
     if y.num_vars != g.n:
         raise ValueError(f"diagram reads {y.num_vars} variables but g has {g.n} vertices")
+    if max_dis_size < 0:
+        raise ValueError(f"max_dis_size must be nonnegative, got {max_dis_size}")
     n = g.n
     nbr = g.nbr_mask
     read = _check_record(y)[1]
@@ -528,6 +529,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                  for d in range(n)]
     classes: dict[int, int] = {}  # read mask -> class number, in order of first node
     cls = [classes.setdefault(r, len(classes)) for r in read]
+    reads = list(classes)  # each class's read mask
     steps, lastp = walk = _steps(y)
     # fac[c][u]: u's factor of the bound in class c, from its unread degree
     # there. Steps come heads first, so the heads' class of the first node
@@ -535,8 +537,6 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     # neighbours. The leaf's class reads every vertex.
     fac: list[list[Weight]] = [[]] * len(classes)
     fac[cls[y.leaf]] = by_degree[:1] * n
-    above = [0] * len(classes)  # the classes whose first node's heads are in the class
-    first = [-1] * len(classes)  # the variable each class's first node reads
     # the lanes a node tests when its heads are clean: 0 every lane, 1 none,
     # 2 its x-lanes, 3 those and the lanes that meet N(x)
     kind = bytearray(y.num_nodes)
@@ -545,20 +545,16 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
         onto[v] = hp
         c = cls[v]
         if not fac[c]:
-            hc = cls[hp if hp >= 0 else hn]
-            above[hc] += 1
-            first[c] = x
-            f = fac[c] = fac[hc].copy()
+            f = fac[c] = fac[cls[hp if hp >= 0 else hn]].copy()
             for u in g.adj[x]:
                 f[u] = by_degree[(nbr[u] & ~read[v]).bit_count()]
-        if x == first[c]:
-            # a lane without x is over only where a head's is, and there it
-            # holds a vertex blocked at that head
-            gone = (blocked[hp] | blocked[hn]) & ~blocked[v] & ~(1 << x)
-            if not gone:
-                kind[v] = 1 + (not blocked[v] >> x & 1)
-            elif not gone & ~nbr[x]:
-                kind[v] = 3
+        # a lane without x is over only where a head's is, and there it
+        # holds a vertex blocked at that head
+        gone = (blocked[hp] | blocked[hn]) & ~blocked[v] & ~(1 << x)
+        if not gone:
+            kind[v] = 1 + (not blocked[v] >> x & 1)
+        elif not gone & ~nbr[x]:
+            kind[v] = 3
     # bit t of reading[x]: node t reads x on a positive edge; of onward[u]: u
     # is free at that edge's head, or is the variable t reads
     reading = [0] * n
@@ -567,8 +563,13 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
             reading[y.var_of[t]] |= 1 << t
     onward = _transpose([free[h] | 1 << y.var_of[t] if h >= 0 else 0
                          for t, h in enumerate(onto)], n)
+    pos = [0] * n  # each vertex's place on the root-leaf path of first out-edges
+    v = y.root
+    for i in range(n):  # every path reads every variable
+        pos[y.var_of[v]] = i
+        v = y.edges[y.out_edges[v][0]][1]
     width = (n + 9) // 8  # F: the bytes of one lane
-    mb = (n + 7) // 8  # the bytes of one DIS mask
+    top = bytes(width - 1) + b"\x80"  # a field holding G
     fields = _Thresholds(n, 0 if exact else tol, width)
     levels = _dis_levels(g, max_dis_size) + [([], [])]
 
@@ -576,117 +577,118 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
     pairs = 0
     side_checks = 0
     dis_count = 0
-    # each class's lanes one size down, and the rows of that size (src[-1]: zeros)
-    prev: dict[int, list[int]] = dict.fromkeys(range(len(classes)), [0])  # the empty set
-    masks = [0]
+    # the ranks one size down, each class's base there, and the rows of that
+    # size (src[-1]: zeros)
+    below = {0: 0}  # the empty set
+    bases: dict[int, int] = dict.fromkeys(range(len(classes)), 0)
     src: list[bytes] = ([t.to_bytes(width, "little") for t in _column(y, 0, walk)]
                         + [bytes(width)])
     for size in range(1, max_dis_size + 1):
-        dis = levels[size][0]
+        dis, masks = levels[size]
         if not dis:
             break
         dis_count += len(dis)
-        below, masks = masks, levels[size][1]
-        rank = dict(zip(masks, count()))
-        mbytes = list(map(int.to_bytes, masks, repeat(mb), repeat("little")))
-        # (class, x) -> the rank of each of the heads' class's lanes one
-        # size down plus x, or None when that is no DIS
-        ups: dict[tuple[int, int], list[int | None]] = {}
-        nxt: dict[int, list[int]] = {}  # each class's lanes, for the next size
+        end = len(dis)
+        lex: Sequence[int] = range(end)  # rank -> the DIS's index in dis
+        dis_at, mask_at = dis, masks  # by rank
+        if pos != sorted(pos):
+            lex = sorted(lex, key=lambda i: sorted(map(pos.__getitem__, dis[i])))
+            dis_at = [dis[i] for i in lex]
+            mask_at = [masks[i] for i in lex]
+        rank = dict(zip(mask_at, count()))
+        base_of: dict[int, int] = {}  # each class's lowest unread rank at this size
         table: list[bytes] | None = None
         if levels[size + 1][0]:
-            table = [b""] * y.num_nodes + [bytes(width * len(dis))]
+            table = [b""] * y.num_nodes + [bytes(width * end)]
 
         def bounds(f: list[Weight], lanes: Iterable[int]) -> list[bytes]:
-            """The threshold fields of lanes under the factors f."""
-            by_place = zip(*map(dis.__getitem__, lanes))  # each DIS's first vertices, ...
+            """The threshold fields of the ranks lanes under the factors f."""
+            by_place = zip(*map(dis_at.__getitem__, lanes))  # each DIS's first vertices, ...
             row = map(f.__getitem__, next(by_place, ()))
             for col in by_place:
                 row = map(mul, row, map(f.__getitem__, col))
             return list(map(fields.__getitem__, row))
 
-        def enter(c: int, x: int, xr: list[int], hc: int) -> None:
-            """Set up live[c] for class c, whose first node reads x: its
-            lanes are the x-lanes xr, then the lanes of its heads' class hc.
-            c computes the fields of its x-lanes and of hc's lanes that meet
-            a neighbour of x, found in hc's packed DIS masks, and shares the
-            rest of hc's threshold row."""
-            lanes, thr, _, _ = live.get(hc, _NO_LANES)
-            waiting[hc] -= 1  # hc's masks are kept only for the classes still to come
-            pk = packed.get(hc, b"") if waiting[hc] else packed.pop(hc, b"")
-            k = len(xr)
-            hit = 0  # byte j: 0x80 when hc's lane j holds a neighbour of x
-            for u in g.adj[x]:
-                hit |= int.from_bytes(pk[u >> 3::mb].translate(_FLAG_OF[u & 7]), "little")
-            near = hit.to_bytes(len(lanes), "little")
-            new = bounds(fac[c], xr + list(compress(lanes, near)))
-            mark = bytearray(width * (k + len(lanes)))
-            mark[width - 1::width] = b"\x80" * k + near
-            nx = int.from_bytes(mark, "little")
-            ones = nx >> 8 * width * (k + 1) - 1  # bit 0 of hc's fields that c recomputes
-            gaps = map(bytes, map(mul, map(len, near.split(b"\x80")), repeat(width)))
-            thr &= ~((ones << 8 * width) - ones)
-            thr |= int.from_bytes(b"".join(chain.from_iterable(zip(gaps, new[k:]))), "little")
-            thr = thr << 8 * width * k | int.from_bytes(b"".join(new[:k]), "little")
-            live[c] = (xr + lanes, thr, nx & (1 << 8 * width * k) - 1, nx)
-            packed[c] = b"".join(map(mbytes.__getitem__, xr)) + pk
+        def enter(c: int, x: int, hc: int) -> tuple | None:
+            """(take, shift, x guard, near guard) at the nodes of class c
+            reading x, whose heads are in class hc, or None when c reads
+            every DIS of the range. c's base, threshold row and offset (its
+            base less its first base at this size) are set at its first node
+            in the range."""
+            rc = reads[c]
+            hb, hthr, _ = live[hc]
+            xr = [r for r in holding[x] if not mask_at[r] & rc]  # the ranks of c's x-lanes
+            # the lanes that meet N(x) miss x, so hc leaves them unread too
+            near = (r for u in g.adj[x] for r in holding[u][bisect_left(holding[u], hb):])
+            changed = sorted(xr + [r for r in near if not mask_at[r] & rc])
+            b = live[c][0] if c in live else min(hb, xr[0]) if xr else hb
+            lanes = [r - b for r in changed]
+            nx = _packed(lanes, [top] * len(lanes), width)  # the near guard
+            if c not in live:
+                # thr is rebound at each step, so no more than two full rows live
+                # at once: on P1100 a third raised peak RSS by 50 MB
+                thr = hthr << 8 * width * (hb - b) if hb > b else hthr
+                ones = nx >> 8 * width - 1  # bit 0 of each field to change
+                thr &= ~((ones << 8 * width) - ones)
+                live[c] = (b, thr | _packed(lanes, bounds(fac[c], changed), width),
+                           b - base_of.setdefault(c, b) if b < end else 0)
+            if b == end:
+                return None
+            xl = [r - b for r in xr]
+            take = None
+            if xr:
+                down = bases[hc]  # hc's base one size down
+                take = _gather(zip(xl, [below[mask_at[r] ^ 1 << x] - down for r in xr]), width)
+            xg = (1 << 8 * width * (xl[-1] + 1)) - 1 if xl else 0  # the x guard
+            return take, 8 * width * (hb - b) if hb < end else 0, xg, nx
 
-        def plan(lo: int) -> Iterator[_SweepStep]:
-            """The steps of the sweep of the DISes with ranks lo to lo + _SWEEP_LANES."""
-            here = dict.fromkeys(range(lo, min(lo + _SWEEP_LANES, len(dis))), 1)  # this range
-            maps: dict[tuple[int, int], tuple] = {}  # (class, x) -> (take, shift, perm)
+        def plan() -> Iterator[_SweepStep]:
+            """The steps of the sweep of the range, setting up each class and
+            variable as the sweep meets them."""
             for v, x, w, hp, hn in steps:
                 c = cls[v]
-                p = maps.get((c, x))
-                if p is None:
-                    hc = cls[hp if hp >= 0 else hn]
-                    up = ups.get((c, x))
-                    if up is None:
-                        down = map(below.__getitem__, prev.get(hc, ()))
-                        up = ups[c, x] = list(map(rank.get, map(or_, down, repeat(1 << x))))
-                    sel = bytes(map(here.get, up, repeat(0)))  # byte j: 1 when up[j] is here
-                    xr = list(compress(up, sel))
-                    perm = None
-                    if c not in live:
-                        enter(c, x, xr, hc)
-                    else:
-                        cat = xr + live.get(hc, _NO_LANES)[0]
-                        get = _gather(map(dict(zip(cat, count())).__getitem__, live[c][0]),
-                                      width)
-                        perm = (lambda row, get=get, nb=width * len(cat):
-                                get(row.to_bytes(nb, "little")))
-                    p = maps[c, x] = (_gather(compress(count(), sel), width) if xr else None,
-                                      8 * width * len(xr), perm)
-                if live[c][0]:
-                    yield v, w, hp, hn, *p
+                p = maps.get((c, x), False)
+                if p is False:
+                    p = maps[c, x] = enter(c, x, cls[hp if hp >= 0 else hn])
+                if p:
+                    at[v] = p
+                    yield v, w, hp, hn, p[0], p[1]
 
         found: list[tuple[int, int, int, str]] = []  # (rank, node, 0 or 1, violation)
-        for lo in range(0, len(dis), _SWEEP_LANES):
-            # class -> (lane ranks, threshold row, x guard, near guard), filled
-            # by plan as the sweep meets each class
-            live: dict[int, tuple[list[int], int, int, int]] = {}
-            # class -> its lanes' DIS masks packed in lane order, kept while a
-            # class above it (see above) is still to be set up
-            packed: dict[int, bytes] = {}
-            waiting = above.copy()
+        for lo in range(0, end, _SWEEP_LANES):
+            holding: list[list[int]] = [[] for _ in range(n)]  # the ranks holding each vertex
+            for r, b in enumerate(dis_at[lo:lo + _SWEEP_LANES], lo):
+                for u in b:
+                    holding[u].append(r)
+            # class -> (base, threshold row, offset at this size), base end
+            # when the class reads every DIS of the range; (class, x) ->
+            # enter's result, also kept for each node the sweep steps over
+            live: dict[int, tuple[int, int, int]] = {cls[y.leaf]: (end, 0, 0)}
+            maps: dict[tuple[int, int], tuple | None] = {}
+            at: list[tuple] = [()] * y.num_nodes
             clean = bytearray(b"\1") * (y.num_nodes + 1)  # no unblocked lane over at v
-            for (v, _, hp, hn, _, _, _), row in _sweep(plan(lo), lastp,
-                                                       [0] * (y.num_nodes + 1), src):
-                lanes, thr, xg, nx = live[cls[v]]
-                if table is not None:
-                    table[v] += row.to_bytes(width * len(lanes), "little")
-                guard = (None, 0, xg, nx)[kind[v]] if clean[hp] and clean[hn] else None
-                if guard == 0:
-                    continue  # no lane to test
+            for (v, _, hp, hn, _, _), row in _sweep(plan(), lastp, [0] * (y.num_nodes + 1),
+                                                    src):
+                c = cls[v]
+                base, thr, off = live[c]
                 data = b""
+                if table is not None:
+                    data = row.to_bytes((row.bit_length() + 7) // 8, "little")
+                    table[v] += bytes(width * off - len(table[v])) + data if off else data
+                k = kind[v] if clean[hp] and clean[hn] else 0
+                if k == 1:
+                    continue  # no lane to test
+                guard = at[v][k] if k else None  # enter's x or near guard
+                if guard == 0:
+                    continue
                 for j in _over_lanes(row, thr, width, guard):
-                    r = lanes[j]
+                    r = lex[base + j]
                     if masks[r] & blocked[v]:
                         continue  # its DIS holds a vertex blocked here
-                    if not data:  # v's first violation
-                        data = row.to_bytes(width * len(lanes), "little")
-                        f = fac[cls[v]]
+                    if clean[v]:  # v's first violation
                         clean[v] = 0
+                        data = data or row.to_bytes((row.bit_length() + 7) // 8, "little")
+                        f = fac[c]
                     rw = f[dis[r][0]]
                     for u in dis[r][1:]:
                         rw *= f[u]
@@ -694,9 +696,6 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                                   n, exact)
                     found.append((r, v, 0, f"node {v}, B={list(dis[r])}: "
                                            f"covered weight {cov} exceeds bound {rw}"))
-            if table is not None:
-                for c, (lanes, *_) in live.items():
-                    nxt.setdefault(c, []).extend(lanes)
         for r, b in enumerate(dis):
             held = holds[b[0]]
             tails = reading[b[0]]
@@ -717,7 +716,7 @@ def verify_deepcover(y: Nfbdd, g: Graph, max_dis_size: int = 3, tol: float = 1e-
                                        "leaves the free set"))
         found.sort(key=itemgetter(0, 1, 2))
         violations += [msg for *_, msg in found]
-        prev, src = nxt, table
+        below, bases, src = rank, base_of, table
     return DeepcoverReport(
         nodes=y.num_nodes,
         dis_count=dis_count,

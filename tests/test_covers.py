@@ -213,6 +213,16 @@ def test_verify_deepcover_clean_on_fixtures():
         verify_deepcover(_compiled(complete_graph(2)), path_graph(3))
 
 
+def test_verify_deepcover_rejects_a_negative_max_dis_size():
+    g = cycle_graph(6)
+    y = _compiled(g)
+    for size in (-1, -2):
+        with pytest.raises(ValueError, match=f"^max_dis_size must be nonnegative, got {size}$"):
+            verify_deepcover(y, g, max_dis_size=size)
+    # size 0 stays legal: no DIS to sweep and nothing to check
+    assert verify_deepcover(y, g, max_dis_size=0) == deepcover_by_dis_tables(y, g, max_dis_size=0)
+
+
 @pytest.fixture(scope="module")
 def long_path_diagram():
     # 2,000 nodes and depth 1,000: deeper than the default recursion limit
@@ -832,17 +842,9 @@ def _split_compiles(g, order_a, order_b):
 
 
 def test_verify_deepcover_maps_lanes_on_unordered_uniform_diagrams(monkeypatch):
-    # classes whose nodes read different variables take v's lanes through
-    # an index map; label flips keep the diagrams uniform and break checks
-    sweep = bplab.covers._sweep
-    mapped = []
-
-    def recording(steps, lastp, rows, src):
-        steps = list(steps)
-        mapped.append(any(perm for *_, perm in steps))
-        return sweep(steps, lastp, rows, src)
-
-    monkeypatch.setattr(bplab.covers, "_sweep", recording)
+    # classes whose nodes read different variables; label flips keep the
+    # diagrams uniform and break checks
+    sweeps = _recording_sweeps(monkeypatch)
     rng = random.Random(11)
     violations = 0
     for n in (7, 8, 9):
@@ -860,11 +862,11 @@ def test_verify_deepcover_maps_lanes_on_unordered_uniform_diagrams(monkeypatch):
         for z in (y, flipped):
             for size in (1, 2, 3):
                 for exact in (False, True):
-                    mapped.clear()
+                    sweeps.clear()
                     got = verify_deepcover(z, g, max_dis_size=size, exact=exact)
                     assert got == deepcover_by_dis_tables(z, g, max_dis_size=size, exact=exact), (
                         g.edges, size, exact)
-                    assert any(mapped)
+                    assert _mixed_sizes(z, sweeps)
                     violations += len(got.violations)
     assert violations > 0
 
@@ -1102,24 +1104,39 @@ def test_free_compiles_decide_the_vertex_covers():
 
 
 def _recording_sweeps(monkeypatch):
-    """Patch covers._sweep to record each sweep's steps as (take, perm)
-    pairs, and return the list of sweeps."""
+    """Patch covers._sweep to record each DIS sweep as (src, the nodes it
+    steps over), and return the list of sweeps."""
     sweep = bplab.covers._sweep
     sweeps = []
 
     def recording(steps, lastp, rows, src):
         steps = list(steps)
-        sweeps.append([(take, perm) for *_, take, _, perm in steps])
+        if src is not rows:  # not a one-set column
+            sweeps.append((src, [v for v, *_ in steps]))
         return sweep(steps, lastp, rows, src)
 
     monkeypatch.setattr(bplab.covers, "_sweep", recording)
     return sweeps
 
 
+def _mixed_sizes(y, sweeps):
+    """The DIS sizes, from 1 in sweep order, whose sweeps (those sharing one
+    src) step over the nodes of a read-mask class that read two or more
+    variables."""
+    read = bplab.bp._check_record(y)[1]
+    by_size = {}
+    for src, nodes in sweeps:
+        reads = by_size.setdefault(id(src), {})
+        for v in nodes:
+            reads.setdefault(read[v], set()).add(y.var_of[v])
+    return {size for size, reads in enumerate(by_size.values(), 1)
+            if any(len(xs) > 1 for xs in reads.values())}
+
+
 def test_verify_deepcover_maps_the_lanes_of_nodes_without_x_lanes(monkeypatch):
-    # at size 2 node 9 of this diagram reads a variable of its class other
-    # than the first node's, and no size-2 DIS it leaves unread holds that
-    # variable: its row takes the index map without x-lanes
+    # node 9 of this diagram shares its read mask with a node reading
+    # another variable, and no size-2 DIS it leaves unread holds its own:
+    # at size 2 its row is its heads' sum alone, with no x-lanes
     sweeps = _recording_sweeps(monkeypatch)
     g = random_connected_graph(7, 2, 3)
     y = free_compile(g, FREE_RULES["lowest"])
@@ -1128,7 +1145,7 @@ def test_verify_deepcover_maps_the_lanes_of_nodes_without_x_lanes(monkeypatch):
         got = verify_deepcover(y, g, max_dis_size=2, exact=exact)
         assert got == deepcover_by_dis_tables(y, g, max_dis_size=2, exact=exact)
         assert got.ok
-        assert any(perm and not take for steps in sweeps for take, perm in steps)
+        assert _mixed_sizes(y, sweeps) == {1, 2}
 
 
 def test_verify_deepcover_matches_per_dis_tables_on_free_compiles():
@@ -1151,7 +1168,7 @@ def test_verify_deepcover_matches_per_dis_tables_on_free_compiles():
 
 def test_verify_deepcover_sweeps_rank_ranges_of_free_compiles_like_one_sweep(monkeypatch):
     # with a few DISes per sweep, a node can have x-lanes in one rank range
-    # and none in the next, where its index map comes without a take
+    # and none in the next, where its row is its heads' sum without a take
     cases = [(g, free_compile(g, FREE_RULES[name])) for g in
              (random_connected_graph(9, seed, 3) for seed in (0, 1, 2))
              for name in ("lowest", "component")]
@@ -1161,14 +1178,77 @@ def test_verify_deepcover_sweeps_rank_ranges_of_free_compiles_like_one_sweep(mon
             for g, z in cases for size, exact, tol in runs]
     sweeps = _recording_sweeps(monkeypatch)
     monkeypatch.setattr(bplab.covers, "_SWEEP_LANES", 5)
-    got = [verify_deepcover(z, g, max_dis_size=size, exact=exact, tol=tol)
-           for g, z in cases for size, exact, tol in runs]
+    got = []
+    mixed = set()
+    swept = 0
+    for g, z in cases:
+        for size, exact, tol in runs:
+            sweeps.clear()
+            got.append(verify_deepcover(z, g, max_dis_size=size, exact=exact, tol=tol))
+            mixed |= _mixed_sizes(z, sweeps)
+            swept += len(sweeps)
     assert got == want
-    assert len(sweeps) > 4 * len(got)
-    assert any(perm and not take for steps in sweeps for take, perm in steps)
+    assert swept > 4 * len(got)
+    assert mixed == {1, 2, 3}
     assert any(not rep.ok for rep in got)
     g, z = cases[-1]
     assert got[-1] == deepcover_by_dis_tables(z, g, max_dis_size=3, tol=-0.1)
+
+
+def test_verify_deepcover_tests_only_the_changed_lanes_of_clean_free_compiles(monkeypatch):
+    # whichever variable of its class a node reads, it gets the clean-head
+    # test: on these clean free compiles no node tests its whole row
+    over_lanes = bplab.covers._over_lanes
+    guards = []
+
+    def testing(row, thr, width, guard=None):
+        guards.append(guard)
+        return over_lanes(row, thr, width, guard)
+
+    monkeypatch.setattr(bplab.covers, "_over_lanes", testing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        family, _ = hard_family_instance(6, 3, allow_small_r=True)
+    cases = [(g, free_compile(g, FREE_RULES[name])) for g in
+             (random_connected_graph(9, seed, 3) for seed in (0, 1, 2))
+             for name in ("lowest", "component")]
+    cases.append((family, free_compile(family, FREE_RULES["component"])))
+    for g, y in cases:
+        assert verify_deepcover(y, g, max_dis_size=3).ok
+    assert guards and None not in guards
+
+
+def _reordered_family_compiles():
+    """(g, diagram) for the (6,3) and (10,2) family graphs compiled in
+    reversed order and with the order of their path copies reversed, each
+    followed by a copy with a quarter of its two-way nodes' labels swapped."""
+    rng = random.Random(34)
+    for k, r in ((6, 3), (10, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g, params = hard_family_instance(k, r, allow_small_r=True)
+        copies = range(g.n // params.path_len)
+        for order in (list(range(g.n))[::-1],
+                      [c * params.path_len + j for c in reversed(copies)
+                       for j in range(params.path_len)]):
+            y = nfbdd_compile(cnf_from_graph(g), order)
+            yield g, y
+            flip = {v for v in range(y.num_nodes)
+                    if len(y.out_edges[v]) == 2 and rng.random() < 0.25}
+            yield g, Nfbdd(y.num_nodes, [(t, h, -lab if t in flip else lab)
+                                         for t, h, lab in y.edges], y.root, y.leaf, y.num_vars)
+
+
+def test_verify_deepcover_matches_per_dis_tables_on_reordered_family_compiles(monkeypatch):
+    # ordered diagrams whose order is not the vertex order, so DISes rank
+    # by the positions of their vertices; in one sweep and in rank ranges
+    cases = list(_reordered_family_compiles())
+    got = [verify_deepcover(y, g, max_dis_size=3) for g, y in cases]
+    assert got == [deepcover_by_dis_tables(y, g, max_dis_size=3) for g, y in cases]
+    assert all(rep.ok for rep in got[::2])
+    assert not all(rep.ok for rep in got[1::2])  # the label-swapped copies
+    monkeypatch.setattr(bplab.covers, "_SWEEP_LANES", 5)
+    assert [verify_deepcover(y, g, max_dis_size=3) for g, y in cases] == got
 
 
 def test_records_print_their_fields():
