@@ -10,12 +10,20 @@ Kratsch and Thilikos for vertex ordering problems), and the search stops
 at the first prefix that is the full vertex set. The witness order then
 checks, lazily and downwards, the prefixes of the last threshold that
 the search did not reach.
+
+The mw search matches each queued prefix once. A child takes its cut and
+a maximum cut matching from its parent's when it is pushed: moving one
+vertex into the prefix changes the cut by at most one, and at most two
+augmenting searches restore a maximum matching. A prefix that waits for
+the next threshold keeps its exact cut. Only the witness walk matches
+prefixes from scratch. The dmw search evaluates each prefix when popped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, Matching, _closed_edge_mask
@@ -59,16 +67,46 @@ def _check_partition(g: Graph, part: PrefixPartition) -> int:
     return mask
 
 
+def _augment(nbr: tuple[int, ...], smask: int, mate: dict[int, int], free: int,
+             u: int, visited: int) -> tuple[int, int]:
+    """One augmenting search from the unmatched prefix vertex u.
+
+    mate maps each matched suffix vertex bit of smask to its prefix vertex,
+    and free holds the unmatched ones. The search follows alternating paths
+    depth first, lowest suffix vertex first, past the visited ones. On
+    reaching a free suffix vertex it flips the path in mate and returns
+    (free without that vertex, 0). Otherwise it returns (free, visited plus
+    every suffix vertex it reached): no augmenting path runs through those
+    until the matching changes.
+    """
+    cand = nbr[u] & smask & ~visited
+    path: list[tuple[int, int]] = []  # (prefix, suffix bit) hops of the search
+    while cand:
+        vb = cand & -cand
+        visited |= vb
+        if vb & free:
+            mate[vb] = u
+            for pu, pb in path:
+                mate[pb] = pu
+            return free ^ vb, 0
+        path.append((u, vb))
+        u = mate[vb]
+        cand = nbr[u] & smask & ~visited
+        while not cand and path:
+            u = path.pop()[0]
+            cand = nbr[u] & smask & ~visited
+    return free, visited
+
+
 def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None,
                    mate: dict[int, int] | None = None) -> int:
     """Size of a maximum matching over cut edges, or limit once it has that many.
 
     A greedy pass matches each prefix vertex, lowest first, to its lowest
-    free suffix neighbour. Augmenting searches then start only from the
-    prefix vertices it left unmatched; a failed search keeps its visited
-    suffix vertices, as no augmenting path runs through them until the
-    matching changes. The matching is kept as suffix vertex bit -> prefix
-    vertex, in mate when the caller passes a dict to fill.
+    free suffix neighbour. _augment then searches only from the prefix
+    vertices it left unmatched, each failed search passing its visited
+    suffix vertices to the next. The matching is kept as suffix vertex bit
+    -> prefix vertex, in mate when the caller passes a dict to fill.
     """
     if limit == 0:
         return 0
@@ -96,28 +134,88 @@ def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None,
             left.append(u)
     visited = 0
     for u in left:
-        cand = nbr[u] & smask & ~visited
-        path: list[tuple[int, int]] = []  # (prefix, suffix bit) hops of the search
-        while cand:
-            vb = cand & -cand
-            visited |= vb
-            if vb & free:
-                free ^= vb
-                mate[vb] = u
-                for pu, pb in path:
-                    mate[pb] = pu
-                size += 1
-                if size == limit:
-                    return size
-                visited = 0
-                break
-            path.append((u, vb))
-            u = mate[vb]
-            cand = nbr[u] & smask & ~visited
-            while not cand and path:
-                u = path.pop()[0]
-                cand = nbr[u] & smask & ~visited
+        rest, visited = _augment(nbr, smask, mate, free, u, visited)
+        if rest != free:
+            free = rest
+            size += 1
+            if size == limit:
+                return size
     return size
+
+
+_MATE_BITS = 5  # partner field width in a carried mw entry: vertices below 32
+_MATE_MASK = (1 << _MATE_BITS) - 1
+
+
+def _entry_mate(n: int, e: int) -> dict[int, int]:
+    """The matching of a carried mw entry, as suffix vertex bit -> prefix vertex.
+
+    A carried entry is one int: the prefix in bits 0..n-1, its matched
+    suffix vertices in bits n..2n-1, and from bit 2n on one _MATE_BITS-wide
+    field per vertex, holding the prefix partner of a matched suffix vertex
+    and 0 for every other vertex.
+    """
+    fields = e >> 2 * n
+    mate = {}
+    t = e >> n & ((1 << n) - 1)
+    while t:
+        vb = t & -t
+        t ^= vb
+        mate[vb] = fields >> _MATE_BITS * (vb.bit_length() - 1) & _MATE_MASK
+    return mate
+
+
+def _augment_entry(nbr: tuple[int, ...], n: int, e: int, smask: int, u: int) -> int:
+    """Entry e, of suffix smask, after _augment searches its decoded matching
+    from the unmatched prefix vertex u; a path found is written back."""
+    free = smask & ~(e >> n)
+    mate = _entry_mate(n, e)
+    rest, _ = _augment(nbr, smask, mate, free, u, 0)
+    if rest == free:
+        return e
+    fields = 0
+    for vb, x in mate.items():
+        fields |= x << _MATE_BITS * (vb.bit_length() - 1)
+    return e & ((1 << n) - 1) | (smask & ~rest) << n | fields << 2 * n
+
+
+def _child_entry(nbr: tuple[int, ...], n: int, at: dict[int, int], e: int,
+                 b: int) -> int:
+    """The carried mw entry of prefix s | b, from the entry e of prefix s.
+
+    at maps a vertex bit to the offset of its field in an entry. Moving b
+    to the prefix drops b's matched edge, if any, and adds b as an
+    unmatched prefix vertex. e's matching is maximum, so an augmenting
+    path that avoids b must end at b's old partner p, and one after that
+    must end at b (Berge): a search from p, when b was matched, and then
+    one from b give a maximum matching of the new cut. A start with a free
+    suffix neighbour takes the lowest one in place; any other start with a
+    suffix neighbour goes to _augment_entry.
+    """
+    full = (1 << n) - 1
+    smask = full & ~(e | b)
+    matched = e >> n & full
+    free = smask & ~matched
+    c = e | b
+    if matched & b:
+        p = e >> at[b] & _MATE_MASK
+        c ^= b << n | p << at[b]
+        hit = nbr[p] & free
+        if hit:
+            vb = hit & -hit
+            free ^= vb
+            c |= vb << n | p << at[vb]
+        elif nbr[p] & smask:
+            c = _augment_entry(nbr, n, c, smask, p)
+            free = smask & ~(c >> n)
+    u = b.bit_length() - 1
+    hit = nbr[u] & free
+    if hit:
+        vb = hit & -hit
+        return c | vb << n | u << at[vb]
+    if nbr[u] & smask:
+        return _augment_entry(nbr, n, c, smask, u)
+    return c
 
 
 def max_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
@@ -326,24 +424,34 @@ def _check_subset_cap(g: Graph, cap: int) -> None:
         raise ValueError(f"{g.n} vertices exceed the subset-DP cap {limit}")
 
 
-def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> WidthResult:
+def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int,
+               entry_cut: Callable[[int, int], int],
+               extend: Callable[[int, int], int]) -> WidthResult:
     """Width and witness order by a threshold search over prefixes.
 
     f(s), the least over orders of s of its largest prefix cut, is at most
     w exactly when s is reachable from the empty set by adding one vertex at
     a time through prefixes whose cut is at most w. So for w = 0, 1, ... the
     search extends the prefixes reached so far, and stops as soon as the
-    full set is reached: w is the width. cut_upto(s, k) is the cut of s when
-    below k, else some value >= k; a child whose cut is over the threshold
-    waits and is evaluated again at the next one. Every threshold below w is
+    full set is reached: w is the width. Every threshold below w is
     exhausted, so each prefix with f < w is marked f + 1; of those with
     f = w, only the ones the search reached before stopping are marked.
+
+    The search queues entries, ints whose low n bits are a prefix.
+    extend(e, b) is the entry of e's prefix plus the vertex bit b, and
+    entry_cut(e, k), like cut_upto(s, k) for a bare prefix s, is the cut
+    when below k, else some value >= k. dmw queues bare prefixes and
+    evaluates each when popped. mw queues carried entries, which hold the
+    exact cut and a maximum cut matching that _child_entry derived from
+    the parent's when pushing them. An entry over the threshold waits for
+    the next one. Adding a vertex raises a cut by at most one, so a
+    waiting entry's cut is exactly the next threshold.
 
     The witness follows, from the full set down, the lowest vertex whose
     removal leaves a prefix with f no larger: the first minimiser of the DP
     over all 2^n subsets. Where that prefix has f = w and is not marked,
-    _reaches_within decides it, so only candidates the walk meets are
-    searched.
+    _reaches_within decides it with cut_upto, so only candidates the walk
+    meets are searched.
     """
     n = g.n
     _check_subset_cap(g, cap)
@@ -355,10 +463,11 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
     w = 0
     while True:
         while queue:
-            s = queue.pop()
-            if cut_upto(s, w + 1) > w:
-                waiting.append(s)
+            e = queue.pop()
+            if entry_cut(e, w + 1) > w:
+                waiting.append(e)
                 continue
+            s = e & full
             seen[s] = w + 1
             if s == full:
                 break
@@ -368,7 +477,7 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
                 rest ^= b
                 if not seen[s | b]:
                     seen[s | b] = _WAIT
-                    queue.append(s | b)
+                    queue.append(extend(e, b))
         if seen[full] == w + 1:
             break
         w += 1
@@ -398,7 +507,12 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
 
 def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
     """Exact matching width with a witness order and its per-prefix cuts."""
-    return _subset_dp(g, partial(_cut_size_mask, g), cap)
+    n = g.n
+    full = (1 << n) - 1
+    at = {1 << v: 2 * n + _MATE_BITS * v for v in range(n)}
+    return _subset_dp(g, partial(_cut_size_mask, g), cap,
+                      lambda e, k: (e >> n & full).bit_count(),
+                      partial(_child_entry, g.nbr_mask, n, at))
 
 
 def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
@@ -417,7 +531,7 @@ def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
         _check_cross_cap(edges, k)
         return _max_compatible_subset(edges, compat, k)[0]
 
-    return _subset_dp(g, cut, cap)
+    return _subset_dp(g, cut, cap, cut, or_)
 
 
 def greedy_distant_extraction(g: Graph, m: Matching) -> Matching:

@@ -242,32 +242,29 @@ def test_widths_equal_the_full_subset_dp():
 def test_search_evaluates_few_cuts_on_the_family_graph(monkeypatch):
     g = _family(14, 1)
     assert g.n == 18
-    calls = {"mw": 0, "dmw": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(widths, "_cut_size_mask", counted("mw", widths._cut_size_mask))
-    monkeypatch.setattr(widths, "_max_compatible_subset",
-                        counted("dmw", widths._max_compatible_subset))
+    calls = _counted_cuts(monkeypatch)
     assert mw_exact(g).value == 3
     assert dmw_exact(g).value == 1
     assert 0 < calls["mw"] < 2 ** 18 // 10
     assert 0 < calls["dmw"] < 2 ** 18 // 10
-    assert calls["mw"] == 1462
+    # the witness walk's from-scratch evaluations, and child steps from a parent's matching
+    assert (calls["mw"], calls["mw step"]) == (115, 1226)
 
 
 def _counted_cuts(monkeypatch):
-    """Count mw and dmw cut evaluations by wrapping the two cut searches."""
-    calls = {"mw": 0, "dmw": 0}
-    for name, attr in (("mw", "_cut_size_mask"), ("dmw", "_max_compatible_subset")):
-        def wrapper(*args, name=name, fn=getattr(widths, attr)):
+    """Count mw and dmw cut evaluations and mw child steps by wrapping the
+    two cut searches and the step."""
+    calls = {"mw": 0, "dmw": 0, "mw step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(widths, attr, wrapper)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, attr in (("mw", "_cut_size_mask"), ("dmw", "_max_compatible_subset"),
+                       ("mw step", "_child_entry")):
+        monkeypatch.setattr(widths, attr, counted(name, getattr(widths, attr)))
     return calls
 
 
@@ -284,7 +281,52 @@ def test_star_at_the_cap_stops_at_the_full_set(monkeypatch):
         assert res.witness_cuts == tuple(oracle(star, res.witness_order[:i])
                                          for i in range(1, 22))
     assert 0 < calls["mw"] < 2000
+    assert 0 < calls["mw step"] < 2000
     assert 0 < calls["dmw"] < 2000
+
+
+def test_child_steps_carry_the_cut_and_a_maximum_matching(monkeypatch):
+    star = Graph(22, [(0, v) for v in range(1, 22)])
+    graphs = [_family(14, 1), random_connected_graph(16, 163, 3),
+              random_connected_graph(16, 165, 5), star]
+    step = widths._child_entry
+    branches = set()
+    searches = set()
+    g = None
+
+    def checked(nbr, n, at, e, b):
+        c = step(nbr, n, at, e, b)
+        full = (1 << n) - 1
+        s = c & full
+        assert s == e & full | b and not e & b
+        mate = widths._entry_mate(n, c)
+        assert len(mate) == (c >> n & full).bit_count() == widths._cut_size_mask(g, s)
+        assert len(set(mate.values())) == len(mate)
+        for vb, u in mate.items():
+            assert s >> u & 1 and not s & vb and g.has_edge(u, vb.bit_length() - 1)
+        # fields of unmatched vertices stay 0, so a step can set a field with |
+        assert c >> 2 * n == sum(u << widths._MATE_BITS * (vb.bit_length() - 1)
+                                 for vb, u in mate.items())
+        was_matched = bool(e >> n & b)
+        found = len(mate) > len(widths._entry_mate(n, e)) - was_matched
+        branches.add((was_matched, found))
+        return c
+
+    search = widths._augment_entry
+
+    def recorded(nbr, n, e, smask, u):
+        c = search(nbr, n, e, smask, u)
+        searches.add(c != e)
+        return c
+
+    monkeypatch.setattr(widths, "_child_entry", checked)
+    monkeypatch.setattr(widths, "_augment_entry", recorded)
+    for g in graphs[:3]:
+        assert mw_exact(g) == mw_by_full_subset_dp(g)
+    g = star
+    assert mw_exact(star).value == 1
+    assert branches == {(False, False), (False, True), (True, False), (True, True)}
+    assert searches == {False, True}
 
 
 def test_lazy_witness_checks_take_both_outcomes(monkeypatch):
