@@ -599,12 +599,14 @@ def best_order_size(cnf: MonotoneCnf, cap: int = ORDER_SEARCH_CAP) -> tuple[int,
     of variables read, so level costs add up along any order. Reading x
     costs one edge from a mask that forces x and two otherwise.
 
-    The forced masks after reading s are one 2^n-bit int, bit f set when
-    mask f is a state; hi[x] has bit f set when mask f has bit x. Reading
-    x keeps the states without x, moves those with x down by 2^x, and
-    forces the unread neighbours of x into the states without x, one
-    shift per neighbour. Every x in s leads to the same set, so it is
-    built from the lowest.
+    The forced masks after reading s are one int over the unread
+    vertices U only: mask f sits at bit sum(2^rank(u) for u in f), where
+    rank(u) counts the unread vertices below u. The int holds 2^|U| bits,
+    all sets together 3^n. hi[r] has bit f set when index f holds rank r.
+    In the set of s - x, x has rank x - i, i the number of members of s
+    below x. The set of s is built from x = max(s), at rank p: states
+    forcing x drop it, the unread neighbours of x are forced into the
+    states without it, and n - 1 - x folds close the gap at rank p.
     """
     n = cnf.num_vars
     if n > cap:
@@ -614,36 +616,42 @@ def best_order_size(cnf: MonotoneCnf, cap: int = ORDER_SEARCH_CAP) -> tuple[int,
     ones = (1 << (1 << n)) - 1
     hi = _bit_planes(n)
     lo = [ones ^ h for h in hi]
-    states = [1] * (full + 1)  # forced-mask sets by read mask
+    states = [1] * (full + 1)  # forced-mask sets by read mask, indexed by rank
     base = [2] * (full + 1)  # cost plus two edges per state, by read mask
     choice = [-1] * (full + 1)
     best = 0  # cost of reading s; after the loop, of reading every variable
     for s in range(1, full + 1):
         best = -1
         bx = -1
+        i = 0
         t = s
         while t:
             bit = t & -t
             t ^= bit
+            prev_s = s ^ bit
             x = bit.bit_length() - 1
-            val = base[s ^ bit] - (states[s ^ bit] & hi[x]).bit_count()
+            val = base[prev_s] - (states[prev_s] & hi[x - i]).bit_count()
             if best < 0 or val < best:
                 best = val
                 bx = x
+            i += 1
         choice[s] = bx
-        low = s & -s
-        x = low.bit_length() - 1
-        prev = states[s ^ low]
-        keep = prev & lo[x]
-        neg = keep
+        prev = states[prev_s]  # x = max(s), the last bit taken, has rank p in ~prev_s
+        p = x - i + 1
+        r = (prev | prev >> (1 << p)) & lo[p]
         t = nbr[x] & ~s
-        while t:
-            bit = t & -t
-            t ^= bit
-            y = bit.bit_length() - 1
-            neg = (neg & hi[y]) | (neg & lo[y]) << bit
-        states[s] = nxt = keep | (prev & hi[x]) >> low | neg
-        base[s] = best + 2 * nxt.bit_count()
+        if t:
+            neg = prev & lo[p]
+            while t:
+                bit = t & -t
+                t ^= bit
+                q = ((bit - 1) & ~prev_s).bit_count()  # the neighbour's rank
+                neg = (neg | neg << (1 << q)) & hi[q]
+            r |= neg
+        for e in range(p, p + n - 1 - x):  # fold rank p away
+            r = (r | r >> (1 << e)) & lo[e + 1]
+        states[s] = r
+        base[s] = best + 2 * r.bit_count()
     order: list[int] = []
     s = full
     while s:

@@ -283,16 +283,16 @@ def _column(y: Nfbdd, smask: int,
     The one-lane _sweep over every step. A node reading x of smask keeps
     only its positive head, as its negative edge reads x negatively, and
     halves that head's lane when it is two-way. No path from the head reads
-    x again, so the set minus x there is the set's own lane: take is int on
-    the rows being built, and ORs in that same value. Where smask is
-    partly read, the entry weighs the paths that read none of it
-    negatively. The empty set's column, the path totals, is built once per
-    diagram. walk is y's _steps when the caller has them.
+    x again, so the set minus x there is the set's own lane, which that
+    one-head step already gives. Where smask is partly read, the entry
+    weighs the paths that read none of it negatively. The empty set's
+    column, the path totals, is built once per diagram. walk is y's _steps
+    when the caller has them.
     """
     col = y.path_totals if not smask else None
     if col is None:
         steps, lastp = walk or _steps(y)
-        plan = [(v, w, hp, -1, int, 0) if smask >> x & 1 else (v, w, hp, hn, None, 0)
+        plan = [(v, w, hp, -1 if smask >> x & 1 else hn, None, 0)
                 for v, x, w, hp, hn in steps]
         rows = [0] * (y.num_nodes + 1)
         rows[y.leaf] = 1 << y.num_vars

@@ -317,9 +317,13 @@ def test_best_order_size_matches_permutation_minimum():
 
 
 def test_best_order_size_matches_state_lists():
-    """The bitset DP gives the list-of-states DP's cost and witness order."""
+    """The rank-indexed state sets give the state-list DP's cost and witness order.
+
+    Graphs of 13 and 14 vertices, searched at an explicit cap, run the
+    fold steps that drop a read rank below up to 13 unread ranks.
+    """
     families = []
-    for k, r in ((6, 0), (6, 1), (10, 1)):
+    for k, r in ((6, 0), (6, 1), (10, 1), (6, 2)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             families.append(hard_family_instance(k, r, allow_small_r=True)[0])
@@ -331,14 +335,17 @@ def test_best_order_size_matches_state_lists():
         Graph(12, [(0, v) for v in range(1, 12)]),  # the star K1,11
         Graph(12, grid),  # the 3x4 grid
         Graph(12, [(a, 6 + b) for a in range(6) for b in range(6)]),  # K6,6
+        path_graph(14), cycle_graph(13),
     ]
     graphs = atlas_connected(2, 7) + families + named + [
         random_connected_graph(n, seed, d)
         for n in range(8, 13) for d in (2, 3, 5) for seed in range(6)]
+    graphs += [random_connected_graph(n, seed, d)
+               for n, seed, d in ((13, 0, 3), (13, 1, 5), (14, 1, 5))]
     for g in graphs:
         cnf = cnf_from_graph(g)
-        best, order = best_order_size(cnf)
-        assert (best, order) == best_order_by_state_lists(cnf), g
+        best, order = best_order_size(cnf, cap=14)
+        assert (best, order) == best_order_by_state_lists(cnf, cap=14), g
         assert compiled_size(cnf, order)[1] == best
 
 

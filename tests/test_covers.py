@@ -500,11 +500,12 @@ def test_path_weight_total_builds_the_totals_once(monkeypatch):
     sweep = bplab.covers._sweep
 
     def counting(steps, lastp, rows, src):
-        # a one-set sweep takes its x-lanes from its own rows, at the nodes
-        # reading a vertex of its set
+        # a one-set sweep drops the negative head at the nodes reading a
+        # vertex of its set
         steps = list(steps)
         if src is rows:
-            built.append(frozenset(y.var_of[v] for v, _, _, _, take, *_ in steps if take))
+            built.append(frozenset(y.var_of[v] for v, _, _, hn, *_ in steps
+                                   if hn < 0 and len(y.out_edges[v]) == 2))
         return sweep(steps, lastp, rows, src)
 
     monkeypatch.setattr(bplab.covers, "_sweep", counting)
