@@ -328,22 +328,6 @@ def covered_weight(y: Nfbdd, a: int, s: Iterable[int], exact: bool = False) -> W
     return _weight(_column(y, smask)[a], y.num_vars, exact)
 
 
-def relative_weight(ctx: NodeContext, b: Iterable[int], exact: bool = False) -> Weight:
-    """Product over b of (1 - 2^-(ld(v)+1)); b must sit inside ctx.vert."""
-    bset = frozenset(b)
-    extra = bset - ctx.vert
-    if extra:
-        raise ValueError(f"vertices {sorted(extra)} are already read at node {ctx.node}")
-    acc: Weight = Fraction(1) if exact else 1.0
-    for v in sorted(bset):
-        d = ctx.ld[v]
-        if exact:
-            acc *= 1 - Fraction(1, 2 ** (d + 1))
-        else:
-            acc *= 1.0 - 2.0 ** -(d + 1)
-    return acc
-
-
 class DeepcoverReport(NamedTuple):
     nodes: int
     dis_count: int
@@ -399,13 +383,6 @@ def _dis_levels(g: Graph, max_size: int) -> list[tuple[list[tuple[int, ...]], li
                 masks.append(mask | b)
         levels.append((dis, masks))
     return levels
-
-
-def _dis_iter(g: Graph, max_size: int) -> Iterator[tuple[int, ...]]:
-    """DISes of g with at most max_size vertices: the empty set, then by size
-    and lexicographically within a size."""
-    for dis, _ in _dis_levels(g, max_size):
-        yield from dis
 
 
 class _Thresholds(dict):

@@ -9,8 +9,9 @@ always serializes to the same bytes.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .bp import Nrobp, _find_cycle, _topological_order
 from .covers import CutCoverCertificate
@@ -39,6 +40,35 @@ def _records(text: str) -> Iterator[tuple[int, list[str]]]:
             yield ln, parts
 
 
+_T = TypeVar("_T")
+
+
+def _build(make: Callable[[list], _T], items: list, text: str, header: str,
+           header_ln: int) -> _T:
+    """make(items), or its ValueError prefixed with the line of the defect.
+
+    The containers check their items in order and refuse at the first bad
+    one, so the shortest prefix of items they refuse ends at it; one that
+    refuses even no items has a bad header value, from line header_ln.
+    Item i came from the i-th record that is not a header line. The line
+    is searched for only after a refusal.
+    """
+    try:
+        return make(items)
+    except ValueError as exc:
+        lo, hi = 0, len(items)  # the shortest refused prefix has lo..hi items
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                make(items[:mid])
+                lo = mid + 1
+            except ValueError:
+                hi = mid
+        ln = header_ln if lo == 0 else next(islice(
+            (k for k, parts in _records(text) if parts[0] != header), lo - 1, None))
+        raise ValueError(f"line {ln}: {exc}") from None
+
+
 # ---------------------------------------------------------------- graphs
 
 def write_graph(g: Graph) -> str:
@@ -57,6 +87,7 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"line {ln}: expected 'p edge <n> <m>'")
             n, m = _int(parts[2], ln), _int(parts[3], ln)
+            header_ln = ln
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {ln}: edge before the problem line")
@@ -73,7 +104,7 @@ def parse_graph(text: str) -> Graph:
         raise ValueError("missing 'p edge' problem line")
     if len(edges) != m:
         raise ValueError(f"problem line promises {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    return _build(lambda es: Graph(n, es), edges, text, "p", header_ln)
 
 
 # ------------------------------------------------------------------ CNFs
@@ -94,6 +125,7 @@ def parse_cnf(text: str) -> MonotoneCnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ValueError(f"line {ln}: expected 'p cnf <n> <m>'")
             n, m = _int(parts[2], ln), _int(parts[3], ln)
+            header_ln = ln
         else:
             if n is None:
                 raise ValueError(f"line {ln}: clause before the problem line")
@@ -115,7 +147,7 @@ def parse_cnf(text: str) -> MonotoneCnf:
         raise ValueError("missing 'p cnf' problem line")
     if len(clauses) != m:
         raise ValueError(f"problem line promises {m} clauses, found {len(clauses)}")
-    return MonotoneCnf(n, clauses)
+    return _build(lambda cs: MonotoneCnf(n, cs), clauses, text, "p", header_ln)
 
 
 # --------------------------------------------------- tree decompositions
@@ -238,6 +270,7 @@ def parse_bp(text: str) -> Nrobp:
                 raise ValueError(
                     f"line {ln}: expected 'bp <nodes> <edges> <vars> <root> <leaf>'")
             header = tuple(_int(t, ln) for t in parts[1:])
+            header_ln = ln
         else:
             if header is None:
                 raise ValueError(f"line {ln}: edge before the header line")
@@ -254,7 +287,8 @@ def parse_bp(text: str) -> Nrobp:
     num_nodes, num_edges, num_vars, root, leaf = header
     if len(edges) != num_edges:
         raise ValueError(f"header promises {num_edges} edges, found {len(edges)}")
-    return Nrobp(num_nodes, edges, root, leaf, num_vars)
+    return _build(lambda es: Nrobp(num_nodes, es, root, leaf, num_vars), edges, text, "bp",
+                  header_ln)
 
 
 # ---------------------------------------------------------- certificates

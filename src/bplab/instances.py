@@ -110,18 +110,6 @@ def complete_binary_tree(r: int) -> LabeledTree:
     return LabeledTree(tuple(parent))
 
 
-def product_vertex(nh: int, copy: int, label: int) -> int:
-    return copy * nh + label
-
-
-def copy_of(nh: int, v: int) -> int:
-    return v // nh
-
-
-def label_of(nh: int, v: int) -> int:
-    return v % nh
-
-
 def tree_product(t: LabeledTree, h: Graph) -> Graph:
     """Disjoint copies of h per tree node; same labels of adjacent copies joined."""
     if h.n == 0:

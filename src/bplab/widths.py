@@ -55,18 +55,6 @@ class WidthResult(NamedTuple):
     witness_cuts: tuple[int, ...]
 
 
-def _check_partition(g: Graph, part: PrefixPartition) -> int:
-    if part.prefix & part.suffix:
-        raise ValueError(f"prefix and suffix overlap on {sorted(part.prefix & part.suffix)}")
-    if part.prefix | part.suffix != frozenset(range(g.n)):
-        missing = sorted(frozenset(range(g.n)) - (part.prefix | part.suffix))
-        raise ValueError(f"partition does not cover vertices {missing}")
-    mask = 0
-    for v in part.prefix:
-        mask |= 1 << v
-    return mask
-
-
 def _augment(nbr: tuple[int, ...], smask: int, mate: dict[int, int], free: int,
              u: int, visited: int) -> tuple[int, int]:
     """One augmenting search from the unmatched prefix vertex u.
@@ -218,16 +206,6 @@ def _child_entry(nbr: tuple[int, ...], n: int, at: dict[int, int], e: int,
     return c
 
 
-def max_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
-    mate: dict[int, int] = {}
-    _cut_size_mask(g, _check_partition(g, part), mate=mate)
-    return Matching(tuple((u, vb.bit_length() - 1) for vb, u in mate.items()))
-
-
-def cut_matching_size(g: Graph, part: PrefixPartition) -> int:
-    return _cut_size_mask(g, _check_partition(g, part))
-
-
 _CompatMasks = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[int]]
 
 
@@ -366,15 +344,6 @@ def _distant_matching_of_mask(masks: _CompatMasks, pmask: int,
     _check_cross_cap(cand, limit)
     _, chosen = _max_compatible_subset(cand, compat, limit)
     return Matching(tuple(e for i, e in enumerate(edge_order) if chosen >> i & 1))
-
-
-def max_distant_cross_matching(g: Graph, part: PrefixPartition) -> Matching:
-    pmask = _check_partition(g, part)
-    return _distant_matching_of_mask(_compat_masks(g), pmask)
-
-
-def cut_distant_matching_size(g: Graph, part: PrefixPartition) -> int:
-    return len(max_distant_cross_matching(g, part))
 
 
 def _reaches_within(seen: bytearray, s: int, w: int,

@@ -17,11 +17,11 @@ from bplab.bp import BpReport, Nfbdd, Nrobp, _find_cycle, _var_of, _witness_doub
 from bplab.covers import CutCoverCertificate, DeepcoverReport, constants
 from bplab.graphs import Graph, Matching, cnf_from_graph, is_dis, primal_graph
 from bplab.widths import (
-    PrefixPartition,
     WidthResult,
+    _compat_masks,
     _cut_size_mask,
+    _distant_matching_of_mask,
     dmw_exact,
-    max_distant_cross_matching,
 )
 
 ATLAS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -520,12 +520,16 @@ def context_by_first_in_edges(y, g, a):
 
 
 def deepcover_by_dis_tables(y, g, max_dis_size=3, tol=1e-9, exact=False):
-    """Reference deepcover sweep: one 2^|B|-wide weight table per DIS B.
+    """Reference deepcover sweep: one weight column per DIS B.
 
-    table[v][m] is the weight of v-to-leaf paths that read B[i] positively
-    for every bit i of m, rebuilt from scratch for each DIS. Pairs, side
-    checks and violations are produced in the order verify_deepcover
-    reports them: DISes by size then lexicographically, nodes by id.
+    col[v] is the weight of v-to-leaf paths that read every vertex of B
+    positively. Every subset of a DIS is a DIS, so B's column comes from
+    the columns of the DISes one vertex smaller: an edge reading u in B
+    passes on the column of B - u at its head when it reads u positively
+    and nothing when negatively. The empty set's column is the path
+    totals. Pairs, side checks and violations are produced in the order
+    verify_deepcover reports them: DISes by size then lexicographically,
+    nodes by id.
     """
     half = Fraction(1, 2) if exact else 0.5
     one = Fraction(1) if exact else 1.0
@@ -556,55 +560,64 @@ def deepcover_by_dis_tables(y, g, max_dis_size=3, tol=1e-9, exact=False):
                 blocked |= g.nbr_mask[u]
         free.append(full & ~blocked)
 
-    dis_list = [combo for size in range(1, max_dis_size + 1)
-                for combo in itertools.combinations(range(g.n), size) if is_dis(g, combo)]
-    violations = []
-    pairs = 0
-    side_checks = 0
-    for combo in dis_list:
-        bits = {v: 1 << i for i, v in enumerate(combo)}
-        masks = range(1 << len(combo))
-        table = [[zero] * len(masks) for _ in range(y.num_nodes)]
-        table[y.leaf][0] = one
+    def column(combo, below):
+        sub = {u: below[tuple(x for x in combo if x != u)] for u in combo}
+        col = [zero] * y.num_nodes
+        if not combo:
+            col[y.leaf] = one
         for v in reversed(order):
             if v == y.leaf:
                 continue
             outs = y.out_edges[v]
             w = half if len(outs) == 2 else one
-            for m in masks:
-                acc = zero
-                for i in outs:
-                    _, h, lab = y.edges[i]
-                    bit = m & bits.get(abs(lab) - 1, 0)
-                    if not bit:
-                        acc += w * table[h][m]
-                    elif lab > 0:
-                        acc += w * table[h][m ^ bit]
-                table[v][m] = acc
-        bmask = sum(1 << v for v in combo)
-        for a in range(y.num_nodes):
-            if bmask & ~free[a]:
+            acc = zero
+            for i in outs:
+                _, h, lab = y.edges[i]
+                u = abs(lab) - 1
+                if u not in sub:
+                    acc += w * col[h]
+                elif lab > 0:
+                    acc += w * sub[u][h]
+            col[v] = acc
+        return col
+
+    violations = []
+    pairs = 0
+    side_checks = 0
+    dis_count = 0
+    below = {(): column((), {})}
+    for size in range(1, max_dis_size + 1):
+        cols = {}
+        for combo in itertools.combinations(range(g.n), size):
+            if not is_dis(g, combo):
                 continue
-            pairs += 1
-            cov = table[a][-1]
-            rw = one
-            for v in combo:
-                d = (g.nbr_mask[v] & vert[a]).bit_count()
-                rw *= (1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
-            bad = cov > rw if exact else cov > rw + tol
-            if bad:
-                violations.append(
-                    f"node {a}, B={list(combo)}: covered weight {cov} exceeds bound {rw}")
-            av = y.var_of[a]
-            if av is not None and bmask >> av & 1:
-                for i in y.out_edges[a]:
-                    _, h, lab = y.edges[i]
-                    if lab > 0:
-                        side_checks += 1
-                        if bmask & ~(1 << av) & ~free[h]:
-                            violations.append(
-                                f"node {a} -> {h}: B minus {av} leaves the free set")
-    return DeepcoverReport(nodes=y.num_nodes, dis_count=len(dis_list), pairs_checked=pairs,
+            dis_count += 1
+            col = cols[combo] = column(combo, below)
+            bmask = sum(1 << v for v in combo)
+            for a in range(y.num_nodes):
+                if bmask & ~free[a]:
+                    continue
+                pairs += 1
+                cov = col[a]
+                rw = one
+                for v in combo:
+                    d = (g.nbr_mask[v] & vert[a]).bit_count()
+                    rw *= (1 - Fraction(1, 2 ** (d + 1))) if exact else (1.0 - 2.0 ** -(d + 1))
+                bad = cov > rw if exact else cov > rw + tol
+                if bad:
+                    violations.append(
+                        f"node {a}, B={list(combo)}: covered weight {cov} exceeds bound {rw}")
+                av = y.var_of[a]
+                if av is not None and bmask >> av & 1:
+                    for i in y.out_edges[a]:
+                        _, h, lab = y.edges[i]
+                        if lab > 0:
+                            side_checks += 1
+                            if bmask & ~(1 << av) & ~free[h]:
+                                violations.append(
+                                    f"node {a} -> {h}: B minus {av} leaves the free set")
+        below = cols
+    return DeepcoverReport(nodes=y.num_nodes, dis_count=dis_count, pairs_checked=pairs,
                            side_checks=side_checks, violations=violations)
 
 
@@ -771,8 +784,7 @@ def cut_cover_by_paths(z: Nrobp, g: Graph, path_cap: int = 20000,
             if res is missing:
                 res = None
                 if _cut_size_mask(g, mask, d) >= d:
-                    prefix = [v for v in range(g.n) if mask >> v & 1]
-                    m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+                    m = _distant_matching_of_mask(_compat_masks(g), mask)
                     if len(m) >= d:
                         res = Matching(m.edges[:d])
                 qual[mask] = res

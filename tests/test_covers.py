@@ -33,7 +33,6 @@ from bplab.covers import (
     min_dis_cover,
     node_context,
     path_weight_total,
-    relative_weight,
     verify_deepcover,
 )
 from bplab.fileio import parse_bp, write_bp
@@ -50,9 +49,7 @@ from bplab.instances import hard_family_instance
 from bplab.suites import random_read_once_program
 from bplab.widths import (
     CROSS_EDGE_CAP,
-    PrefixPartition,
     dmw_exact,
-    max_distant_cross_matching,
     mw_exact,
 )
 
@@ -83,6 +80,29 @@ FIXTURES = [
 
 def _compiled(g):
     return nfbdd_compile(cnf_from_graph(g))
+
+
+def relative_weight(ctx, b, exact=False):
+    """Product over b of (1 - 2^-(ld(v)+1)); b must sit inside ctx.vert."""
+    bset = frozenset(b)
+    extra = bset - ctx.vert
+    if extra:
+        raise ValueError(f"vertices {sorted(extra)} are already read at node {ctx.node}")
+    acc = Fraction(1) if exact else 1.0
+    for v in sorted(bset):
+        d = ctx.ld[v]
+        if exact:
+            acc *= 1 - Fraction(1, 2 ** (d + 1))
+        else:
+            acc *= 1.0 - 2.0 ** -(d + 1)
+    return acc
+
+
+def _dis_iter(g, max_size):
+    """DISes of g with at most max_size vertices: the empty set, then by size
+    and lexicographically within a size."""
+    for dis, _ in bplab.covers._dis_levels(g, max_size):
+        yield from dis
 
 
 def test_constants_frozen():
@@ -533,9 +553,8 @@ def test_extract_cut_cover_builds_the_compat_masks_once(monkeypatch):
         masks.append(pmask)
         return matched(compat_masks, pmask, limit)
 
-    def per_mask(compat_masks, pmask, limit):  # a whole max_distant_cross_matching per read mask
-        prefix = [u for u in range(g.n) if pmask >> u & 1]
-        m = max_distant_cross_matching(g, PrefixPartition.split(g, prefix))
+    def per_mask(compat_masks, pmask, limit):  # a whole uncapped distant matching per read mask
+        m = bplab.widths._distant_matching_of_mask(bplab.widths._compat_masks(g), pmask)
         return Matching(m.edges[:limit])
 
     def no_tables(inc):
@@ -626,7 +645,7 @@ def test_verify_deepcover_matches_per_dis_tables_with_shuffled_ids():
                    for m in got.violations if "B=" in m}
         prefixes = {b[:-1] for b in failing}
         partly += any(b[:-1] in prefixes and b not in failing
-                      for b in bplab.covers._dis_iter(g, 3))
+                      for b in _dis_iter(g, 3))
     assert partly > 0
 
 
@@ -754,9 +773,9 @@ def test_dis_by_extension_equals_the_is_dis_filter():
     for g in graphs:
         want = [combo for size in range(4)
                 for combo in itertools.combinations(range(g.n), size) if is_dis(g, combo)]
-        assert list(bplab.covers._dis_iter(g, 3)) == want, g.edges
+        assert list(_dis_iter(g, 3)) == want, g.edges
         for size in range(3):
-            assert list(bplab.covers._dis_iter(g, size)) == [b for b in want if len(b) <= size]
+            assert list(_dis_iter(g, size)) == [b for b in want if len(b) <= size]
 
 
 def test_verify_deepcover_words_a_partly_failing_dis_like_the_reference():
@@ -798,7 +817,7 @@ def test_a_failing_check_sweeps_each_dis_size_once(monkeypatch):
 
     monkeypatch.setattr(bplab.covers, "_sweep", counting)
     for g, y, size in (chain, p5):
-        dis = list(bplab.covers._dis_iter(g, size))
+        dis = list(_dis_iter(g, size))
         below = [sum(len(b) == s - 1 for b in dis) for s in range(1, size + 1)]
         assert all(any(len(b) == s for b in dis) for s in range(1, size + 1))
         for exact in (False, True):

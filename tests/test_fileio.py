@@ -223,6 +223,25 @@ def test_bp_parse_errors():
         parse_bp("bp 2 2 1 0 1\n0 1 +0\n")
 
 
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_graph, "p edge 3 2\ne 1 1\ne 2 3\n", "line 2: loop at vertex 0 not allowed"),
+    (parse_graph, "c g\np edge 3 2\ne 1 2\n\ne 2 1\n", r"line 5: duplicate edge \(0, 1\)"),
+    (parse_graph, "c g\np edge -1 0\n", "line 2: vertex count must be nonnegative, got -1"),
+    (parse_cnf, "p cnf 2 1\n1 1 0\n", "line 2: clause with repeated variable 0"),
+    (parse_cnf, "p cnf 3 3\n1 2 0\n2 3 0\nc\n2 1 0\n", r"line 5: duplicate clause \(0, 1\)"),
+    (parse_cnf, "p cnf -2 0\n", "line 1: variable count must be nonnegative, got -2"),
+    (parse_bp, "bp 0 0 0 0 0\n", "line 1: need at least one node, got 0"),
+    (parse_bp, "c p\nbp 2 1 1 5 1\n0 1 +0\n", "line 2: root 5 out of range"),
+    (parse_bp, "bp 2 1 1 0 7\n0 1 +0\n", "line 1: leaf 7 out of range"),
+    (parse_bp, "bp 2 1 -1 0 1\n0 1 .\n", "line 1: variable count must be nonnegative, got -1"),
+])
+def test_container_refusals_name_their_line(parse, text, message):
+    # the containers' own checks, which the readers pass on with the line
+    # that introduced the defect: an item's line, or the header's for its values
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse(text)
+
 def test_certificate_text_frozen():
     cert = extract_cut_cover(nfbdd_compile(cnf_from_graph(path_graph(3))), path_graph(3))
     assert write_certificate(cert) == ("node 1\n"

@@ -15,7 +15,6 @@ from bplab import (
     cnf_from_graph,
     complete_binary_tree,
     complete_graph,
-    copy_of,
     cross_matching_finder,
     compiled_size,
     cycle_graph,
@@ -25,16 +24,27 @@ from bplab import (
     family_params,
     family_threshold,
     hard_family_instance,
-    label_of,
     mw_exact,
     mw_structural_lower_bound,
     path_graph,
     primal_graph,
-    product_vertex,
     tree_path,
     tree_product,
     validate_tree_decomposition,
 )
+
+
+# tree_product numbers the vertex of label u in copy c as c * nh + u
+def product_vertex(nh, copy, label):
+    return copy * nh + label
+
+
+def copy_of(nh, v):
+    return v // nh
+
+
+def label_of(nh, v):
+    return v % nh
 
 
 def test_labeled_tree_basics():

@@ -11,15 +11,11 @@ from bplab import (
     Matching,
     PrefixPartition,
     complete_graph,
-    cut_distant_matching_size,
-    cut_matching_size,
     cycle_graph,
     dmw_exact,
     greedy_distant_extraction,
     hard_family_instance,
     is_distant_matching,
-    max_cross_matching,
-    max_distant_cross_matching,
     mw_exact,
     mw_structural_lower_bound,
     path_graph,
@@ -37,6 +33,36 @@ from oracles import (
     mw_by_permutations,
     random_connected_graph,
 )
+
+
+def _check_partition(g, part):
+    if part.prefix & part.suffix:
+        raise ValueError(f"prefix and suffix overlap on {sorted(part.prefix & part.suffix)}")
+    if part.prefix | part.suffix != frozenset(range(g.n)):
+        missing = sorted(frozenset(range(g.n)) - (part.prefix | part.suffix))
+        raise ValueError(f"partition does not cover vertices {missing}")
+    mask = 0
+    for v in part.prefix:
+        mask |= 1 << v
+    return mask
+
+
+def max_cross_matching(g, part):
+    mate = {}
+    widths._cut_size_mask(g, _check_partition(g, part), mate=mate)
+    return Matching(tuple((u, vb.bit_length() - 1) for vb, u in mate.items()))
+
+
+def cut_matching_size(g, part):
+    return widths._cut_size_mask(g, _check_partition(g, part))
+
+
+def max_distant_cross_matching(g, part):
+    return widths._distant_matching_of_mask(widths._compat_masks(g), _check_partition(g, part))
+
+
+def cut_distant_matching_size(g, part):
+    return len(max_distant_cross_matching(g, part))
 
 
 def test_known_width_values():
