@@ -166,9 +166,40 @@ def write_td(td: TreeDecomposition, params: FamilyParams | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_td_tree(rows: dict[int, tuple[int, frozenset[int], int]]) -> None:
+    """Refuse, with the bag's line and the file's 1-based ids, a parent out
+    of range, a second root and a parent cycle; rows maps node 1..t to
+    (parent, members, line) in file order."""
+    t = len(rows)
+    root = 0
+    for node, (p, _, ln) in rows.items():
+        if not 0 <= p <= t:
+            raise ValueError(f"line {ln}: parent {p} of node {node} out of range 0..{t}")
+        if p == 0:
+            if root:
+                raise ValueError(f"line {ln}: node {node} is a second root, "
+                                 f"after node {root} on line {rows[root][2]}")
+            root = node
+    if not root:
+        raise ValueError("no bag has parent 0, so the tree has no root")
+    reached = {root}
+    for node in rows:
+        chain: dict[int, None] = {}  # the path walked up from node, in order
+        u = node
+        while u not in reached:
+            if u in chain:  # u is the first bag the walk meets twice
+                cycle = list(chain)
+                cycle = cycle[cycle.index(u):] + [u]
+                raise ValueError(f"line {rows[u][2]}: node {u} is on the "
+                                 f"parent cycle {' -> '.join(map(str, cycle))}")
+            chain[u] = None
+            u = rows[u][0]
+        reached.update(chain)
+
+
 def parse_td(text: str) -> tuple[TreeDecomposition, dict[str, int] | None]:
     meta: dict[str, int] | None = None
-    rows: dict[int, tuple[int, frozenset[int]]] = {}
+    rows: dict[int, tuple[int, frozenset[int], int]] = {}  # node -> (parent, members, line)
     for ln, parts in _records(text):
         if parts[0] == "meta":
             if meta is not None:
@@ -194,12 +225,13 @@ def parse_td(text: str) -> tuple[TreeDecomposition, dict[str, int] | None]:
         members = frozenset(_int(t, ln) - 1 for t in parts[2:])
         if any(v < 0 for v in members):
             raise ValueError(f"line {ln}: bag members must be positive")
-        rows[node] = (parent, members)
+        rows[node] = (parent, members, ln)
     if not rows:
         raise ValueError("tree decomposition file has no bag lines")
     t = len(rows)
     if set(rows) != set(range(1, t + 1)):
         raise ValueError(f"bag node ids must be exactly 1..{t}")
+    _check_td_tree(rows)
     parent = tuple(rows[i + 1][0] - 1 for i in range(t))
     bags = tuple(rows[i + 1][1] for i in range(t))
     return TreeDecomposition(LabeledTree(parent), bags), meta

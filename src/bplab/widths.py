@@ -11,19 +11,20 @@ at the first prefix that is the full vertex set. The witness order then
 checks, lazily and downwards, the prefixes of the last threshold that
 the search did not reach.
 
-The mw search matches each queued prefix once. A child takes its cut and
-a maximum cut matching from its parent's when it is pushed: moving one
-vertex into the prefix changes the cut by at most one, and at most two
-augmenting searches restore a maximum matching. A prefix that waits for
-the next threshold keeps its exact cut. Only the witness walk matches
-prefixes from scratch. The dmw search evaluates each prefix when popped.
+The mw search matches each queued prefix once. One call per popped
+prefix files its children: each takes its cut and a maximum cut matching
+from the parent's, as moving one vertex into the prefix changes the cut
+by at most one and at most two augmenting searches restore a maximum
+matching, and goes on the current queue when that cut is within the
+threshold, else on the next threshold's list. So no prefix is popped
+twice. Only the witness walk matches prefixes from scratch. The dmw
+search evaluates each prefix when popped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, Matching, _closed_edge_mask
@@ -167,9 +168,33 @@ def _augment_entry(nbr: tuple[int, ...], n: int, e: int, smask: int, u: int) -> 
     return e & ((1 << n) - 1) | (smask & ~rest) << n | fields << 2 * n
 
 
-def _child_entry(nbr: tuple[int, ...], n: int, at: dict[int, int], e: int,
-                 b: int) -> int:
-    """The carried mw entry of prefix s | b, from the entry e of prefix s.
+_BITS: list[tuple[tuple[int, ...], ...]] = []  # filled by _fill_bits
+
+
+def _fill_bits() -> None:
+    """Fill _BITS, once: per 8-vertex chunk of SUBSET_DP_CAP vertices and
+    byte value, the vertex bits that byte sets, lowest first.
+
+    The searches read a prefix's unread vertices with one lookup per chunk.
+    The table is built on first use, not at import, so a process that
+    imports the library again and again does not hold a copy per import.
+    """
+    if _BITS:
+        return
+    tables = []
+    for k in range(3):
+        bits: list[tuple[int, ...]] = [()]
+        for byte in range(1, 256):
+            low = byte & -byte
+            bits.append((low << 8 * k,) + bits[byte ^ low])
+        tables.append(tuple(bits))
+    _BITS[:] = tables  # one store, so callers racing here write equal tables
+
+
+def _mw_children(nbr: tuple[int, ...], n: int, at: dict[int, int], seen: bytearray,
+                 e: int, w: int, push: Callable[[int], None],
+                 wait: Callable[[int], None]) -> None:
+    """File the carried entry of each unseen child s | b of e's prefix s.
 
     at maps a vertex bit to the offset of its field in an entry. Moving b
     to the prefix drops b's matched edge, if any, and adds b as an
@@ -178,32 +203,52 @@ def _child_entry(nbr: tuple[int, ...], n: int, at: dict[int, int], e: int,
     must end at b (Berge): a search from p, when b was matched, and then
     one from b give a maximum matching of the new cut. A start with a free
     suffix neighbour takes the lowest one in place; any other start with a
-    suffix neighbour goes to _augment_entry.
+    suffix neighbour goes to _augment_entry. The child's cut is e's plus
+    what these steps add, -1 to 1; a child whose cut is at most w goes to
+    push, any other to wait, and each is marked _WAIT in seen.
     """
     full = (1 << n) - 1
-    smask = full & ~(e | b)
+    s = e & full
+    out = full ^ s
     matched = e >> n & full
-    free = smask & ~matched
-    c = e | b
-    if matched & b:
-        p = e >> at[b] & _MATE_MASK
-        c ^= b << n | p << at[b]
-        hit = nbr[p] & free
+    unmatched = out & ~matched
+    room = w - matched.bit_count()  # a child whose cut grows by more goes to wait
+    for b in _BITS[0][out & 255] + _BITS[1][out >> 8 & 255] + _BITS[2][out >> 16]:
+        if seen[s | b]:
+            continue
+        seen[s | b] = _WAIT
+        c = e | b
+        free = unmatched  # may hold b, which is no neighbour of itself
+        grow = 0
+        if matched & b:
+            p = e >> at[b] & _MATE_MASK
+            c ^= b << n | p << at[b]
+            hit = nbr[p] & free
+            if hit:
+                vb = hit & -hit
+                free ^= vb
+                c |= vb << n | p << at[vb]
+            elif nbr[p] & (out ^ b):
+                c2 = _augment_entry(nbr, n, c, out ^ b, p)
+                grow = (c2 != c) - 1
+                c = c2
+                free = (out ^ b) & ~(c >> n)
+            else:
+                grow = -1
+        u = b.bit_length() - 1
+        hit = nbr[u] & free
         if hit:
             vb = hit & -hit
-            free ^= vb
-            c |= vb << n | p << at[vb]
-        elif nbr[p] & smask:
-            c = _augment_entry(nbr, n, c, smask, p)
-            free = smask & ~(c >> n)
-    u = b.bit_length() - 1
-    hit = nbr[u] & free
-    if hit:
-        vb = hit & -hit
-        return c | vb << n | u << at[vb]
-    if nbr[u] & smask:
-        return _augment_entry(nbr, n, c, smask, u)
-    return c
+            c |= vb << n | u << at[vb]
+            grow += 1
+        elif nbr[u] & (out ^ b):
+            c2 = _augment_entry(nbr, n, c, out ^ b, u)
+            grow += c2 != c
+            c = c2
+        if grow > room:
+            wait(c)
+        else:
+            push(c)
 
 
 _CompatMasks = tuple[tuple[tuple[int, int], ...], tuple[int, ...], list[int]]
@@ -393,9 +438,7 @@ def _check_subset_cap(g: Graph, cap: int) -> None:
         raise ValueError(f"{g.n} vertices exceed the subset-DP cap {limit}")
 
 
-def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int,
-               entry_cut: Callable[[int, int], int],
-               extend: Callable[[int, int], int]) -> WidthResult:
+def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> WidthResult:
     """Width and witness order by a threshold search over prefixes.
 
     f(s), the least over orders of s of its largest prefix cut, is at most
@@ -406,24 +449,16 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int,
     exhausted, so each prefix with f < w is marked f + 1; of those with
     f = w, only the ones the search reached before stopping are marked.
 
-    The search queues entries, ints whose low n bits are a prefix.
-    extend(e, b) is the entry of e's prefix plus the vertex bit b, and
-    entry_cut(e, k), like cut_upto(s, k) for a bare prefix s, is the cut
-    when below k, else some value >= k. dmw queues bare prefixes and
-    evaluates each when popped. mw queues carried entries, which hold the
-    exact cut and a maximum cut matching that _child_entry derived from
-    the parent's when pushing them. An entry over the threshold waits for
-    the next one. Adding a vertex raises a cut by at most one, so a
-    waiting entry's cut is exactly the next threshold.
-
-    The witness follows, from the full set down, the lowest vertex whose
-    removal leaves a prefix with f no larger: the first minimiser of the DP
-    over all 2^n subsets. Where that prefix has f = w and is not marked,
-    _reaches_within decides it with cut_upto, so only candidates the walk
-    meets are searched.
+    cut_upto(s, k) is the cut of prefix s when below k, else some value
+    >= k. This search, dmw_exact's, queues bare prefixes and evaluates each
+    when popped; one over the threshold waits for the next. Adding a vertex
+    raises a cut by at most one, so a waiting prefix's cut is exactly the
+    next threshold. mw_exact runs its own loop, which files each child by
+    the cut it carries from its parent.
     """
     n = g.n
     _check_subset_cap(g, cap)
+    _fill_bits()
     full = (1 << n) - 1
     seen = bytearray(full + 1)  # f + 1 once reached; _WAIT while queued or over the threshold
     seen[0] = _WAIT
@@ -432,27 +467,37 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int,
     w = 0
     while True:
         while queue:
-            e = queue.pop()
-            if entry_cut(e, w + 1) > w:
-                waiting.append(e)
+            s = queue.pop()
+            if cut_upto(s, w + 1) > w:
+                waiting.append(s)
                 continue
-            s = e & full
             seen[s] = w + 1
             if s == full:
                 break
-            rest = full ^ s
-            while rest:
-                b = rest & -rest
-                rest ^= b
+            out = full ^ s
+            for b in _BITS[0][out & 255] + _BITS[1][out >> 8 & 255] + _BITS[2][out >> 16]:
                 if not seen[s | b]:
                     seen[s | b] = _WAIT
-                    queue.append(extend(e, b))
+                    queue.append(s | b)
         if seen[full] == w + 1:
             break
         w += 1
         queue, waiting = waiting, []
+    return _witness(seen, n, w, cut_upto)
+
+
+def _witness(seen: bytearray, n: int, w: int,
+             cut_upto: Callable[[int, int], int]) -> WidthResult:
+    """The witness of a threshold search that stopped at width w.
+
+    The walk follows, from the full set down, the lowest vertex whose
+    removal leaves a prefix with f no larger: the first minimiser of the DP
+    over all 2^n subsets. Where that prefix has f = w and is not marked,
+    _reaches_within decides it with cut_upto, so only candidates the walk
+    meets are searched.
+    """
     order: list[int] = []
-    s = full
+    s = (1 << n) - 1
     while s:
         t = s
         while True:
@@ -475,13 +520,37 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int,
 
 
 def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
-    """Exact matching width with a witness order and its per-prefix cuts."""
+    """Exact matching width with a witness order and its per-prefix cuts.
+
+    The threshold search of _subset_dp, over carried entries: each popped
+    prefix files its children by the cut _mw_children derives from its own,
+    so a prefix is matched once and popped once.
+    """
     n = g.n
+    _check_subset_cap(g, cap)
+    _fill_bits()
     full = (1 << n) - 1
+    nbr = g.nbr_mask
     at = {1 << v: 2 * n + _MATE_BITS * v for v in range(n)}
-    return _subset_dp(g, partial(_cut_size_mask, g), cap,
-                      lambda e, k: (e >> n & full).bit_count(),
-                      partial(_child_entry, g.nbr_mask, n, at))
+    seen = bytearray(full + 1)  # f + 1 once reached; _WAIT while queued or over the threshold
+    seen[0] = _WAIT
+    queue = [0]
+    waiting: list[int] = []
+    w = 0
+    while True:
+        push, wait = queue.append, waiting.append
+        while queue:
+            e = queue.pop()
+            s = e & full
+            seen[s] = w + 1
+            if s == full:
+                break
+            _mw_children(nbr, n, at, seen, e, w, push, wait)
+        if seen[full] == w + 1:
+            break
+        w += 1
+        queue, waiting = waiting, []
+    return _witness(seen, n, w, partial(_cut_size_mask, g))
 
 
 def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
@@ -500,7 +569,7 @@ def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
         _check_cross_cap(edges, k)
         return _max_compatible_subset(edges, compat, k)[0]
 
-    return _subset_dp(g, cut, cap, cut, or_)
+    return _subset_dp(g, cut, cap)
 
 
 def greedy_distant_extraction(g: Graph, m: Matching) -> Matching:

@@ -140,6 +140,22 @@ def test_td_parse_errors():
         parse_td("1 0 1\n3 1 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 0 1\n2 5 2\n", "line 2: parent 5 of node 2 out of range 0..2"),
+    ("c t\n2 -1 2\n1 0 1\n", "line 2: parent -1 of node 2 out of range 0..2"),
+    ("1 0 1\n2 0 2\n", "line 2: node 2 is a second root, after node 1 on line 1"),
+    ("1 2 1\n2 1 2\n", "no bag has parent 0, so the tree has no root"),
+    ("1 0 1\n\n2 2 2\n", "line 3: node 2 is on the parent cycle 2 -> 2"),
+    ("1 0 1\n2 4 2\n3 2 3\n4 3 1\n", "line 2: node 2 is on the parent cycle 2 -> 4 -> 3 -> 2"),
+    ("4 0 1\n1 3 2\n3 2 3\n2 3 1\n", "line 3: node 3 is on the parent cycle 3 -> 2 -> 3"),
+    ("1 0 1\n2 3 2\n4 3 2\n3 4 1\n", "line 4: node 3 is on the parent cycle 3 -> 4 -> 3"),
+])
+def test_td_tree_refusals_name_their_line(text, message):
+    # the tree's checks name the bag's line and the file's 1-based ids
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_td(text)
+
+
 def test_bp_round_trip_compiled():
     z = nfbdd_compile(cnf_from_graph(complete_graph(2)))
     text = write_bp(z)

@@ -260,6 +260,11 @@ def test_widths_equal_the_full_subset_dp():
     graphs += [Graph(0), Graph(1), Graph(5)]
     graphs += [_family(6, 1), _family(6, 2), _family(14, 1)]
     graphs += [random_connected_graph(n, 10 * n + d, d) for n in (12, 14, 16) for d in (3, 5)]
+    # K_{a,b} has mw a, so its search fills and drains up to five waiting lists
+    graphs += [Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+               for a in range(2, 6) for b in range(a, 6)]
+    graphs.append(Graph(12, [(4 * i + j, 4 * i + j + 1) for i in range(3) for j in range(3)]
+                        + [(4 * i + j, 4 * i + j + 4) for i in range(2) for j in range(4)]))  # 3x4 grid
     for g in graphs:
         assert mw_exact(g) == mw_by_full_subset_dp(g), g.edges
         assert dmw_exact(g) == dmw_by_full_subset_dp(g), g.edges
@@ -273,13 +278,14 @@ def test_search_evaluates_few_cuts_on_the_family_graph(monkeypatch):
     assert dmw_exact(g).value == 1
     assert 0 < calls["mw"] < 2 ** 18 // 10
     assert 0 < calls["dmw"] < 2 ** 18 // 10
-    # the witness walk's from-scratch evaluations, and child steps from a parent's matching
-    assert (calls["mw"], calls["mw step"]) == (115, 1226)
+    # the witness walk's from-scratch evaluations, and children filed from a parent's
+    # matching; exact counts, as the next threshold's list fills in push order
+    assert (calls["mw"], calls["mw step"]) == (109, 1212)
 
 
 def _counted_cuts(monkeypatch):
     """Count mw and dmw cut evaluations and mw child steps by wrapping the
-    two cut searches and the step."""
+    two cut searches and the children each popped mw prefix files."""
     calls = {"mw": 0, "dmw": 0, "mw step": 0}
 
     def counted(name, fn):
@@ -288,10 +294,32 @@ def _counted_cuts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, attr in (("mw", "_cut_size_mask"), ("dmw", "_max_compatible_subset"),
-                       ("mw step", "_child_entry")):
+    for name, attr in (("mw", "_cut_size_mask"), ("dmw", "_max_compatible_subset")):
         monkeypatch.setattr(widths, attr, counted(name, getattr(widths, attr)))
+
+    def step(n, e, c, w, queued):
+        calls["mw step"] += 1
+
+    _hook_filed_children(monkeypatch, step)
     return calls
+
+
+def _hook_filed_children(monkeypatch, on_child):
+    """Call on_child(n, e, c, w, queued) for each child entry c that the mw
+    search files from the popped entry e at threshold w, before filing it;
+    queued is whether it went on the current threshold's queue."""
+    children = widths._mw_children
+
+    def hooked(nbr, n, at, seen, e, w, push, wait):
+        def filer(queued, file):
+            def filed(c):
+                on_child(n, e, c, w, queued)
+                file(c)
+            return filed
+
+        children(nbr, n, at, seen, e, w, filer(True, push), filer(False, wait))
+
+    monkeypatch.setattr(widths, "_mw_children", hooked)
 
 
 def test_star_at_the_cap_stops_at_the_full_set(monkeypatch):
@@ -315,18 +343,21 @@ def test_child_steps_carry_the_cut_and_a_maximum_matching(monkeypatch):
     star = Graph(22, [(0, v) for v in range(1, 22)])
     graphs = [_family(14, 1), random_connected_graph(16, 163, 3),
               random_connected_graph(16, 165, 5), star]
-    step = widths._child_entry
     branches = set()
     searches = set()
+    queued_at = set()
     g = None
 
-    def checked(nbr, n, at, e, b):
-        c = step(nbr, n, at, e, b)
+    def checked(n, e, c, w, queued):
         full = (1 << n) - 1
         s = c & full
-        assert s == e & full | b and not e & b
+        b = s & ~e
+        assert b and not b & (b - 1) and s == e & full | b
         mate = widths._entry_mate(n, c)
         assert len(mate) == (c >> n & full).bit_count() == widths._cut_size_mask(g, s)
+        # a child goes on the current queue exactly when its carried cut is within w
+        assert queued == (len(mate) <= w)
+        queued_at.add(queued)
         assert len(set(mate.values())) == len(mate)
         for vb, u in mate.items():
             assert s >> u & 1 and not s & vb and g.has_edge(u, vb.bit_length() - 1)
@@ -336,7 +367,6 @@ def test_child_steps_carry_the_cut_and_a_maximum_matching(monkeypatch):
         was_matched = bool(e >> n & b)
         found = len(mate) > len(widths._entry_mate(n, e)) - was_matched
         branches.add((was_matched, found))
-        return c
 
     search = widths._augment_entry
 
@@ -345,7 +375,7 @@ def test_child_steps_carry_the_cut_and_a_maximum_matching(monkeypatch):
         searches.add(c != e)
         return c
 
-    monkeypatch.setattr(widths, "_child_entry", checked)
+    _hook_filed_children(monkeypatch, checked)
     monkeypatch.setattr(widths, "_augment_entry", recorded)
     for g in graphs[:3]:
         assert mw_exact(g) == mw_by_full_subset_dp(g)
@@ -353,6 +383,7 @@ def test_child_steps_carry_the_cut_and_a_maximum_matching(monkeypatch):
     assert mw_exact(star).value == 1
     assert branches == {(False, False), (False, True), (True, False), (True, True)}
     assert searches == {False, True}
+    assert queued_at == {False, True}
 
 
 def test_lazy_witness_checks_take_both_outcomes(monkeypatch):
