@@ -231,10 +231,12 @@ def parse_td(text: str) -> tuple[TreeDecomposition, dict[str, int] | None]:
     t = len(rows)
     if set(rows) != set(range(1, t + 1)):
         raise ValueError(f"bag node ids must be exactly 1..{t}")
-    _check_td_tree(rows)
-    parent = tuple(rows[i + 1][0] - 1 for i in range(t))
-    bags = tuple(rows[i + 1][1] for i in range(t))
-    return TreeDecomposition(LabeledTree(parent), bags), meta
+    try:
+        tree = LabeledTree(rows[i + 1][0] - 1 for i in range(t))
+    except ValueError:  # _check_td_tree names the line and the file's ids
+        _check_td_tree(rows)
+        raise
+    return TreeDecomposition(tree, tuple(rows[i + 1][1] for i in range(t))), meta
 
 
 # -------------------------------------------------------------- programs
@@ -308,12 +310,8 @@ def parse_bp(text: str) -> Nrobp:
                 raise ValueError(f"line {ln}: edge before the header line")
             if len(parts) != 3:
                 raise ValueError(f"line {ln}: expected '<tail> <head> <label>'")
-            t, h = _int(parts[0], ln), _int(parts[1], ln)
-            for w in (t, h):
-                if not 0 <= w < header[0]:
-                    raise ValueError(
-                        f"line {ln}: node {w} out of range 0..{header[0] - 1}")
-            edges.append((t, h, _parse_label(parts[2], ln, header[2])))
+            edges.append((_int(parts[0], ln), _int(parts[1], ln),
+                          _parse_label(parts[2], ln, header[2])))
     if header is None:
         raise ValueError("missing 'bp' header line")
     num_nodes, num_edges, num_vars, root, leaf = header

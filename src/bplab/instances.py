@@ -371,25 +371,25 @@ class TdReport(NamedTuple):
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> TdReport:
     """Check vertex union, edge containment, and bag-subtree connectedness."""
     violations: list[str] = []
-    where: list[list[int]] = [[] for _ in range(g.n)]
+    where: list[set[int]] = [set() for _ in range(g.n)]  # the bags holding each vertex
     for node, bag in enumerate(td.bags):
         for v in bag:
             if not 0 <= v < g.n:
                 violations.append(f"bag {node} contains out-of-range vertex {v}")
             else:
-                where[v].append(node)
+                where[v].add(node)
     for v in range(g.n):
         if not where[v]:
             violations.append(f"vertex {v} appears in no bag")
     for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
+        if where[u].isdisjoint(where[v]):
             violations.append(f"edge ({u}, {v}) is contained in no bag")
     tree_adj: list[list[int]] = [[] for _ in range(td.tree.n)]
     for a, b in td.tree.edges():
         tree_adj[a].append(b)
         tree_adj[b].append(a)
     for v in range(g.n):
-        nodes = set(where[v])
+        nodes = where[v]
         if len(nodes) <= 1:
             continue
         start = min(nodes)

@@ -11,14 +11,15 @@ at the first prefix that is the full vertex set. The witness order then
 checks, lazily and downwards, the prefixes of the last threshold that
 the search did not reach.
 
-The mw search matches each queued prefix once. One call per popped
-prefix files its children: each takes its cut and a maximum cut matching
-from the parent's, as moving one vertex into the prefix changes the cut
-by at most one and at most two augmenting searches restore a maximum
-matching, and goes on the current queue when that cut is within the
-threshold, else on the next threshold's list. So no prefix is popped
-twice. Only the witness walk matches prefixes from scratch. The dmw
-search evaluates each prefix when popped.
+Both widths run one search loop, _search, and each supplies the step
+that handles a popped prefix. mw's step files the prefix's children:
+each takes its cut and a maximum cut matching from the parent's, as
+moving one vertex into the prefix changes the cut by at most one and at
+most two augmenting searches restore a maximum matching, and goes on the
+current queue when that cut is within the threshold, else on the next
+threshold's list. So the mw search matches each prefix once and pops it
+once; only the witness walk matches prefixes from scratch. dmw's step
+evaluates the popped prefix's cut and files its bare children.
 """
 
 from __future__ import annotations
@@ -87,23 +88,21 @@ def _augment(nbr: tuple[int, ...], smask: int, mate: dict[int, int], free: int,
     return free, visited
 
 
-def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None,
-                   mate: dict[int, int] | None = None) -> int:
+def _cut_size_mask(g: Graph, pmask: int, limit: int | None = None) -> int:
     """Size of a maximum matching over cut edges, or limit once it has that many.
 
     A greedy pass matches each prefix vertex, lowest first, to its lowest
     free suffix neighbour. _augment then searches only from the prefix
     vertices it left unmatched, each failed search passing its visited
     suffix vertices to the next. The matching is kept as suffix vertex bit
-    -> prefix vertex, in mate when the caller passes a dict to fill.
+    -> prefix vertex.
     """
     if limit == 0:
         return 0
     smask = ((1 << g.n) - 1) & ~pmask
     nbr = g.nbr_mask
     free = smask
-    if mate is None:
-        mate = {}
+    mate: dict[int, int] = {}
     left = []
     size = 0
     t = pmask
@@ -194,7 +193,8 @@ def _fill_bits() -> None:
 def _mw_children(nbr: tuple[int, ...], n: int, at: dict[int, int], seen: bytearray,
                  e: int, w: int, push: Callable[[int], None],
                  wait: Callable[[int], None]) -> None:
-    """File the carried entry of each unseen child s | b of e's prefix s.
+    """Mark e's prefix s reached at w, then file the carried entry of each
+    unseen child s | b: the step of mw_exact's _search.
 
     at maps a vertex bit to the offset of its field in an entry. Moving b
     to the prefix drops b's matched edge, if any, and adds b as an
@@ -209,6 +209,7 @@ def _mw_children(nbr: tuple[int, ...], n: int, at: dict[int, int], seen: bytearr
     """
     full = (1 << n) - 1
     s = e & full
+    seen[s] = w + 1
     out = full ^ s
     matched = e >> n & full
     unmatched = out & ~matched
@@ -438,8 +439,8 @@ def _check_subset_cap(g: Graph, cap: int) -> None:
         raise ValueError(f"{g.n} vertices exceed the subset-DP cap {limit}")
 
 
-def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> WidthResult:
-    """Width and witness order by a threshold search over prefixes.
+def _search(n: int, step: Callable[..., None]) -> tuple[bytearray, int]:
+    """The threshold search over prefixes: seen and the width w it stopped at.
 
     f(s), the least over orders of s of its largest prefix cut, is at most
     w exactly when s is reachable from the empty set by adding one vertex at
@@ -449,15 +450,15 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
     exhausted, so each prefix with f < w is marked f + 1; of those with
     f = w, only the ones the search reached before stopping are marked.
 
-    cut_upto(s, k) is the cut of prefix s when below k, else some value
-    >= k. This search, dmw_exact's, queues bare prefixes and evaluates each
-    when popped; one over the threshold waits for the next. Adding a vertex
-    raises a cut by at most one, so a waiting prefix's cut is exactly the
-    next threshold. mw_exact runs its own loop, which files each child by
-    the cut it carries from its parent.
+    step(seen, e, w, push, wait) takes one popped entry e, the empty prefix
+    0 first. A prefix whose cut is within w it marks w + 1 in seen, and
+    each child it has not seen it marks _WAIT and files: on the current
+    queue by push, or on the next threshold's list by wait. Adding a vertex
+    raises a cut by at most one, so an entry waiting has a cut of exactly
+    the next threshold. The full set's entry is the bare mask, as it has no
+    suffix, and its cut is 0, so the search stops once that entry's step
+    has marked seen[full] = w + 1.
     """
-    n = g.n
-    _check_subset_cap(g, cap)
     _fill_bits()
     full = (1 << n) - 1
     seen = bytearray(full + 1)  # f + 1 once reached; _WAIT while queued or over the threshold
@@ -466,24 +467,14 @@ def _subset_dp(g: Graph, cut_upto: Callable[[int, int], int], cap: int) -> Width
     waiting: list[int] = []
     w = 0
     while True:
+        push, wait = queue.append, waiting.append
         while queue:
-            s = queue.pop()
-            if cut_upto(s, w + 1) > w:
-                waiting.append(s)
-                continue
-            seen[s] = w + 1
-            if s == full:
-                break
-            out = full ^ s
-            for b in _BITS[0][out & 255] + _BITS[1][out >> 8 & 255] + _BITS[2][out >> 16]:
-                if not seen[s | b]:
-                    seen[s | b] = _WAIT
-                    queue.append(s | b)
-        if seen[full] == w + 1:
-            break
+            e = queue.pop()
+            step(seen, e, w, push, wait)
+            if e == full:
+                return seen, w
         w += 1
         queue, waiting = waiting, []
-    return _witness(seen, n, w, cut_upto)
 
 
 def _witness(seen: bytearray, n: int, w: int,
@@ -522,54 +513,48 @@ def _witness(seen: bytearray, n: int, w: int,
 def mw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
     """Exact matching width with a witness order and its per-prefix cuts.
 
-    The threshold search of _subset_dp, over carried entries: each popped
-    prefix files its children by the cut _mw_children derives from its own,
-    so a prefix is matched once and popped once.
+    _search over carried entries, with _mw_children as the step.
     """
     n = g.n
     _check_subset_cap(g, cap)
-    _fill_bits()
-    full = (1 << n) - 1
-    nbr = g.nbr_mask
     at = {1 << v: 2 * n + _MATE_BITS * v for v in range(n)}
-    seen = bytearray(full + 1)  # f + 1 once reached; _WAIT while queued or over the threshold
-    seen[0] = _WAIT
-    queue = [0]
-    waiting: list[int] = []
-    w = 0
-    while True:
-        push, wait = queue.append, waiting.append
-        while queue:
-            e = queue.pop()
-            s = e & full
-            seen[s] = w + 1
-            if s == full:
-                break
-            _mw_children(nbr, n, at, seen, e, w, push, wait)
-        if seen[full] == w + 1:
-            break
-        w += 1
-        queue, waiting = waiting, []
+    seen, w = _search(n, partial(_mw_children, g.nbr_mask, n, at))
     return _witness(seen, n, w, partial(_cut_size_mask, g))
 
 
 def dmw_exact(g: Graph, cap: int = SUBSET_DP_CAP) -> WidthResult:
     """Exact distant matching width with a witness order and its per-prefix cuts.
 
-    CROSS_EDGE_CAP bounds the cut edges of the evaluations that run the
-    exhaustive branch and bound, those asked for more than 3 edges; the
-    direct loops for 1 to 3 edges take any number.
+    _search over bare prefixes, each evaluated when popped. CROSS_EDGE_CAP
+    bounds the cut edges of the evaluations that run the exhaustive branch
+    and bound, those asked for more than 3 edges; the direct loops for 1 to
+    3 edges take any number.
     """
     _check_subset_cap(g, cap)
     _, compat, inc = _compat_masks(g)
     tables = _cut_edge_tables(inc)
+    full = (1 << g.n) - 1
 
     def cut(s: int, k: int) -> int:
         edges = _table_cross_edges(tables, s)
         _check_cross_cap(edges, k)
         return _max_compatible_subset(edges, compat, k)[0]
 
-    return _subset_dp(g, cut, cap)
+    def step(seen: bytearray, s: int, w: int, push: Callable, wait: Callable) -> None:
+        edges = _table_cross_edges(tables, s)
+        _check_cross_cap(edges, w + 1)
+        if _max_compatible_subset(edges, compat, w + 1)[0] > w:
+            wait(s)
+            return
+        seen[s] = w + 1
+        out = full ^ s
+        for b in _BITS[0][out & 255] + _BITS[1][out >> 8 & 255] + _BITS[2][out >> 16]:
+            if not seen[s | b]:
+                seen[s | b] = _WAIT
+                push(s | b)
+
+    seen, w = _search(g.n, step)
+    return _witness(seen, g.n, w, cut)
 
 
 def greedy_distant_extraction(g: Graph, m: Matching) -> Matching:

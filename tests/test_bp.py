@@ -151,6 +151,8 @@ def test_uniformize_preserves_satisfying_set():
         assert is_uniform(u)
         assert u.size_edges <= (2 * num_vars + 1) * max(z.size_edges, 1)
         assert bp_satisfying_set(u) == bp_satisfying_set(z) == accepted_masks(z)
+    with pytest.raises(ValueError, match="^need at least 1 variable, got 0$"):
+        random_read_once_program(0, seed=0)
 
 
 def test_uniformize_uniform_input_keeps_size():

@@ -168,6 +168,9 @@ def test_path_weight_total_is_one():
             assert path_weight_total(y, a, exact=True) == 1
             assert abs(path_weight_total(y, a) - 1.0) <= 1e-12
             assert path_weight_oracle(y, a) == 1
+    for a in (-1, y.num_nodes):
+        with pytest.raises(ValueError, match=f"^node {a} out of range$"):
+            path_weight_total(y, a)
 
 
 def test_covered_weight_matches_path_enumeration():
@@ -190,6 +193,10 @@ def test_covered_weight_matches_path_enumeration():
         got = covered_weight(y, 0, s, exact=True)
         assert got == path_weight_oracle(y, 0, s) > 0
         assert abs(covered_weight(y, 0, s) - float(got)) <= 1e-12
+    with pytest.raises(ValueError, match="^vertex 12 out of range$"):
+        covered_weight(y, 0, [3, 12])
+    with pytest.raises(ValueError, match=f"^node {y.num_nodes} out of range$"):
+        covered_weight(y, y.num_nodes, [3])
 
 
 def test_relative_weight():

@@ -101,6 +101,14 @@ def test_cnf_round_trip_and_errors():
         parse_cnf("p cnf 2 1\n1 3 0\n")
     with pytest.raises(ValueError, match="promises 2 clauses, found 1"):
         parse_cnf("p cnf 3 2\n1 2 0\n")
+    with pytest.raises(ValueError, match="line 2: duplicate problem line"):
+        parse_cnf("p cnf 2 1\np cnf 2 1\n1 2 0\n")
+    with pytest.raises(ValueError, match="line 1: expected 'p cnf <n> <m>'"):
+        parse_cnf("p edge 2 1\n1 2 0\n")
+    with pytest.raises(ValueError, match="line 2: monotone clauses have exactly 2 literals, got 3"):
+        parse_cnf("p cnf 3 1\n1 2 3 0\n")
+    with pytest.raises(ValueError, match="line 2: literal -2 is negative, clauses must be all-positive"):
+        parse_cnf("p cnf 2 1\n1 -2 0\n")
 
 
 def test_td_round_trip_with_meta():
@@ -237,6 +245,8 @@ def test_bp_parse_errors():
         parse_bp("bp 2 1 1 0 1\n0 1 +1\n")
     with pytest.raises(ValueError, match="header promises 2 edges, found 1"):
         parse_bp("bp 2 2 1 0 1\n0 1 +0\n")
+    with pytest.raises(ValueError, match="line 2: expected 'bp <nodes> <edges> <vars> <root> <leaf>'"):
+        parse_bp("c\nbp 2 1 1 0\n0 1 +0\n")
 
 
 
@@ -251,6 +261,7 @@ def test_bp_parse_errors():
     (parse_bp, "c p\nbp 2 1 1 5 1\n0 1 +0\n", "line 2: root 5 out of range"),
     (parse_bp, "bp 2 1 1 0 7\n0 1 +0\n", "line 1: leaf 7 out of range"),
     (parse_bp, "bp 2 1 -1 0 1\n0 1 .\n", "line 1: variable count must be nonnegative, got -1"),
+    (parse_bp, "bp 2 2 1 0 1\n0 1 +0\nc\n1 2 -0\n", r"line 4: edge \(1, 2\) out of range"),
 ])
 def test_container_refusals_name_their_line(parse, text, message):
     # the containers' own checks, which the readers pass on with the line

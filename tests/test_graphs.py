@@ -46,6 +46,8 @@ def test_graph_rejects_bad_edges():
 def test_named_graphs():
     assert path_graph(4).edges == ((0, 1), (1, 2), (2, 3))
     assert cycle_graph(3).edges == ((0, 1), (0, 2), (1, 2))
+    with pytest.raises(ValueError, match="^cycle needs at least 3 vertices, got 2$"):
+        cycle_graph(2)
     assert complete_graph(4).num_edges == 6
     assert isolated_vertices(Graph(3, [(0, 1)])) == (2,)
     assert is_connected(path_graph(5))
@@ -136,3 +138,5 @@ def test_is_dis_matches_definition():
                 expect = all(a.isdisjoint(b)
                              for a, b in itertools.combinations(closed, 2))
                 assert is_dis(g, combo) == expect
+    with pytest.raises(ValueError, match="^vertex 4 out of range for n=4$"):
+        is_dis(path_graph(4), [0, 4])

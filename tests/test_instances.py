@@ -239,6 +239,11 @@ def test_tree_decomposition_validation_catches_defects():
     assert any("vertex 2 induces a disconnected bag subtree" in v
                for v in rep.violations)
 
+    # an out-of-range member is named, and the rest of the bag still counts
+    stray = TreeDecomposition(good.tree, (good.bags[0] | {9},) + good.bags[1:])
+    rep = validate_tree_decomposition(g, stray)
+    assert rep.violations == ["bag 0 contains out-of-range vertex 9"]
+
     with pytest.raises(ValueError, match="bags for a tree"):
         TreeDecomposition(good.tree, (frozenset(),))
 
@@ -270,6 +275,11 @@ def test_cross_matching_finder_preconditions():
                               PrefixPartition.split(
                                   tree_product(complete_binary_tree(2), path_graph(4)),
                                   [0]), 2)
+    with pytest.raises(ValueError, match=r"^second class has 3 vertices, need >= p\^2=4$"):
+        cross_matching_finder(complete_binary_tree(2), path_graph(4),
+                              PrefixPartition.split(
+                                  tree_product(complete_binary_tree(2), path_graph(4)),
+                                  range(3, 28)), 2)
     with pytest.raises(ValueError, match="p must be at least 1"):
         cross_matching_finder(t, h, part, 0)
     with pytest.raises(ValueError, match="does not split"):

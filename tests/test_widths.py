@@ -48,8 +48,11 @@ def _check_partition(g, part):
 
 
 def max_cross_matching(g, part):
+    smask = ((1 << g.n) - 1) & ~_check_partition(g, part)
     mate = {}
-    widths._cut_size_mask(g, _check_partition(g, part), mate=mate)
+    free = smask
+    for u in sorted(part.prefix):
+        free, _ = widths._augment(g.nbr_mask, smask, mate, free, u, 0)
     return Matching(tuple((u, vb.bit_length() - 1) for vb, u in mate.items()))
 
 
